@@ -12,7 +12,11 @@ so its ``ipc_bytes`` column is what justifies the transport.
 Before timing anything it verifies the headline invariant on a small
 fleet: a run sharded across W workers is bit-identical to the same plan
 at ``workers=1`` on *both* transports, and a ``shards=1`` run is
-bit-identical to the legacy unsharded batched fleet.
+bit-identical to the legacy unsharded batched fleet.  Every one of those
+runs, plus a streaming run per transport, must also hold the same
+disclosure ledger: the same tracked-device count and the same bound for
+every device, whether it was charged per report id or as one dense
+array add.
 
 The ≥2× speedup floor is only asserted on machines with ≥4 cores (and
 not in ``--quick`` mode); smaller hosts still record the sweep so the
@@ -31,7 +35,7 @@ import time
 
 import numpy as np
 
-from repro.aggregation import run_fleet
+from repro.aggregation import fleet_device_id, run_fleet
 from repro.mechanisms import SensorSpec
 from repro.parallel import plan_execution, plan_shards, run_fleet_sharded
 from repro.rng import CordicLn, audited_generator
@@ -51,10 +55,21 @@ SWEEP_SIZES = (5_000, 50_000, 500_000)
 QUICK_SIZES = (500, 2_000)
 
 
+def _ledger(server, n_devices: int):
+    """``(n_devices_tracked, every device's disclosure bound)``."""
+    return (
+        server.snapshot()["n_devices_tracked"],
+        [server.worst_case_disclosure(fleet_device_id(i)) for i in range(n_devices)],
+    )
+
+
 def _identity_check(workers: int) -> bool:
     """Bit-identity: W workers ≡ 1 worker on both transports, and
-    shards=1 ≡ unsharded."""
+    shards=1 ≡ unsharded.  The disclosure ledgers must agree too, across
+    all of those and streaming runs, whose bound is charged as one dense
+    array add instead of per report id."""
     truth = audited_generator(SEED).uniform(5.0, 45.0, size=(4, 96))
+    n_devices = truth.shape[1]
     common = dict(
         arm="thresholding",
         source_seed=SEED,
@@ -64,6 +79,7 @@ def _identity_check(workers: int) -> bool:
     one = run_fleet_sharded(
         truth, SENSOR, EPSILON, rng=audited_generator(1), shards=8, workers=1, **common
     )
+    ledger = _ledger(one.server, n_devices)
     for use_shm in (False, True):
         many = run_fleet_sharded(
             truth,
@@ -80,6 +96,22 @@ def _identity_check(workers: int) -> bool:
                 one.server.values(epoch), many.server.values(epoch)
             ):
                 return False
+        streamed = run_fleet_sharded(
+            truth,
+            SENSOR,
+            EPSILON,
+            rng=audited_generator(1),
+            shards=8,
+            workers=workers,
+            shm=use_shm,
+            streaming=True,
+            with_devices=False,
+            **common,
+        )
+        if _ledger(many.server, n_devices) != ledger:
+            return False
+        if _ledger(streamed.server, n_devices) != ledger:
+            return False
 
     legacy = run_fleet(
         truth, SENSOR, EPSILON, rng=audited_generator(1), batched=True, **common
@@ -92,7 +124,10 @@ def _identity_check(workers: int) -> bool:
             legacy.server.values(epoch), bridge.server.values(epoch)
         ):
             return False
-    return True
+    return (
+        _ledger(legacy.server, n_devices) == ledger
+        and _ledger(bridge.server, n_devices) == ledger
+    )
 
 
 def _run(truth, workers, shards, use_shm=None, measure_ipc=False):
@@ -209,7 +244,8 @@ def main(argv=None) -> int:
 
     bit_identical = _identity_check(workers)
     print(f"bit-identity (W={workers} vs W=1, shm vs pickle, "
-          f"shards=1 vs unsharded): {'OK' if bit_identical else 'FAILED'}")
+          f"shards=1 vs unsharded, ledgers incl. streaming): "
+          f"{'OK' if bit_identical else 'FAILED'}")
 
     # Warm codebook/table caches outside the timed region.
     warm = audited_generator(SEED).uniform(5.0, 45.0, size=(1, 256))

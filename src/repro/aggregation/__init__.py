@@ -4,6 +4,7 @@ simulation harness."""
 
 from .device import Device
 from .fleet import FleetResult, run_fleet
+from .ledger import DisclosureLedger, fleet_device_id
 from .protocol import Report
 from .server import AggregationServer, EpochSummary
 
@@ -11,6 +12,8 @@ __all__ = [
     "Device",
     "FleetResult",
     "run_fleet",
+    "DisclosureLedger",
+    "fleet_device_id",
     "Report",
     "AggregationServer",
     "EpochSummary",

@@ -36,6 +36,7 @@ from ..mechanisms import SensorSpec, make_mechanism
 from ..rng.urng import SplitStreamSource, audited_generator
 from ..runtime import ArrayCharge, ReleasePipeline
 from .device import Device
+from .ledger import fleet_device_id
 from .protocol import Report
 from .server import AggregationServer
 
@@ -149,7 +150,7 @@ def run_fleet(
         # epoch loop so every epoch privatizes as pure table gathers.
         mechanism.rng.kernel
     devices = [
-        Device(f"dev-{i:04d}", mechanism, budget=device_budget)
+        Device(fleet_device_id(i), mechanism, budget=device_budget)
         for i in range(n_devices)
     ]
     lam = sensor.d / epsilon if arm != "rr" else None

@@ -55,6 +55,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..queries.estimators import debiased_variance
 from ..queries.frequency import FrequencyEstimate, estimate_from_counts
+from .ledger import DisclosureLedger, check_claimed_loss
 from .protocol import Report
 
 __all__ = ["AggregationServer", "EpochSummary", "IngestHandle"]
@@ -155,6 +156,14 @@ class _ReportBatch:
     claimed_loss: float
 
 
+def _check_id_count(device_ids: Sequence[str], n_reports: int) -> None:
+    """One id per report, or the ledger would under-charge the batch."""
+    if len(device_ids) != n_reports:
+        raise ConfigurationError(
+            f"device_ids ({len(device_ids)}) and reports ({n_reports}) disagree"
+        )
+
+
 class IngestHandle:
     """Thread-safe submission facade over one :class:`AggregationServer`.
 
@@ -251,7 +260,7 @@ class AggregationServer:
         #: Running per-device claimed-loss totals (both modes) — the
         #: server-side composition bound behind
         #: :meth:`worst_case_disclosure`.
-        self._disclosure: Dict[str, float] = {}
+        self._ledger = DisclosureLedger()
         #: One lock per server, shared by every :class:`IngestHandle`.
         self._ingest_lock = threading.Lock()
         self._ingest_handle: Optional[IngestHandle] = None
@@ -259,31 +268,9 @@ class AggregationServer:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def _charge_disclosure(
-        self, device_ids: Sequence[str], claimed_loss: float
-    ) -> None:
-        """Add ``claimed_loss`` per report to the composition bound.
-
-        Batches are overwhelmingly first contact — every id unique in
-        the batch and never seen before — so the common case is one
-        C-level merge appending each device with total ``0.0 + loss``;
-        any repeat falls back to the per-id walk.  Both paths write the
-        same totals in the same dict order.
-        """
-        disclosure = self._disclosure
-        fresh = dict.fromkeys(device_ids, 0.0 + claimed_loss)
-        if len(fresh) == len(device_ids) and disclosure.keys().isdisjoint(fresh):
-            disclosure.update(fresh)
-            return
-        get = disclosure.get
-        for device_id in device_ids:
-            disclosure[device_id] = get(device_id, 0.0) + claimed_loss
-
     def submit(self, report: Report) -> None:
         """Accept one report (idempotence is the device's concern)."""
-        self._disclosure[report.device_id] = (
-            self._disclosure.get(report.device_id, 0.0) + report.claimed_loss
-        )
+        self._ledger.charge((report.device_id,), report.claimed_loss)
         if self.streaming:
             self._epoch_moments(report.epoch).fold(
                 np.asarray([report.value], dtype=float)
@@ -311,8 +298,11 @@ class AggregationServer:
         ``device_ids`` is required (reports must stay materializable and
         the disclosure bound per-device exact).  In streaming mode ids
         may be omitted; the caller then records the composition bound in
-        bulk via :meth:`record_claimed_losses` (the fleet runner knows
+        bulk via :meth:`record_report_counts` (the fleet runner knows
         every device's report count up front from the dropout masks).
+        Given ids must number one per value, and the claimed loss must
+        be nonnegative and not NaN; either violation raises before
+        anything is folded or charged.
 
         ``donate=True`` is the zero-copy contract of the shared-memory
         data plane: the caller hands over a buffer it will *invalidate*
@@ -322,22 +312,19 @@ class AggregationServer:
         immediately; retain mode takes its own copy before storing.
         """
         values = np.asarray(values, dtype=float).reshape(-1)
-        if self.streaming:
-            if device_ids is not None:
-                self._charge_disclosure(device_ids, claimed_loss)
-            self._epoch_moments(epoch).fold(values)
-            return
-        if device_ids is None:
+        claimed_loss = check_claimed_loss(claimed_loss)
+        if device_ids is None and not self.streaming:
             raise ConfigurationError(
                 "retain-mode submit_array needs device_ids (reports must stay "
                 "materializable); pass ids or construct the server with "
                 "streaming=True"
             )
-        if len(device_ids) != values.size:
-            raise ConfigurationError(
-                f"device_ids ({len(device_ids)}) and values ({values.size}) disagree"
-            )
-        self._charge_disclosure(device_ids, claimed_loss)
+        if device_ids is not None:
+            _check_id_count(device_ids, values.size)
+            self._ledger.charge(device_ids, claimed_loss)
+        if self.streaming:
+            self._epoch_moments(epoch).fold(values)
+            return
         if donate:
             # The caller's buffer dies after this call; retained state
             # must be server-owned memory.
@@ -346,7 +333,7 @@ class AggregationServer:
             _ReportBatch(
                 device_ids=list(device_ids),
                 values=values,
-                claimed_loss=float(claimed_loss),
+                claimed_loss=claimed_loss,
             )
         )
 
@@ -367,8 +354,9 @@ class AggregationServer:
         the vector-valued generalization of the streaming fold, and the
         only categorical submission path (raw categorical reports are
         never retained server-side, in either mode).  ``device_ids`` is
-        optional exactly as in streaming ``submit_array``; bulk callers
-        use :meth:`record_claimed_losses` instead.
+        optional exactly as in streaming ``submit_array`` (one per
+        report when given); bulk callers use :meth:`record_report_counts`
+        instead.
 
         ``donate=True`` has the same contract as on :meth:`submit_array`
         (caller invalidates the buffer after the call).  The count fold
@@ -377,6 +365,9 @@ class AggregationServer:
         ownership transfer explicitly.
         """
         counts = np.asarray(counts, dtype=np.int64).reshape(-1)
+        claimed_loss = check_claimed_loss(claimed_loss)
+        if device_ids is not None:
+            _check_id_count(device_ids, n_reports)
         if counts.size < 2:
             raise ConfigurationError("support counts need >= 2 categories")
         if n_reports <= 0:
@@ -393,20 +384,34 @@ class AggregationServer:
             )
         bucket.fold(counts, n_reports)
         if device_ids is not None:
-            self._charge_disclosure(device_ids, claimed_loss)
+            self._ledger.charge(device_ids, claimed_loss)
 
     def record_claimed_losses(self, losses: Mapping[str, float]) -> None:
         """Bulk-add per-device claimed losses to the disclosure bound.
 
-        Used by the sharded streaming runner: instead of shipping device
-        ids with every epoch batch, it accumulates each device's total
-        claimed loss (report count × per-report bound, both known from
-        the dropout masks) and records it once per run.
+        Each value is the device's total for the batch of reports it
+        covers, added to its running sum.  Every value is checked (no
+        negative, no NaN) before any is added, so a rejected mapping
+        leaves the ledger untouched.  A fleet runner that knows every
+        device's report count calls :meth:`record_report_counts`
+        instead, which needs no per-device objects.
         """
-        for device_id, loss in losses.items():
-            self._disclosure[device_id] = self._disclosure.get(device_id, 0.0) + float(
-                loss
-            )
+        self._ledger.record_claimed_losses(losses)
+
+    def record_report_counts(
+        self, report_counts: np.ndarray, claimed_loss: float
+    ) -> None:
+        """Charge fleet device ``i`` with ``report_counts[i] * claimed_loss``.
+
+        The bulk composition bound of a fleet run, in one array add:
+        device ``i`` is :func:`~repro.aggregation.fleet_device_id`
+        ``(i)``, and its total is bit-identical to recording
+        ``{fleet_device_id(i): float(report_counts[i]) * claimed_loss}``
+        through :meth:`record_claimed_losses`.  This is the only call
+        that allocates the ledger's dense per-device column (sized
+        ``len(report_counts)``); per-id charges never do.
+        """
+        self._ledger.record_report_counts(report_counts, claimed_loss)
 
     # ------------------------------------------------------------------
     # Epoch access
@@ -604,11 +609,13 @@ class AggregationServer:
 
         Per-epoch aggregates in both modes (streaming: the exact moment
         state; retain: the summary statistics), categorical support
-        counts, and the retention tally.  Every number is derived from
-        folded state only, so a snapshot of a streaming server fed over
-        the socket is comparable field-for-field — bit-for-bit for the
-        float moments — with one fed in-process with the same batches in
-        the same order.
+        counts, the retention tally, and ``n_devices_tracked`` — the
+        number of devices the disclosure ledger holds a total for,
+        across its per-id and dense stores (a Python ``int``).  Every
+        number is derived from folded state only, so a snapshot of a
+        streaming server fed over the socket is comparable
+        field-for-field — bit-for-bit for the float moments — with one
+        fed in-process with the same batches in the same order.
         """
         epochs: Dict[str, Dict[str, object]] = {}
         for epoch in self.epochs:
@@ -635,7 +642,7 @@ class AggregationServer:
             "epochs": epochs,
             "categorical_epochs": categorical,
             "n_retained_reports": self.n_retained_reports,
-            "n_devices_tracked": len(self._disclosure),
+            "n_devices_tracked": len(self._ledger),
         }
 
     # ------------------------------------------------------------------
@@ -649,5 +656,16 @@ class AggregationServer:
         number — privacy is enforced on-device).  The total is kept as a
         running per-device sum, so it works identically in streaming
         mode, where the reports themselves are gone.
+
+        Totals live in a :class:`~repro.aggregation.ledger.DisclosureLedger`:
+        ids charged one at a time in a dict, fleet devices charged by
+        :meth:`record_report_counts` in a dense column.  Either way the
+        total is the float a plain per-id dict walk over the same
+        charges gives, bit for bit.
         """
-        return float(self._disclosure.get(device_id, 0.0))
+        return self._ledger.total(device_id)
+
+    @property
+    def ledger(self) -> DisclosureLedger:
+        """The disclosure ledger (read it; charge through the server)."""
+        return self._ledger

@@ -398,13 +398,7 @@ def run_fleet_categorical(
                 server.submit_counts(epoch, counts, n, loss, donate=use_shm)
         # Composition bound, in bulk: report counts per device are fixed by
         # the coordinator-drawn masks.
-        per_device = reporting.sum(axis=0)
-        server.record_claimed_losses(
-            {
-                f"dev-{i:04d}": float(per_device[i]) * loss
-                for i in np.flatnonzero(per_device)
-            }
-        )
+        server.record_report_counts(reporting.sum(axis=0), loss)
 
         target_pipeline = pipeline if pipeline is not None else default_pipeline()
         if execution_plan is not None:

@@ -180,6 +180,7 @@ def run_fleet_sharded(
     """
     from ..aggregation.device import Device
     from ..aggregation.fleet import FleetResult
+    from ..aggregation.ledger import fleet_device_id
     from ..aggregation.server import AggregationServer
 
     if execution_plan is not None:
@@ -358,20 +359,14 @@ def run_fleet_sharded(
                         epoch,
                         values,
                         loss,
-                        device_ids=[f"dev-{i:04d}" for i in idx],
+                        device_ids=[fleet_device_id(i) for i in idx],
                         donate=use_shm,
                     )
         if streaming:
             # The composition bound, recorded in bulk: every report claims
             # the same per-release loss, and the report count per device is
             # fixed by the coordinator-drawn masks.
-            counts = reporting.sum(axis=0)
-            server.record_claimed_losses(
-                {
-                    f"dev-{i:04d}": float(counts[i]) * loss
-                    for i in np.flatnonzero(counts)
-                }
-            )
+            server.record_report_counts(reporting.sum(axis=0), loss)
 
         target_pipeline = pipeline if pipeline is not None else default_pipeline()
         if execution_plan is not None:
@@ -385,7 +380,7 @@ def run_fleet_sharded(
         devices: List[Device] = []
         if with_devices:
             devices = [
-                Device(f"dev-{i:04d}", reference, budget=device_budget)
+                Device(fleet_device_id(i), reference, budget=device_budget)
                 for i in range(n_devices)
             ]
             if use_shm:

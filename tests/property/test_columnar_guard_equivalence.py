@@ -240,4 +240,4 @@ def test_disclosure_charge_matches_naive_walk(seq):
         )
         for device_id in ids:
             oracle[device_id] = oracle.get(device_id, 0.0) + loss
-        assert list(server._disclosure.items()) == list(oracle.items())
+        assert list(server.ledger.items()) == list(oracle.items())

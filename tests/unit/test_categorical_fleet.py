@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.aggregation import fleet_device_id
 from repro.errors import ConfigurationError
 from repro.parallel import run_fleet_categorical
 from repro.runtime import CounterSink, ReleasePipeline
@@ -84,6 +85,31 @@ class TestAccuracyAndEstimates:
         assert result.server.worst_case_disclosure("dev-0000") == pytest.approx(
             truth.shape[0] * 2.0
         )
+
+
+class TestDisclosureLedger:
+    @pytest.mark.parametrize("shm", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_device_total_exact(self, truth, workers, shm):
+        dropout = 0.2
+        result = _run(truth, workers=workers, shm=shm, dropout=dropout)
+        # The coordinator's mask draws, replayed from the same seed.
+        rng = np.random.default_rng(5)
+        n_epochs, n_devices = truth.shape
+        masks = np.stack(
+            [rng.random(n_devices) >= dropout for _ in range(n_epochs)]
+        )
+        loss = result.oracle.claimed_loss_bound
+        expected = {}
+        for i, count in enumerate(masks.sum(axis=0)):
+            if count:
+                expected[fleet_device_id(i)] = 0.0 + float(count) * loss
+        server = result.server
+        assert server.snapshot()["n_devices_tracked"] == len(expected)
+        assert dict(server.ledger.items()) == expected
+        for i in range(n_devices):
+            dev = fleet_device_id(i)
+            assert server.worst_case_disclosure(dev) == expected.get(dev, 0.0)
 
 
 class TestTraceSubstrate:
