@@ -15,15 +15,23 @@ variance must agree with the closed form within a generous Monte Carlo
 band.  A bias or a variance-formula error fails the bench, not just a
 number in a table.
 
+An OLH decode section times ``support_counts`` at ``d = 256`` — the
+server's O(n·d) support-counting pass — as µs per 1,000 reports (median
+of 5 repeats with the garbage collector paused, plus the min/max
+spread), and asserts the kernel's counts equal the per-candidate hash
+definition on the same reports.
+
 Machine-readable results land in ``BENCH_oracles.json`` at the repo
 root.  Standalone script (not pytest-benchmark): CI runs ``--quick`` as
 the oracle-smoke job and uploads the JSON as an artifact.
 """
 
 import argparse
+import gc
 import json
 import math
 import pathlib
+import statistics
 import sys
 import time
 
@@ -43,6 +51,10 @@ ARM_LABELS = {"krr": "k-RR", "oue": "OUE", "olh": "OLH"}
 BIAS_SIGMAS = 3.0
 #: Empirical/closed-form variance ratio band (Monte Carlo tolerance).
 VAR_BAND = (0.4, 2.5)
+#: OLH decode section: domain size, ε and timed repeats.
+DECODE_D = 256
+DECODE_EPSILON = 2.0
+DECODE_REPEATS = 5
 
 
 def _population(rng, d, n):
@@ -96,6 +108,46 @@ def _run_arm(kind, d, epsilon, values, trials, seed0):
     }
 
 
+def _olh_decode(n):
+    """Time OLH ``support_counts`` at d = 256; check it against the definition."""
+    values = _population(audited_generator(SEED + 1), DECODE_D, n)
+    arm = make_oracle(
+        "olh", DECODE_D, DECODE_EPSILON, source=SplitStreamSource(SEED + 1)
+    )
+    reports = arm.report(values)
+    idx = np.arange(n, dtype=np.int64)
+    reference = np.array(
+        [
+            np.count_nonzero(arm.hash_values(np.full(n, v), idx) == reports)
+            for v in range(DECODE_D)
+        ],
+        dtype=np.int64,
+    )
+    times = []
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(DECODE_REPEATS):
+            t0 = time.perf_counter()
+            counts = arm.support_counts(reports)
+            times.append(time.perf_counter() - t0)
+    finally:
+        gc.enable()
+    per_kreport = sorted(t / n * 1e9 for t in times)  # µs per 1,000 reports
+    return {
+        "categories": DECODE_D,
+        "epsilon": DECODE_EPSILON,
+        "g": arm.g,
+        "reports": n,
+        "repeats": DECODE_REPEATS,
+        "support_counts_us_per_kreport": round(statistics.median(per_kreport), 1),
+        "support_counts_us_per_kreport_spread": [
+            round(per_kreport[0], 1), round(per_kreport[-1], 1)
+        ],
+        "equals_reference": bool(np.array_equal(counts, reference)),
+    }
+
+
 def _render(rows):
     head = (
         f"{'eps':>4} {'arm':<5} {'exact eps':>9} {'bits':>5} "
@@ -144,12 +196,22 @@ def main(argv=None) -> int:
             )
     _render(rows)
 
+    decode = _olh_decode(n)
+    print(
+        f"OLH decode d={decode['categories']} g={decode['g']} n={n}: "
+        f"{decode['support_counts_us_per_kreport']} us/kreport "
+        f"(spread {decode['support_counts_us_per_kreport_spread']}), "
+        f"equals reference: {decode['equals_reference']}"
+    )
+
     failures = [
         f"{r['arm']} @ eps={r['epsilon']}: "
         + ("biased" if not r["unbiased_3sigma"] else "variance off")
         for r in rows
         if not (r["unbiased_3sigma"] and r["var_in_band"])
     ]
+    if not decode["equals_reference"]:
+        failures.append("OLH support_counts differs from the per-candidate hash")
 
     payload = {
         "schema": 1,
@@ -161,6 +223,7 @@ def main(argv=None) -> int:
         "var_band": list(VAR_BAND),
         "quick": args.quick,
         "rows": rows,
+        "olh_decode": decode,
         "failures": failures,
     }
     RESULTS_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -342,6 +342,12 @@ class OptimizedUnaryEncoding(_CodeThresholdOracle):
             raise ConfigurationError(
                 f"OUE reports must be an (n, {self.n_categories}) bit matrix"
             )
+        if reports.size and (
+            not (reports.dtype == bool or np.issubdtype(reports.dtype, np.integer))
+            or reports.min() < 0
+            or reports.max() > 1
+        ):
+            raise ConfigurationError("OUE report entries must be 0 or 1")
         return reports.sum(axis=0).astype(np.int64)
 
     def estimator_params(self) -> Tuple[float, float]:
@@ -361,9 +367,9 @@ class OptimizedLocalHashing(_CodeThresholdOracle):
 
     name = "OLH"
 
-    #: User-block size for the vectorized support-count pass; bounds the
-    #: (block × d) hash matrix working set.
-    _SUPPORT_BLOCK = 4096
+    #: User-block size for the support-count pass; bounds the working
+    #: set to a few ``uint32`` columns of this length.
+    _SUPPORT_BLOCK = 16384
 
     def __init__(
         self,
@@ -388,12 +394,6 @@ class OptimizedLocalHashing(_CodeThresholdOracle):
         a, b = _user_hash_params(self.hash_seed, user_indices)
         return ((a * np.asarray(values, dtype=np.int64) + b) % _HASH_PRIME) % self.g
 
-    def _hash_matrix(self, user_indices: np.ndarray) -> np.ndarray:
-        """``(len(users), d)`` matrix of every user's hash of every value."""
-        a, b = _user_hash_params(self.hash_seed, user_indices)
-        v = np.arange(self.n_categories, dtype=np.int64)
-        return ((a[:, None] * v[None, :] + b[:, None]) % _HASH_PRIME) % self.g
-
     # -- client stages --------------------------------------------------
     def encode(self, values: np.ndarray, user_offset: int = 0) -> np.ndarray:
         """Per-user hashed bucket ``h_i(v_i)``, shape ``(n,)``."""
@@ -413,14 +413,44 @@ class OptimizedLocalHashing(_CodeThresholdOracle):
 
     # -- server-side metadata ------------------------------------------
     def support_counts(self, reports, user_offset: int = 0) -> np.ndarray:
-        """``c_v = #{i : y_i == h_i(v)}``, blocked over users."""
-        reports = np.asarray(reports, dtype=np.int64).reshape(-1)
+        """``c_v = #{i : y_i == h_i(v)}``, blocked over users.
+
+        Walks the candidates in order with ``x_v = (a·v + b) mod P`` kept
+        as a ``uint32`` column: ``x += a`` then ``x = min(x, x - P)``.
+        Since ``x, a < P < 2**31`` the sum never wraps, and the unsigned
+        wrap of ``x - P`` when ``x < P`` makes ``min`` the conditional
+        subtract — so each (user, candidate) pair costs one add, one
+        subtract, one ``min`` and one ``% g``, with no multiply.
+
+        Reports must be integers in ``0..g-1``: anything else would
+        support no candidate yet still count in ``n``, so it raises.
+        An empty batch gives zero counts.
+        """
+        reports = np.asarray(reports).reshape(-1)
         indices = _resolve_user_indices(reports.size, user_offset)
         counts = np.zeros(self.n_categories, dtype=np.int64)
+        if reports.size == 0:
+            return counts
+        if not np.issubdtype(reports.dtype, np.integer):
+            raise ConfigurationError("OLH reports must be integers")
+        if reports.min() < 0 or reports.max() >= self.g:
+            raise ConfigurationError(f"OLH reports must be in 0..{self.g - 1}")
+        prime, g = np.uint32(_HASH_PRIME), np.uint32(self.g)
         for start in range(0, reports.size, self._SUPPORT_BLOCK):
             stop = min(start + self._SUPPORT_BLOCK, reports.size)
-            h = self._hash_matrix(indices[start:stop])
-            counts += (h == reports[start:stop, None]).sum(axis=0)
+            a, b = _user_hash_params(self.hash_seed, indices[start:stop])
+            a, x = a.astype(np.uint32), b.astype(np.uint32)
+            y = reports[start:stop].astype(np.uint32)
+            tmp = np.empty_like(x)
+            hit = np.empty(x.shape, dtype=bool)
+            for v in range(self.n_categories):
+                if v:
+                    np.add(x, a, out=x)
+                    np.subtract(x, prime, out=tmp)
+                    np.minimum(x, tmp, out=x)
+                np.remainder(x, g, out=tmp)
+                np.equal(tmp, y, out=hit)
+                counts[v] += np.count_nonzero(hit)
         return counts
 
     def estimator_params(self) -> Tuple[float, float]:

@@ -175,6 +175,9 @@ class TestOlhUserIndexing:
         o = OptimizedLocalHashing(8, 1.0, source=SplitStreamSource(5))
         with pytest.raises(ConfigurationError):
             o.encode(np.array([1, 2]), user_offset=np.array([0, 1, 2]))
+        for reports in (np.array([1, 2]), np.array([], dtype=np.int64)):
+            with pytest.raises(ConfigurationError):
+                o.support_counts(reports, user_offset=np.array([0, 1, 2]))
 
 
 # ---------------------------------------------------------------------
@@ -202,6 +205,51 @@ class TestInterface:
             o.perturb_request(np.zeros((3, 5), dtype=np.int64))
         with pytest.raises(ConfigurationError):
             o.support_counts(np.zeros((3, 5), dtype=np.int64))
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_oue_support_counts_rejects_non_bits(self, bad):
+        # A stray 2 used to count twice; -1 and 0.5 used to subtract
+        # or fractionally count.
+        o = OptimizedUnaryEncoding(4, 1.0, source=SplitStreamSource(0))
+        reports = np.zeros((3, 4), dtype=np.asarray(bad).dtype)
+        reports[1, 2] = bad
+        with pytest.raises(ConfigurationError, match="0 or 1"):
+            o.support_counts(reports)
+
+    def test_oue_support_counts_accepts_bits(self):
+        o = OptimizedUnaryEncoding(4, 1.0, source=SplitStreamSource(0))
+        reports = np.array([[1, 0, 1, 0], [1, 1, 0, 0]], dtype=np.int64)
+        np.testing.assert_array_equal(o.support_counts(reports), [2, 1, 1, 0])
+        np.testing.assert_array_equal(
+            o.support_counts(reports.astype(bool)), [2, 1, 1, 0]
+        )
+        np.testing.assert_array_equal(
+            o.support_counts(np.zeros((0, 4), dtype=np.int64)), [0, 0, 0, 0]
+        )
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([0, 1, 8], dtype=np.int64),  # g == 8: one past the top
+            np.array([0, -1], dtype=np.int64),
+            np.array([(1 << 32) + 3], dtype=np.uint64),  # aliases 3 in uint32
+            np.array([1.0, 2.0]),  # integral, but not an integer dtype
+        ],
+    )
+    def test_olh_support_counts_rejects_bad_reports(self, bad):
+        # These used to support nothing yet still count in n, biasing
+        # every estimate low with no error.
+        o = OptimizedLocalHashing(16, 2.0, source=SplitStreamSource(0))
+        assert o.g == 8
+        with pytest.raises(ConfigurationError, match="OLH reports"):
+            o.support_counts(bad)
+
+    def test_olh_support_counts_empty_is_zeros(self):
+        o = OptimizedLocalHashing(16, 2.0, source=SplitStreamSource(0))
+        for empty in (np.array([], dtype=np.int64), np.array([])):
+            counts = o.support_counts(empty, user_offset=12)
+            assert counts.dtype == np.int64
+            np.testing.assert_array_equal(counts, np.zeros(16, dtype=np.int64))
 
     def test_report_bits(self):
         assert KaryRandomizedResponse(16, 1.0).report_bits == 4
