@@ -21,6 +21,14 @@ Before timing anything it verifies the headline seam invariant on
 to the same epoch submitted in-process via
 ``AggregationServer.submit_array``.
 
+The sweep sends fresh device ids only, so it never leaves the guards'
+first-contact paths.  A second, **steady-state** row per wire runs a
+fixed fleet that re-reports every epoch with ``device_budget`` set, so
+every report takes the per-device budget, rate-limit and disclosure
+paths; it must be bit-identical to in-process ``submit_array`` and
+leave every device's ``worst_case_disclosure`` at exactly epochs x
+loss.
+
 Floors (full mode): ≥5k reports/sec on either wire, zero internal
 errors, zero busy retries (fold order stays batch order under the
 pipelined window), and the headline ratio — binary vs JSONL reports/s
@@ -36,6 +44,7 @@ import pathlib
 import socket
 import statistics
 import sys
+import time
 
 from repro.aggregation import AggregationServer
 from repro.rng import audited_generator
@@ -59,6 +68,11 @@ WIRES = ("jsonl", "binary")
 #: (batch_size, n_batches) rows swept — the last row is the headline.
 SWEEP = ((64, 400), (256, 400), (1024, 200))
 QUICK_SWEEP = ((64, 40), (256, 40))
+
+#: Steady-state row: (devices, epochs, batch_size) of the fixed fleet.
+STEADY = (8192, 12, 1024)
+QUICK_STEADY = (2048, 3, 512)
+STEADY_LOSS = 0.5
 
 
 def _identity_check(wire: str) -> bool:
@@ -134,6 +148,93 @@ def _trial(
         "max_queue_depth": metrics.get("max_queue_depth"),
         "internal_errors": metrics.get("internal_errors"),
     }
+
+
+def _steady_trial(wire: str, devices: int, epochs: int, batch_size: int) -> dict:
+    """A fixed fleet re-reporting every epoch under a device budget.
+
+    Each epoch is a seeded permutation of the fleet cut into
+    ``batch_size`` requests, sent pipelined on one connection.  The
+    budget is exactly ``epochs x STEADY_LOSS``, so every report is
+    admitted and the last epoch fills each device's budget.
+    """
+    gen = audited_generator(SEED)
+    fleet = [f"fleet-{i:05d}" for i in range(devices)]
+    batches = []
+    for epoch in range(epochs):
+        order = gen.permutation(devices)
+        values = gen.uniform(0.0, 50.0, size=devices)
+        for start in range(0, devices, batch_size):
+            ids = [fleet[i] for i in order[start:start + batch_size]]
+            batches.append((epoch, ids, values[start:start + batch_size]))
+
+    in_process = AggregationServer(streaming=True)
+    for epoch, ids, values in batches:
+        in_process.submit_array(epoch, values, STEADY_LOSS, device_ids=ids)
+
+    socket_fed = AggregationServer(streaming=True)
+    config = ServiceConfig(device_budget=epochs * STEADY_LOSS)
+    statuses = {}
+    gc.collect()
+    gc.disable()
+    try:
+        with serve_in_thread(socket_fed, config) as handle:
+            with IngestClient(*handle.address, wire=wire) as client:
+                payloads = [
+                    client.encode_submit(epoch, ids, values, STEADY_LOSS)
+                    for epoch, ids, values in batches
+                ]
+                t0 = time.perf_counter()
+                in_flight = 0
+                for payload in payloads:
+                    client.send_raw(payload)
+                    in_flight += 1
+                    if in_flight == PIPELINE:
+                        status = client.read_reply()["status"]
+                        statuses[status] = statuses.get(status, 0) + 1
+                        in_flight -= 1
+                for _ in range(in_flight):
+                    status = client.read_reply()["status"]
+                    statuses[status] = statuses.get(status, 0) + 1
+            handle.stop()  # drains: every admitted batch is folded
+            elapsed = time.perf_counter() - t0
+            metrics = handle.service.counters.ingest_summary()
+    finally:
+        gc.enable()
+    expected = epochs * STEADY_LOSS
+    return {
+        "wire": wire,
+        "devices": devices,
+        "epochs": epochs,
+        "batch_size": batch_size,
+        "device_budget": expected,
+        "statuses": statuses,
+        "reports_per_s": round(devices * epochs / elapsed, 1),
+        "server_admit_p50_us": metrics.get("latency_p50_us"),
+        "server_admit_p99_us": metrics.get("latency_p99_us"),
+        "internal_errors": metrics.get("internal_errors"),
+        "bit_identical": socket_fed.snapshot() == in_process.snapshot(),
+        "disclosure_exact": all(
+            socket_fed.worst_case_disclosure(d) == expected for d in fleet
+        ),
+    }
+
+
+def _steady_row(wire: str, spec, trials: int) -> dict:
+    rows = [_steady_trial(wire, *spec) for _ in range(trials)]
+    rates = sorted(row["reports_per_s"] for row in rows)
+    median_rate = statistics.median(rates)
+    row = min(rows, key=lambda r: abs(r["reports_per_s"] - median_rate))
+    row["trials"] = trials
+    row["reports_per_s_spread"] = [rates[0], rates[-1]]
+    # Correctness must hold on every trial, not just the median one.
+    row["bit_identical"] = all(r["bit_identical"] for r in rows)
+    row["disclosure_exact"] = all(r["disclosure_exact"] for r in rows)
+    row["all_admitted"] = all(
+        set(r["statuses"]) == {"admitted"} for r in rows
+    )
+    row["internal_errors"] = sum(r["internal_errors"] or 0 for r in rows)
+    return row
 
 
 def _sweep_cell(
@@ -215,6 +316,19 @@ def main(argv=None) -> int:
                 f"errors {row['internal_errors']}"
             )
 
+    steady_spec = QUICK_STEADY if args.quick else STEADY
+    steady = {}
+    for wire in wires:
+        row = steady[wire] = _steady_row(wire, steady_spec, trials)
+        print(
+            f"{wire:>6s} steady-state budgeted {row['devices']} devices x "
+            f"{row['epochs']} epochs, batch={row['batch_size']}: "
+            f"{row['reports_per_s']:>10,.0f} reports/s  "
+            f"admit p50 {row['server_admit_p50_us']} us  "
+            f"bit-identical {row['bit_identical']}  "
+            f"disclosure exact {row['disclosure_exact']}"
+        )
+
     headline_batch = sweep_spec[-1][0]
     by_wire = {
         row["wire"]: row
@@ -238,6 +352,7 @@ def main(argv=None) -> int:
         "pipeline": PIPELINE,
         "trials": trials,
         "sweep": sweep,
+        "steady_state": steady,
         "headline_batch_size": headline_batch,
         "reports_per_s": {
             wire: row["reports_per_s"] for wire, row in by_wire.items()
@@ -261,11 +376,22 @@ def main(argv=None) -> int:
             print(f"FAIL: {wire} socket-fed epoch is not bit-identical to "
                   f"in-process submission")
             failed = True
-    internal_errors = sum(row["internal_errors"] or 0 for row in sweep)
+    for wire, row in steady.items():
+        if not (row["bit_identical"] and row["disclosure_exact"]):
+            print(f"FAIL: {wire} steady-state run is not bit-identical to "
+                  f"in-process submission or mis-charged the ledger")
+            failed = True
+        if not row["all_admitted"]:
+            print(f"FAIL: {wire} steady-state run refused reports "
+                  f"within budget: {row['statuses']}")
+            failed = True
+    internal_errors = sum(
+        row["internal_errors"] or 0 for row in [*sweep, *steady.values()]
+    )
     if internal_errors:
         print(f"FAIL: {internal_errors} internal-error admission(s)")
         failed = True
-    for row in sweep:
+    for row in [*sweep, *steady.values()]:
         if row["reports_per_s"] < MIN_REPORTS_PER_S:
             print(f"FAIL: {row['wire']} batch={row['batch_size']} at "
                   f"{row['reports_per_s']:,.0f} reports/s is below the "

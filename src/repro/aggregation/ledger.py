@@ -6,22 +6,27 @@ conservative server-side mirror of every device's on-device budget
 (the authoritative accountant lives on the device).  It keeps each
 device id in exactly one of two stores:
 
-* **dict store** — ``Dict[str, float]`` for arbitrary ids, charged one
-  id at a time.  This is the only store an ingestion service ever
-  touches: per-id input never allocates anything else.
+* **slot store** — a float64 total column plus a bool "charged" column,
+  indexed by the device's slot in a
+  :class:`~repro.aggregation.device_index.DeviceIndex`.  Per-id charges land
+  here.  The ingestion service shares one index between its guard chain
+  and this ledger, so an admitted batch arrives as a
+  :class:`~repro.aggregation.device_index.SlotIds` column and is charged
+  with one ``np.add.at``; ``str`` ids are interned first, and slots of
+  another index are translated through a cached slot-to-slot map.
 * **dense store** — a float64 total column plus a bool "seen" column
   indexed by fleet device index ``i``, whose id is
   :func:`fleet_device_id` ``(i)``.  Only :meth:`record_report_counts`
   grows it, so a fleet runner charges a whole run's composition bound
   with one array add and no per-device Python objects.
 
-Routing keeps every total bit-identical to a plain per-id dict walk: a
+Routing keeps every total bit-identical to a plain per-id dict walk:
+``np.add.at`` adds each device's charges in batch order, a
 *canonical* id (one whose integer round-trips through
-:func:`fleet_device_id`) inside the dense range is charged in the
-column; when the dense range grows over a canonical id already in the
-dict store, that entry moves into the column first, so the order of
-additions is unchanged.  While the dense store is empty the per-id
-paths are exactly the dict walk.
+:func:`fleet_device_id`) inside the dense range is charged in the dense
+column, and when the dense range grows over a canonical id already in
+the slot store, that total moves into the dense column first, so the
+order of additions is unchanged.
 
 Every entry point fails closed on a negative or NaN claimed loss: a
 negative loss would lower a device's bound, a NaN would poison it for
@@ -32,11 +37,12 @@ valid charge.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
+from .device_index import DeviceIndex, SlotIds, grow_column
 
 __all__ = ["DisclosureLedger", "fleet_device_id", "check_claimed_loss"]
 
@@ -78,14 +84,28 @@ def check_claimed_loss(loss: object) -> float:
 
 
 class DisclosureLedger:
-    """Running per-device claimed-loss totals (the composition bound)."""
+    """Running per-device claimed-loss totals (the composition bound).
 
-    __slots__ = ("_by_id", "_dense", "_seen")
+    ``device_index`` is the slot table of the slot store; pass the one
+    the ingestion guards use so admitted batches need no translation.
+    """
 
-    def __init__(self) -> None:
-        self._by_id: Dict[str, float] = {}
+    __slots__ = ("_index", "_total", "_charged", "_foreign", "_dense", "_seen")
+
+    def __init__(self, device_index: Optional[DeviceIndex] = None) -> None:
+        self._index = device_index if device_index is not None else DeviceIndex()
+        self._total = np.zeros(0, dtype=np.float64)
+        self._charged = np.zeros(0, dtype=bool)
+        #: ``(table, remap)``: for each slot of the last other table
+        #: charged, own slot + 1 (``0`` until first seen).
+        self._foreign: Optional[Tuple[DeviceIndex, np.ndarray]] = None
         self._dense = np.zeros(0, dtype=np.float64)
         self._seen = np.zeros(0, dtype=bool)
+
+    @property
+    def device_index(self) -> DeviceIndex:
+        """The slot table behind the slot store."""
+        return self._index
 
     # ------------------------------------------------------------------
     # Charging
@@ -93,31 +113,25 @@ class DisclosureLedger:
     def charge(self, device_ids: Sequence[str], claimed_loss: float) -> None:
         """Add ``claimed_loss`` once per id in ``device_ids``, in order."""
         loss = check_claimed_loss(claimed_loss)
-        if self._dense.size:
+        if self._dense.size or len(device_ids) == 1:
             for device_id in device_ids:
                 self._add(device_id, loss)
             return
-        # Batches are overwhelmingly first contact — every id unique in
-        # the batch and never seen before — so the common case is one
-        # C-level merge appending each device with total ``0.0 + loss``;
-        # any repeat falls back to the per-id walk.  Both paths write
-        # the same totals in the same dict order.
-        by_id = self._by_id
-        fresh = dict.fromkeys(device_ids, 0.0 + loss)
-        if len(fresh) == len(device_ids) and by_id.keys().isdisjoint(fresh):
-            by_id.update(fresh)
-            return
-        get = by_id.get
-        for device_id in device_ids:
-            by_id[device_id] = get(device_id, 0.0) + loss
+        self._charge_slots(self._own_slots(device_ids), loss)
 
     def record_claimed_losses(self, losses: Mapping[str, float]) -> None:
         """Add each id's total loss; all values are checked before any add."""
         checked = [
             (device_id, check_claimed_loss(loss)) for device_id, loss in losses.items()
         ]
-        for device_id, loss in checked:
-            self._add(device_id, loss)
+        if self._dense.size:
+            for device_id, loss in checked:
+                self._add(device_id, loss)
+            return
+        self._charge_slots(
+            self._index.intern([device_id for device_id, _ in checked]),
+            np.array([loss for _, loss in checked], dtype=np.float64),
+        )
 
     def record_report_counts(
         self, report_counts: np.ndarray, claimed_loss: float
@@ -151,16 +165,57 @@ class DisclosureLedger:
             )
         self._seen[:n] |= charged
 
+    def _charge_slots(self, slots: np.ndarray, losses) -> None:
+        """Add ``losses`` (one, or one per slot) at ``slots``, in order."""
+        self._reserve()
+        np.add.at(self._total, slots, losses)
+        self._charged[slots] = True
+
     def _add(self, device_id: str, loss: float) -> None:
         i = _canonical_index(device_id) if self._dense.size else None
         if i is not None and i < self._dense.size:
             self._dense[i] += loss
             self._seen[i] = True
-        else:
-            self._by_id[device_id] = self._by_id.get(device_id, 0.0) + loss
+            return
+        slot = self._index.slot_of(device_id)
+        if slot is None:
+            slot = int(self._index.intern((device_id,))[0])
+        if slot >= self._total.size:
+            self._reserve()
+        self._total[slot] += loss
+        self._charged[slot] = True
+
+    def _own_slots(self, device_ids: Sequence[str]) -> np.ndarray:
+        """Slot-store slots of ``device_ids``, interning unseen ids."""
+        if not isinstance(device_ids, SlotIds):
+            return self._index.intern(device_ids)
+        if device_ids.table is self._index:
+            return device_ids.resolve()
+        table, slots = device_ids.table, device_ids.resolve()
+        if self._foreign is None or self._foreign[0] is not table:
+            self._foreign = (table, np.zeros(0, dtype=np.intp))
+        remap = grow_column(self._foreign[1], len(table))
+        self._foreign = (table, remap)
+        own = remap[slots] - 1
+        missing = own < 0
+        if missing.any():
+            # Intern in first-appearance order, as a str walk would.
+            unseen, first = np.unique(slots[missing], return_index=True)
+            unseen = unseen[np.argsort(first)]
+            remap[unseen] = 1 + self._index.intern(
+                [table.id_of(slot) for slot in unseen.tolist()]
+            )
+            own = remap[slots] - 1
+        return own
+
+    def _reserve(self) -> None:
+        """Grow the slot-store columns to cover every slot of the table."""
+        self._total = grow_column(self._total, len(self._index))
+        self._charged = grow_column(self._charged, len(self._index))
 
     def _grow(self, n: int) -> None:
-        """Extend the dense range to ``n`` devices, moving dict entries in."""
+        """Extend the dense range to ``n`` devices, moving slot-store
+        entries of canonical ids in the new range into it."""
         old = self._dense.size
         if n <= old:
             return
@@ -169,11 +224,13 @@ class DisclosureLedger:
         dense[:old] = self._dense
         seen[:old] = self._seen
         self._dense, self._seen = dense, seen
-        for device_id in list(self._by_id):
-            i = _canonical_index(device_id)
+        for slot in np.flatnonzero(self._charged).tolist():
+            i = _canonical_index(self._index.id_of(slot))
             if i is not None and old <= i < n:
-                dense[i] = self._by_id.pop(device_id)
+                dense[i] = self._total[slot]
                 seen[i] = True
+                self._total[slot] = 0.0
+                self._charged[slot] = False
 
     # ------------------------------------------------------------------
     # Reading
@@ -183,16 +240,20 @@ class DisclosureLedger:
         i = _canonical_index(device_id) if self._dense.size else None
         if i is not None and i < self._dense.size:
             return float(self._dense[i])
-        return float(self._by_id.get(device_id, 0.0))
+        slot = self._index.slot_of(device_id)
+        if slot is None or slot >= self._total.size:
+            return 0.0
+        return float(self._total[slot])
 
     def __len__(self) -> int:
         """Devices tracked in both stores (a Python ``int``)."""
-        return len(self._by_id) + int(np.count_nonzero(self._seen))
+        return int(np.count_nonzero(self._charged)) + int(np.count_nonzero(self._seen))
 
     def items(self) -> Iterator[Tuple[str, float]]:
-        """``(id, total)`` pairs: the dict store in insertion order, then
-        the tracked dense devices by ascending index."""
-        for device_id, total in self._by_id.items():
-            yield device_id, float(total)
+        """``(id, total)`` pairs: the slot store in slot order (the order
+        devices were first seen), then the tracked dense devices by
+        ascending index."""
+        for slot in np.flatnonzero(self._charged).tolist():
+            yield self._index.id_of(slot), float(self._total[slot])
         for i in np.flatnonzero(self._seen):
             yield fleet_device_id(int(i)), float(self._dense[i])

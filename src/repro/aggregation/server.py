@@ -658,8 +658,10 @@ class AggregationServer:
         mode, where the reports themselves are gone.
 
         Totals live in a :class:`~repro.aggregation.ledger.DisclosureLedger`:
-        ids charged one at a time in a dict, fleet devices charged by
-        :meth:`record_report_counts` in a dense column.  Either way the
+        per-id charges in a column indexed by the device's slot in the
+        ledger's :class:`~repro.aggregation.device_index.DeviceIndex`,
+        fleet devices charged by :meth:`record_report_counts` in a dense
+        column.  Either way the
         total is the float a plain per-id dict walk over the same
         charges gives, bit for bit.
         """

@@ -46,17 +46,27 @@ commit-equivalent** to the scalar path on the same logical batch
 ``tests/property/test_columnar_guard_equivalence.py``).  The numeric
 column never becomes per-report Python objects: the schema guard rules
 on it with single ``np.isfinite``/shape sweeps and repairs mask it
-in-place-shaped (``values[keep_mask]``).  Device ids are different —
-every stateful guard keys its bookkeeping on Python strings (state is
-shared with the scalar path: a device's rate count or budget spend is
-one number no matter which wire its reports took), so the schema guard
-decodes the id column **exactly once** into the canonical request and
-the downstream guards and the fold reuse that decode; measured against
-``np.unique``-based per-device counting, the shared str-keyed dict
-walk is both faster and exactly order-equivalent to the scalar walk.
-The base-class default delegates to :meth:`Guard.check`, so custom
-guards that only read scalar fields (``op``/``epoch``/
-``claimed_loss``) work on both wires unchanged.
+in-place-shaped (``values[keep_mask]``).
+
+**Interned device ids.**  The schema guard turns the batch's ids into
+slots of the chain's :class:`~repro.aggregation.device_index.DeviceIndex`
+exactly once — from the raw ``S``-column bytes on the binary wire, so a
+device's id is UTF-8 validated and decoded only the first time it is
+seen, or from the ``str`` list on JSONL — and hands the downstream
+guards and the fold a :class:`~repro.aggregation.device_index.SlotIds`.
+The stateful guards keep their per-device state as slot-indexed numpy
+columns (spend, last-charge stamp, per-epoch rate counts), so each
+rules with a gather and a compare and commits with one ``np.add.at``,
+whichever wire the batch took; ids are mapped back to strings only for
+reasons and deltas.  Ids the table has not seen get provisional slots
+at check time and are appended by :meth:`ChainOutcome.commit`, so a
+blocked or queue-refused batch allocates nothing.  The service shares
+the table with its server's disclosure ledger
+(:attr:`~repro.aggregation.AggregationServer.ledger`), which charges
+the same slots.  The base-class :meth:`Guard.check_array` delegates to
+:meth:`Guard.check`, so guards that only read scalar fields
+(``op``/``epoch``/``claimed_loss``) or work on either id
+representation need one ruling path.
 """
 
 from __future__ import annotations
@@ -68,6 +78,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..aggregation.device_index import DeviceIndex, SlotIds, grow_column
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -140,7 +151,9 @@ class ChainOutcome:
         Call exactly once, and only after the batch has been accepted
         downstream (enqueued for folding).  A blocked or queue-refused
         request is never committed, so guards charge nothing for it.
-        Each callback receives the final (post-repair) request.
+        Committing first appends the batch's never-seen device ids to
+        the chain's slot table; then each callback receives the final
+        (post-repair) request.
         """
         if not self.admitted:
             raise ConfigurationError(
@@ -149,6 +162,9 @@ class ChainOutcome:
         if getattr(self, "_committed", False):
             raise ConfigurationError("outcome already committed")
         object.__setattr__(self, "_committed", True)
+        ids = self.request.get("device_ids")
+        if isinstance(ids, SlotIds):
+            ids.resolve()
         for decision in self.decisions:
             if decision.commit is not None:
                 decision.commit(self.request)
@@ -237,6 +253,11 @@ class SchemaGuard(Guard):
 
     Anything the repair cannot make exact — a NaN, an unparseable
     string, a negative count — is a BLOCK, never a guess.
+
+    An admitted submit carries its ids as a
+    :class:`~repro.aggregation.device_index.SlotIds` of
+    ``device_index`` (the chain's shared table; a private one if
+    omitted).
     """
 
     name = "schema"
@@ -248,11 +269,17 @@ class SchemaGuard(Guard):
         {"op", "epoch", "counts", "n_reports", "claimed_loss"}
     )
 
-    def __init__(self, max_batch: int = 65536, coerce: bool = True):
+    def __init__(
+        self,
+        max_batch: int = 65536,
+        coerce: bool = True,
+        device_index: Optional[DeviceIndex] = None,
+    ):
         if max_batch < 1:
             raise ConfigurationError("max_batch must be >= 1")
         self.max_batch = int(max_batch)
         self.coerce = bool(coerce)
+        self.device_index = device_index if device_index is not None else DeviceIndex()
 
     def check(self, request: Dict[str, Any]) -> GuardDecision:
         op = request.get("op")
@@ -338,24 +365,30 @@ class SchemaGuard(Guard):
             return self.block(
                 f"batch of {len(values)} exceeds max_batch={self.max_batch}"
             )
-        for i, device_id in enumerate(ids):
-            if not isinstance(device_id, str) or not device_id:
-                return self.block(f"device_ids[{i}] must be a nonempty string")
-        clean_values: List[float] = []
-        for i, v in enumerate(values):
-            if isinstance(v, str) and self.coerce:
-                try:
-                    parsed = float(v)
-                except ValueError:
-                    return self.block(f"values[{i}] is not numeric: {v!r}")
-                delta.append(f"values[{i}]: {v!r} -> {parsed!r}")
-                v = parsed
-            if not _is_number(v):
-                return self.block(f"values[{i}] must be a number, got {v!r}")
-            v = float(v)
-            if not math.isfinite(v):
-                return self.block(f"values[{i}] is not finite")
-            clean_values.append(v)
+        # A well-formed batch (str ids, finite float values) passes the
+        # per-report walks below untouched; only they name a bad report.
+        if not (set(map(type, ids)) <= {str} and "" not in ids):
+            for i, device_id in enumerate(ids):
+                if not isinstance(device_id, str) or not device_id:
+                    return self.block(f"device_ids[{i}] must be a nonempty string")
+        if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
+            clean_values = list(values)
+        else:
+            clean_values = []
+            for i, v in enumerate(values):
+                if isinstance(v, str) and self.coerce:
+                    try:
+                        parsed = float(v)
+                    except ValueError:
+                        return self.block(f"values[{i}] is not numeric: {v!r}")
+                    delta.append(f"values[{i}]: {v!r} -> {parsed!r}")
+                    v = parsed
+                if not _is_number(v):
+                    return self.block(f"values[{i}] must be a number, got {v!r}")
+                v = float(v)
+                if not math.isfinite(v):
+                    return self.block(f"values[{i}] is not finite")
+                clean_values.append(v)
         loss = self._coerce_loss(req, delta)
         if loss is None:
             return self.block(
@@ -365,7 +398,7 @@ class SchemaGuard(Guard):
         out = {
             "op": "submit",
             "epoch": epoch,
-            "device_ids": list(ids),
+            "device_ids": self.device_index.lookup(ids),
             "values": clean_values,
             "claimed_loss": loss,
         }
@@ -441,9 +474,9 @@ class SchemaGuard(Guard):
 
         The **canonical** columnar submit this guard emits carries the
         value column untouched (the zero-copy f8 view) and the id
-        column decoded to a list of Python strings — the chain's one
-        and only id decode, reused by the stateful guards (str-keyed
-        bookkeeping) and by the fold (str-keyed disclosure).
+        column as slots of the chain's table, looked up by raw bytes —
+        only ids never seen before are decoded — and reused by the
+        stateful guards and by the fold.
         """
         op = request.get("op")
         if op == "submit":
@@ -473,12 +506,9 @@ class SchemaGuard(Guard):
                 f"batch of {values.size} exceeds max_batch={self.max_batch}"
             )
         try:
-            id_strs = [raw.decode("utf-8") for raw in ids.tolist()]
+            slot_ids = self.device_index.lookup_raw(ids)
         except UnicodeDecodeError:
-            bad = next(
-                i for i, raw in enumerate(ids.tolist())
-                if not _decodes(raw)
-            )
+            bad = next(i for i, raw in enumerate(ids.tolist()) if not _decodes(raw))
             return self.block(f"device_ids[{bad}] is not valid UTF-8")
         empty = ids == b""
         if empty.any():
@@ -496,7 +526,7 @@ class SchemaGuard(Guard):
         out = {
             "op": "submit",
             "epoch": epoch,
-            "device_ids": id_strs,
+            "device_ids": slot_ids,
             "values": values,
             "claimed_loss": float(loss),
         }
@@ -556,6 +586,29 @@ def _decodes(raw: bytes) -> bool:
         return False
 
 
+def _gather(column: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """``column[slots]``.  A slot past the column's end (never charged)
+    reads the last entry, which :func:`_room` keeps at 0."""
+    return column.take(slots, mode="clip")
+
+
+def _room(column: np.ndarray, table: DeviceIndex) -> np.ndarray:
+    """``column`` with room for every slot of ``table`` plus one more,
+    which no commit writes: the zero :func:`_gather` reads past the end."""
+    return grow_column(column, len(table) + 1)
+
+
+def _occurrence_rank(slots: np.ndarray) -> np.ndarray:
+    """For each report, how many earlier reports of the batch share its slot."""
+    order = np.argsort(slots, kind="stable")
+    ordered = slots[order]
+    n = slots.size
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n]))
+    return rank
+
+
 class EpochBudgetGuard(Guard):
     """Epoch-window and claimed-loss/budget validation.
 
@@ -569,17 +622,25 @@ class EpochBudgetGuard(Guard):
       batches that would push any device past it — the server-side
       mirror of the on-device accountant (conservative, like
       :meth:`~repro.aggregation.AggregationServer.worst_case_disclosure`).
+      A device named ``k`` times in one batch is screened at its spend
+      plus ``k`` charges, exactly the total the commit would write.
 
     Budget state is charged by the decision's ``commit`` callback, not
     at check time, and against the chain's *final* request — so a batch
     refused downstream (queue-full ``busy``, shutdown) charges nothing,
-    and reports a later guard repairs away are never charged.  The spend
-    map is LRU-bounded at ``max_devices_tracked`` entries: evicting a
-    device forgets its accumulated spend, so size the bound above the
-    expected fleet cardinality — the bound trades completeness against
-    a malicious fleet of throwaway device ids exhausting server memory.
+    and reports a later guard repairs away are never charged.  Spend is
+    a float64 column indexed by the device's slot in ``device_index``,
+    charged with ``np.add.at`` (in report order, so every total is the
+    float a per-id walk gives).  At most ``max_devices_tracked`` devices
+    are tracked: past that, the least-recently-charged ones — lowest
+    last-charge stamp — are evicted and their spend forgotten, so size
+    the bound above the expected fleet cardinality — the bound trades
+    completeness against a malicious fleet of throwaway device ids
+    exhausting server memory.
 
-    Runs after :class:`SchemaGuard`, so fields are already typed.
+    Runs after :class:`SchemaGuard` and :class:`RateLimitGuard`, so
+    fields are already typed and the batch it rules on is the one it
+    charges.
     """
 
     name = "epoch-budget"
@@ -591,6 +652,7 @@ class EpochBudgetGuard(Guard):
         warn_claimed_loss: Optional[float] = None,
         device_budget: Optional[float] = None,
         max_devices_tracked: int = 1_048_576,
+        device_index: Optional[DeviceIndex] = None,
     ):
         if epoch_horizon < 0:
             raise ConfigurationError("epoch_horizon must be >= 0")
@@ -606,37 +668,48 @@ class EpochBudgetGuard(Guard):
         )
         self.device_budget = None if device_budget is None else float(device_budget)
         self.max_devices_tracked = int(max_devices_tracked)
-        self._spent: Dict[str, float] = {}
+        self.device_index = device_index if device_index is not None else DeviceIndex()
+        #: Spend by slot, and the charge clock at each slot's last
+        #: charge (0: not tracked).
+        self._spend = np.zeros(1, dtype=np.float64)
+        self._stamp = np.zeros(1, dtype=np.int64)
+        self._clock = 0
+        self._n_tracked = 0
+
+    def spend_items(self) -> List[Tuple[str, float]]:
+        """``(device id, spend)`` of each tracked device, least recently
+        charged first (the eviction order)."""
+        tracked = np.flatnonzero(self._stamp)
+        order = tracked[np.argsort(self._stamp[tracked])]
+        return [
+            (self.device_index.id_of(slot), float(self._spend[slot]))
+            for slot in order.tolist()
+        ]
 
     def _charge(self, final: Dict[str, Any]) -> None:
         """Commit hook: charge spend for the devices that actually made
         it into the admitted batch (post-repair), LRU-bounded."""
         if self.device_budget is None or final.get("op") != "submit":
             return
-        loss = final["claimed_loss"]
-        ids = final["device_ids"]
-        spent = self._spent
-        # Fast path for the steady-state fleet batch: every id unique
-        # within the batch and never charged before.  One C-level
-        # ``update`` then lands each device at the dict tail with spend
-        # ``0.0 + loss`` — bit-for-bit the value and the LRU position
-        # the per-id walk below would produce.  Columnar requests land
-        # here too: their id column is already the canonical str list
-        # (decoded once by the schema guard), so either path's state —
-        # values, insertion order, eviction victims — is byte-for-byte
-        # the scalar path's.
-        fresh = dict.fromkeys(ids, 0.0 + loss)
-        if len(fresh) == len(ids) and spent.keys().isdisjoint(fresh):
-            spent.update(fresh)
-        else:
-            pop = spent.pop
-            for device_id in ids:
-                # Pop + reinsert keeps the dict insertion-ordered by
-                # last charge, making the eviction below
-                # least-recently-charged.
-                spent[device_id] = pop(device_id, 0.0) + loss
-        while len(spent) > self.max_devices_tracked:
-            del spent[next(iter(spent))]
+        slots = self.device_index.lookup(final["device_ids"]).resolve()
+        n = slots.size
+        if not n:
+            return
+        spend = self._spend = _room(self._spend, self.device_index)
+        stamp = self._stamp = _room(self._stamp, self.device_index)
+        untracked = stamp[slots] == 0
+        if untracked.any():
+            self._n_tracked += np.unique(slots[untracked]).size
+        np.add.at(spend, slots, final["claimed_loss"])
+        np.maximum.at(stamp, slots, np.arange(self._clock + 1, self._clock + n + 1))
+        self._clock += n
+        excess = self._n_tracked - self.max_devices_tracked
+        if excess > 0:
+            tracked = np.flatnonzero(stamp)
+            victims = tracked[np.argpartition(stamp[tracked], excess - 1)[:excess]]
+            spend[victims] = 0.0
+            stamp[victims] = 0
+            self._n_tracked -= excess
 
     def check(self, request: Dict[str, Any]) -> GuardDecision:
         epoch = request["epoch"]
@@ -651,27 +724,26 @@ class EpochBudgetGuard(Guard):
             )
         commit = None
         if self.device_budget is not None and request["op"] == "submit":
-            ids = request["device_ids"]
-            threshold = self.device_budget + 1e-12
-            if self._spent.keys().isdisjoint(ids):
-                # Nobody in this batch has been charged: each spend is
-                # 0.0, so either every distinct id is over (loss alone
-                # busts the budget) or none is — same verdict the walk
-                # below reaches, minus the 1024 dict probes.
-                over = sorted(set(ids)) if loss > threshold else []
+            ids = self.device_index.lookup(request["device_ids"])
+            slots = ids.provisional
+            spend = _gather(self._spend, slots)
+            if ids.distinct:
+                after = spend + loss
             else:
-                spent_get = self._spent.get
-                over = sorted(
-                    {
-                        device_id
-                        for device_id in ids
-                        if spent_get(device_id, 0.0) + loss > threshold
-                    }
+                # Add ``loss`` once per report, in order, to each
+                # device's spend: the totals the commit would write.
+                _, first, inverse = np.unique(
+                    slots, return_index=True, return_inverse=True
                 )
-            if over:
-                shown = ", ".join(over[:5]) + (", ..." if len(over) > 5 else "")
+                totals = spend[first]
+                np.add.at(totals, inverse, loss)
+                after = totals[inverse]
+            over = np.flatnonzero(after > self.device_budget + 1e-12)
+            if over.size:
+                names = sorted({ids[i] for i in over.tolist()})
+                shown = ", ".join(names[:5]) + (", ..." if len(names) > 5 else "")
                 return self.block(
-                    f"{len(over)} device(s) past budget "
+                    f"{len(names)} device(s) past budget "
                     f"{self.device_budget:g}: {shown}"
                 )
             commit = self._charge
@@ -683,17 +755,16 @@ class EpochBudgetGuard(Guard):
             )
         return self.allow(commit=commit)
 
-    # -- Columnar fast path -------------------------------------------
-    def check_array(self, request: Dict[str, Any]) -> GuardDecision:
-        """Columnar ruling — :meth:`check` verbatim, by construction.
 
-        Everything this guard reads is already scalar (``epoch``,
-        ``claimed_loss``) or the canonical str id list the schema guard
-        decoded once, so the scalar ruling *is* the columnar ruling:
-        same set-comprehension budget screen over the same strings,
-        same commit hook, zero extra per-report work.
-        """
-        return self.check(request)
+class _EpochCounts:
+    """One epoch's rate state: reports per slot, and the slot column of
+    every commit in order (whose length also versions the counts)."""
+
+    __slots__ = ("counts", "log")
+
+    def __init__(self, dtype: np.dtype):
+        self.counts = np.zeros(1, dtype=dtype)
+        self.log: List[np.ndarray] = []
 
 
 class RateLimitGuard(Guard):
@@ -705,7 +776,10 @@ class RateLimitGuard(Guard):
     removal recorded in the delta — or, if the repair would empty the
     batch, the batch is BLOCKed.  Counting is deterministic in the
     request sequence; only the most recent ``max_epochs_tracked``
-    epochs are retained so state stays bounded.
+    epochs are retained so state stays bounded.  Each tracked epoch is
+    one small unsigned count column indexed by the device's slot in
+    ``device_index``, plus the slot column of each commit, which gives
+    :meth:`epoch_counts` the order devices first reported in.
 
     Like the budget guard, per-device counts are applied by the
     decision's ``commit`` callback: a batch the queue refuses as
@@ -715,104 +789,118 @@ class RateLimitGuard(Guard):
 
     name = "rate-limit"
 
-    def __init__(self, per_epoch_limit: int = 1, max_epochs_tracked: int = 64):
+    def __init__(
+        self,
+        per_epoch_limit: int = 1,
+        max_epochs_tracked: int = 64,
+        device_index: Optional[DeviceIndex] = None,
+    ):
         if per_epoch_limit < 1:
             raise ConfigurationError("per_epoch_limit must be >= 1")
         if max_epochs_tracked < 1:
             raise ConfigurationError("max_epochs_tracked must be >= 1")
         self.per_epoch_limit = int(per_epoch_limit)
         self.max_epochs_tracked = int(max_epochs_tracked)
-        self._seen: Dict[int, Dict[str, int]] = {}
+        self.device_index = device_index if device_index is not None else DeviceIndex()
+        self._dtype = np.min_scalar_type(self.per_epoch_limit)
+        self._epochs: Dict[int, _EpochCounts] = {}
 
-    def _apply(self, epoch: int, pending: Dict[str, int]) -> None:
-        """Commit hook: fold this batch's per-device counts into the
-        committed epoch state (creating/evicting epoch slots here, not
-        at check time)."""
-        counts = self._seen.get(epoch)
-        if counts is None:
-            counts = self._seen[epoch] = {}
-            while len(self._seen) > self.max_epochs_tracked:
-                del self._seen[min(self._seen)]
-        if counts.keys().isdisjoint(pending):
-            # First sighting of every device this epoch: one C-level
-            # merge writes the same counts in the same order as the
-            # per-id fold below.
-            counts.update(pending)
-        else:
-            for device_id, n in pending.items():
-                counts[device_id] = counts.get(device_id, 0) + n
+    def tracked_epochs(self) -> List[int]:
+        """Epochs with committed counts, ascending."""
+        return sorted(self._epochs)
+
+    def epoch_counts(self, epoch: int) -> List[Tuple[str, int]]:
+        """``(device id, reports)`` for one epoch, in the order the
+        devices first reported in it."""
+        state = self._epochs.get(epoch)
+        if state is None:
+            return []
+        reports = np.concatenate(state.log)
+        _, first = np.unique(reports, return_index=True)
+        return [
+            (self.device_index.id_of(slot), int(state.counts[slot]))
+            for slot in reports[np.sort(first)].tolist()
+        ]
+
+    def _apply(
+        self,
+        epoch: int,
+        slots: np.ndarray,
+        checked: Optional[_EpochCounts],
+        seen: int,
+    ) -> None:
+        """Commit hook: count one report per entry of ``slots``
+        (creating/evicting epoch state here, not at check time).
+        ``checked``/``seen`` are the epoch state and its commit count
+        the check ruled against."""
+        if not slots.size:
+            return
+        state = self._epochs.get(epoch)
+        if state is None:
+            state = self._epochs[epoch] = _EpochCounts(self._dtype)
+            while len(self._epochs) > self.max_epochs_tracked:
+                del self._epochs[min(self._epochs)]
+        counts = state.counts = _room(state.counts, self.device_index)
+        if state.log and (state is not checked or len(state.log) != seen):
+            # Another commit landed since the check, so counts can pass
+            # the limit (by at most one request's worth): keep room.
+            top = int(counts[slots].max()) + self.per_epoch_limit
+            if top > np.iinfo(counts.dtype).max:
+                counts = state.counts = counts.astype(np.int64)
+        np.add.at(counts, slots, counts.dtype.type(1))
+        state.log.append(slots)
 
     def check(self, request: Dict[str, Any]) -> GuardDecision:
         if request["op"] != "submit":
             # Count batches carry no device ids; nothing to rate-limit.
             return self.allow()
         epoch = request["epoch"]
-        counts = self._seen.get(epoch, {})
-        ids = request["device_ids"]
-        # Fast path for the steady-state fleet batch: ids unique within
-        # the batch and unseen this epoch, so (with the limit >= 1 the
-        # constructor enforces) every report is kept and each device's
-        # pending count is exactly 1 — the same ``pending`` dict, in
-        # the same insertion order, the walk below would build.
-        first_seen = dict.fromkeys(ids, 1)
-        if len(first_seen) == len(ids) and counts.keys().isdisjoint(first_seen):
+        ids = self.device_index.lookup(request["device_ids"])
+        slots = ids.provisional
+        state = self._epochs.get(epoch)
+        seen = len(state.log) if state is not None else 0
+        used = (
+            _gather(state.counts, slots)
+            if state is not None
+            else np.zeros(slots.size, dtype=np.intp)
+        )
+        if not ids.distinct:
+            used = used + _occurrence_rank(slots)
+        if used.max() < self.per_epoch_limit:
 
-            def commit_fast(
-                final: Dict[str, Any], epoch=epoch, pending=first_seen
-            ) -> None:
-                self._apply(epoch, pending)
+            def commit(final: Dict[str, Any], epoch=epoch) -> None:
+                self._apply(epoch, ids.resolve(), state, seen)
 
-            return self.allow(commit=commit_fast)
-        keep: List[int] = []
-        dropped: List[str] = []
-        pending: Dict[str, int] = {}
-        for i, device_id in enumerate(request["device_ids"]):
-            used = counts.get(device_id, 0) + pending.get(device_id, 0)
-            if used >= self.per_epoch_limit:
-                dropped.append(
-                    f"values[{i}]: <dropped: device {device_id!r} over "
-                    f"{self.per_epoch_limit}/epoch rate limit>"
-                )
-            else:
-                pending[device_id] = pending.get(device_id, 0) + 1
-                keep.append(i)
-
-        def commit(final: Dict[str, Any], epoch=epoch, pending=pending) -> None:
-            self._apply(epoch, pending)
-
-        if not dropped:
             return self.allow(commit=commit)
-        if not keep:
+        keep = used < self.per_epoch_limit
+        kept = np.flatnonzero(keep)
+        if not kept.size:
             return self.block(
                 f"every report in the batch is over the "
                 f"{self.per_epoch_limit}/epoch rate limit"
             )
+        dropped = [
+            f"values[{i}]: <dropped: device {ids[i]!r} over "
+            f"{self.per_epoch_limit}/epoch rate limit>"
+            for i in np.flatnonzero(~keep).tolist()
+        ]
+
+        def commit_kept(final: Dict[str, Any], epoch=epoch) -> None:
+            self._apply(epoch, ids.resolve()[kept], state, seen)
+
         repaired = dict(request)
-        repaired["device_ids"] = [request["device_ids"][i] for i in keep]
+        repaired["device_ids"] = ids.take(kept)
         values = request["values"]
         if isinstance(values, np.ndarray):
             # Columnar batch: the surviving reports are one fancy-index
             # over the value column — the repaired request stays
             # columnar (no per-report Python floats materialize).
-            repaired["values"] = values[np.asarray(keep, dtype=np.intp)]
+            repaired["values"] = values[kept]
         else:
-            repaired["values"] = [values[i] for i in keep]
-        return self.repair(repaired, dropped, reason="rate limit", commit=commit)
-
-    # -- Columnar fast path -------------------------------------------
-    def check_array(self, request: Dict[str, Any]) -> GuardDecision:
-        """Columnar ruling — the scalar walk over the decoded id list.
-
-        Per-device rate state is a str-keyed dict shared with the
-        scalar path, and the canonical columnar request already carries
-        its ids as the once-decoded str list — so the cheapest
-        *correct* columnar ruling is the scalar walk itself (one dict
-        probe per report beats ``np.unique`` + per-unique lookups, and
-        is trivially order-identical).  Only the repair differs: the
-        value column is masked with one fancy-index instead of a
-        per-element rebuild (see :meth:`check`).
-        """
-        return self.check(request)
+            repaired["values"] = [values[i] for i in kept.tolist()]
+        return self.repair(
+            repaired, dropped, reason="rate limit", commit=commit_kept
+        )
 
 
 class GuardChain:
@@ -884,17 +972,26 @@ def default_chain(
     device_budget: Optional[float] = None,
     per_epoch_limit: int = 1,
     max_devices_tracked: int = 1_048_576,
+    device_index: Optional[DeviceIndex] = None,
 ) -> GuardChain:
-    """The service's standard chain: schema → epoch/budget → rate limit."""
+    """The service's standard chain: schema → rate limit → epoch/budget.
+
+    The rate limiter runs before the budget guard so the batch the
+    budget rules on is the one it charges.  All three guards share one
+    slot table: ``device_index`` (the service passes its server's
+    disclosure-ledger table), or a new one.
+    """
+    index = device_index if device_index is not None else DeviceIndex()
     return GuardChain(
         [
-            SchemaGuard(max_batch=max_batch, coerce=coerce),
+            SchemaGuard(max_batch=max_batch, coerce=coerce, device_index=index),
+            RateLimitGuard(per_epoch_limit=per_epoch_limit, device_index=index),
             EpochBudgetGuard(
                 epoch_horizon=epoch_horizon,
                 max_claimed_loss=max_claimed_loss,
                 device_budget=device_budget,
                 max_devices_tracked=max_devices_tracked,
+                device_index=index,
             ),
-            RateLimitGuard(per_epoch_limit=per_epoch_limit),
         ]
     )

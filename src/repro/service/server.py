@@ -8,7 +8,10 @@ One :class:`IngestionService` fronts one
    after a ``hello`` negotiated the binary wire, one length-prefixed
    columnar frame (:func:`~repro.service.protocol.decode_binary_frame`)
    whose column buffers decode zero-copy into numpy arrays.  Both wires
-   are strict at the boundary and share the 64 MiB fence.
+   are strict at the boundary and share the 64 MiB fence.  Device ids
+   become slots of one :class:`~repro.aggregation.device_index.DeviceIndex`
+   at the schema guard, shared by the guards and the server's
+   disclosure ledger, so no later layer probes a ``str``-keyed dict.
 2. **Guard** submission requests through the pre-admission
    :class:`~repro.service.guards.GuardChain`; columnar requests take
    the vectorized ``check_array`` path — same trichotomy, no
@@ -28,11 +31,12 @@ One :class:`IngestionService` fronts one
    burst, still one ``submit_array``/``submit_counts`` per batch inside
    (batch boundaries and fold order are preserved — Chan's moment merge
    is order- but not splitting-invariant).  Columnar batches flow into
-   ``submit_array(donate=True)`` with disclosure recorded per *unique*
-   device.  Batches fold atomically and in admission order, which is
-   what makes a socket-fed epoch bit-identical to the same batches
-   submitted in-process on either wire — and why a killed service can
-   never leave a *partially* ingested batch behind.
+   ``submit_array(donate=True)`` with disclosure charged per report
+   into the ledger's slot column.  Batches fold atomically and in
+   admission order, which is what makes a socket-fed epoch
+   bit-identical to the same batches submitted in-process on either
+   wire — and why a killed service can never leave a *partially*
+   ingested batch behind.
 
 Every request produces exactly one :class:`~repro.runtime.IngestEvent`
 through the same sink machinery as release events (the service's own
@@ -142,6 +146,7 @@ class IngestionService:
             device_budget=self.config.device_budget,
             per_epoch_limit=self.config.per_epoch_limit,
             max_devices_tracked=self.config.max_devices_tracked,
+            device_index=aggregation.ledger.device_index,
         )
         #: Admission counters — the ``metrics`` endpoint's payload.
         self.counters = CounterSink()
@@ -704,10 +709,10 @@ def _columnar_submit_fold(req: dict) -> Callable[[AggregationServer], None]:
     The f8 values column is the read-only ``np.frombuffer`` view over
     the received frame — it goes into ``submit_array(donate=True)``
     without a copy (streaming folds consume it immediately; retain mode
-    copies because it outlives the frame).  The id list is the schema
-    guard's one-time decode; it rides the server's own per-report
-    disclosure loop, so the composition bound accumulates in exactly
-    the scalar path's order — bit-identical snapshots on either wire.
+    copies because it outlives the frame).  The ids are the schema
+    guard's slots in the table the chain shares with the server's
+    disclosure ledger, which charges them with one ``np.add.at`` in
+    report order — the same totals on either wire.
     """
 
     def fold(server: AggregationServer) -> None:

@@ -8,13 +8,15 @@ Three equivalences, each over adversarially generated batch sequences:
   same verdict, guard, reason, delta and warnings; the canonical
   requests agree report-for-report; and after committing admitted
   outcomes the two chains' internal state — budget LRU contents *and
-  order*, per-epoch rate counts — is identical.
-* **Budget LRU oracle**: the C-level fast path inside the budget
-  guard's commit produces exactly the state of the per-id
-  pop/reinsert/evict walk, including eviction victims.
-* **Rate-count oracle**: the rate guard's fast path keeps/drops the
-  same report indices and commits the same per-epoch counts as the
-  naive per-report walk.
+  order*, per-epoch rate counts and their first-seen order — is
+  identical.
+* **Budget LRU oracle**: the budget guard's slot columns (spend charged
+  with ``np.add.at``, eviction by last-charge stamp) hold exactly the
+  state of the per-id pop/reinsert/evict dict walk, including eviction
+  victims and their order.
+* **Rate-count oracle**: the rate guard's count columns keep/drop the
+  same report indices and commit the same per-epoch counts, in the
+  same order, as the naive per-report dict walk.
 """
 
 import numpy as np
@@ -90,6 +92,10 @@ def _columnar_request(batch):
     }
 
 
+def _guard(chain, name):
+    return next(g for g in chain.guards if g.name == name)
+
+
 def _final_reports(request):
     """(id, value) pairs of a canonical request, representation-blind."""
     values = request["values"]
@@ -120,13 +126,17 @@ def test_columnar_chain_equivalent_to_scalar(config, seq):
             )
             s_out.commit()
             c_out.commit()
-        # Committed state stays in lockstep — values AND dict order.
-        s_budget, c_budget = scalar_chain.guards[1], columnar_chain.guards[1]
-        assert list(c_budget._spent.items()) == list(s_budget._spent.items())
-        s_rate, c_rate = scalar_chain.guards[2], columnar_chain.guards[2]
-        assert c_rate._seen == s_rate._seen
-        assert [list(c.items()) for c in c_rate._seen.values()] == [
-            list(s.items()) for s in s_rate._seen.values()
+        # Committed state stays in lockstep — values AND order.
+        s_budget, c_budget = _guard(scalar_chain, "epoch-budget"), _guard(
+            columnar_chain, "epoch-budget"
+        )
+        assert c_budget.spend_items() == s_budget.spend_items()
+        s_rate, c_rate = _guard(scalar_chain, "rate-limit"), _guard(
+            columnar_chain, "rate-limit"
+        )
+        assert c_rate.tracked_epochs() == s_rate.tracked_epochs()
+        assert [c_rate.epoch_counts(e) for e in c_rate.tracked_epochs()] == [
+            s_rate.epoch_counts(e) for e in s_rate.tracked_epochs()
         ]
 
 
@@ -163,7 +173,7 @@ def test_budget_charge_matches_naive_lru_walk(seq, cap):
             oracle[device_id] = oracle.pop(device_id, 0.0) + loss
         while len(oracle) > cap:
             del oracle[next(iter(oracle))]
-        assert list(guard._spent.items()) == list(oracle.items())
+        assert guard.spend_items() == list(oracle.items())
 
 
 @settings(max_examples=80, deadline=None)
@@ -212,8 +222,8 @@ def test_rate_limit_matches_naive_walk(seq, limit):
         decision.commit(final)
         for device_id, n in pending.items():
             counts[device_id] = counts.get(device_id, 0) + n
-        assert guard._seen[epoch] == counts
-        assert list(guard._seen[epoch].items()) == list(counts.items())
+        assert dict(guard.epoch_counts(epoch)) == counts
+        assert guard.epoch_counts(epoch) == list(counts.items())
 
 
 @settings(max_examples=60, deadline=None)

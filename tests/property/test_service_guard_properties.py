@@ -15,6 +15,8 @@ No fourth outcome, no silent drops, no crash: guards must never raise
 on untrusted content (raising would turn a content decision into a
 connection error, outside the audit trail).  Determinism rides along:
 the same request sequence produces the same verdicts on a fresh chain.
+And whatever the chain admits never pushes a device's charged spend
+past ``device_budget``, even when one batch names a device repeatedly.
 """
 
 from hypothesis import given, settings
@@ -180,3 +182,41 @@ def test_uncommitted_checks_never_change_later_verdicts(requests):
         assert (a.verdict, a.guard, a.reason, a.delta) == (
             b.verdict, b.guard, b.reason, b.delta
         )
+
+
+@given(
+    budget=st.sampled_from([1.0, 2.5, 10.0]),
+    limit=st.integers(min_value=1, max_value=4),
+    seq=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),
+            st.lists(st.sampled_from(["a", "b", "c", "dd"]), min_size=1, max_size=8),
+            st.sampled_from([0.1, 1.0 / 3.0, 0.5, 1.0, 4.0]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_admitted_spend_never_exceeds_the_budget(budget, limit, seq):
+    # Whatever the chain admits, no device's charged spend passes the
+    # budget — also when one batch names a device several times.
+    chain = default_chain(device_budget=budget, per_epoch_limit=limit)
+    guard = next(g for g in chain.guards if g.name == "epoch-budget")
+    charged = {}
+    for epoch, ids, loss in seq:
+        outcome = chain.check(
+            {
+                "op": "submit",
+                "epoch": epoch,
+                "device_ids": list(ids),
+                "values": [0.0] * len(ids),
+                "claimed_loss": loss,
+            }
+        )
+        if outcome.admitted:
+            outcome.commit()
+            for device_id in outcome.request["device_ids"]:
+                charged[device_id] = charged.get(device_id, 0.0) + loss
+        assert all(spend <= budget + 1e-12 for _, spend in guard.spend_items())
+        assert dict(guard.spend_items()) == charged

@@ -147,14 +147,14 @@ class TestEpochBudgetGuard:
         g = EpochBudgetGuard(device_budget=1.0)
         assert g.check(submit(loss=1.0)).verdict is Verdict.ALLOW
         assert g.check(submit(loss=1.0)).verdict is Verdict.ALLOW
-        assert g._spent == {}
+        assert g.spend_items() == []
 
     def test_spend_map_lru_bounded(self):
         g = EpochBudgetGuard(device_budget=10.0, max_devices_tracked=2)
         for name in ("a", "b", "c"):
             req = submit(ids=(name,), values=(1.0,), loss=1.0)
             g.check(req).commit(req)
-        assert set(g._spent) == {"b", "c"}  # least-recently-charged evicted
+        assert [d for d, _ in g.spend_items()] == ["b", "c"]  # LRU evicted
 
 
 class TestRateLimitGuard:
@@ -173,7 +173,7 @@ class TestRateLimitGuard:
         g = RateLimitGuard(per_epoch_limit=1)
         assert g.check(submit()).verdict is Verdict.ALLOW
         assert g.check(submit()).verdict is Verdict.ALLOW
-        assert g._seen == {}
+        assert g.tracked_epochs() == []
 
     def test_duplicate_device_repaired_with_recorded_drop(self):
         g = RateLimitGuard(per_epoch_limit=1)
@@ -211,7 +211,7 @@ class TestRateLimitGuard:
         for epoch in range(5):
             req = submit(epoch=epoch)
             g.check(req).commit(req)
-        assert len(g._seen) <= 2
+        assert len(g.tracked_epochs()) <= 2
 
 
 class TestGuardChain:
@@ -261,6 +261,33 @@ class TestGuardChain:
         assert outcome.verdict == "blocked"
         with pytest.raises(ConfigurationError):
             outcome.commit()
+
+    def test_rate_limit_rules_before_the_budget(self):
+        assert [g.name for g in default_chain().guards] == [
+            "schema",
+            "rate-limit",
+            "epoch-budget",
+        ]
+
+    def test_budget_counts_a_device_repeated_in_one_batch(self):
+        # Regression: the budget screen used to check each distinct id
+        # at spend + loss, so three reports of "a" at 4.0 passed a 10.0
+        # budget and charged it 12.0.
+        chain = default_chain(device_budget=10.0, per_epoch_limit=3)
+        budget = chain.guards[2]
+        outcome = chain.check(
+            submit(ids=("a", "a", "a"), values=(1.0, 2.0, 3.0), loss=4.0)
+        )
+        assert outcome.verdict == "blocked"
+        assert outcome.guard == "epoch-budget"
+        assert outcome.reason == "1 device(s) past budget 10: a"
+        assert budget.spend_items() == []
+        outcome = chain.check(
+            submit(ids=("a", "b", "a"), values=(1.0, 2.0, 3.0), loss=4.0)
+        )
+        assert outcome.verdict == "admitted"
+        outcome.commit()
+        assert budget.spend_items() == [("b", 4.0), ("a", 8.0)]
 
     def test_budget_charges_only_surviving_reports(self):
         chain = default_chain(device_budget=2.0)

@@ -266,6 +266,53 @@ class TestBackpressure:
             handle.stop()
 
 
+    def test_refused_requests_allocate_no_state(self):
+        # Fail closed: blocked requests and busy refusals naming fresh
+        # ids leave the slot table, every guard's state and the ledger
+        # exactly as they were.
+        aggregation = _GatedServer(streaming=True)
+        handle = serve_in_thread(
+            aggregation, ServiceConfig(queue_capacity=1, device_budget=2.0)
+        )
+        table = aggregation.ledger.device_index
+        guards = {g.name: g for g in handle.service.chain.guards}
+        rate, budget = guards["rate-limit"], guards["epoch-budget"]
+
+        def state():
+            return (
+                len(table),
+                budget.spend_items(),
+                [(e, rate.epoch_counts(e)) for e in rate.tracked_epochs()],
+                aggregation.snapshot()["n_devices_tracked"],
+            )
+
+        try:
+            with IngestClient(*handle.address) as client:
+                for i in range(20):  # fill the queue behind the gated fold
+                    if client.submit(0, [f"dev-{i}"], [1.0], 1.0)["status"] == "busy":
+                        break
+                else:
+                    pytest.fail("queue bound never hit")
+                before = state()
+                replies = [
+                    client.submit(0, ["fresh-a", "fresh-b"], [1.0, 2.0], 1.0),
+                    client.submit(0, ["dev-0", "fresh-c"], [1.0, 2.0], 1.0),
+                    client.submit(1, ["fresh-d", "fresh-d"], [1.0, 2.0], 1.0),
+                    client.submit(0, ["fresh-e"], [1.0], 3.0),
+                    client.submit(0, ["fresh-f"], [1.0], 100.0),
+                    client.request(
+                        {"op": "submit", "epoch": 0, "device_ids": ["fresh-g"],
+                         "values": ["x"], "claimed_loss": 1.0}
+                    ),
+                    client.submit(0, ["dev-0"], [1.0], 1.0),
+                ]
+                assert [r["status"] for r in replies] == ["busy"] * 3 + ["blocked"] * 4
+                assert state() == before
+        finally:
+            aggregation.gate.set()
+            handle.stop()
+
+
 class TestStopContract:
     def test_stop_quiesces_live_connections_before_drain(self):
         # Regression: stop(drain=True) closed the *listening* socket but
