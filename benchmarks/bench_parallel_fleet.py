@@ -3,24 +3,21 @@
 Sweeps the sharded fleet runner (``repro.parallel.run_fleet_sharded``)
 across fleet sizes under the hardware (CORDIC) logarithm with the live
 per-draw datapath — the compute-bound regime where extra cores matter —
-and reports, per size, the single-process time, the pool time on each
-transport, and the measured IPC payload (``ipc_bytes``: pickled bytes of
-everything that actually crosses the pool pipe).  The zero-copy
-shared-memory data plane ships block names instead of epoch matrices,
-so its ``ipc_bytes`` column is what justifies the transport.
+and reports, per size, the single-process time and the pool time.  Both
+run on the one shared-memory transport.
 
 Before timing anything it verifies the headline invariant on a small
 fleet: a run sharded across W workers is bit-identical to the same plan
-at ``workers=1`` on *both* transports, and a ``shards=1`` run is
-bit-identical to the legacy unsharded batched fleet.  Every one of those
-runs, plus a streaming run per transport, must also hold the same
+at ``workers=1``, a streaming run folds the same values as a retaining
+one, and a ``shards=1`` run is bit-identical to the legacy unsharded
+batched fleet.  Every one of those runs must also hold the same
 disclosure ledger: the same tracked-device count and the same bound for
 every device, whether it was charged per report id or as one dense
 array add.
 
 The ≥2× speedup floor is only asserted on machines with ≥4 cores (and
 not in ``--quick`` mode); smaller hosts still record the sweep so the
-trajectory is visible in ``BENCH_parallel.json`` (schema 2).
+trajectory is visible in ``BENCH_parallel.json`` (schema 3).
 
 Standalone script (not pytest-benchmark): CI runs ``--quick`` with two
 workers as a smoke test, developers run it bare for the full sweep.
@@ -64,10 +61,10 @@ def _ledger(server, n_devices: int):
 
 
 def _identity_check(workers: int) -> bool:
-    """Bit-identity: W workers ≡ 1 worker on both transports, and
+    """Bit-identity: W workers ≡ 1 worker, streaming ≡ retaining, and
     shards=1 ≡ unsharded.  The disclosure ledgers must agree too, across
-    all of those and streaming runs, whose bound is charged as one dense
-    array add instead of per report id."""
+    all of those, including the streaming run, whose bound is charged as
+    one dense array add instead of per report id."""
     truth = audited_generator(SEED).uniform(5.0, 45.0, size=(4, 96))
     n_devices = truth.shape[1]
     common = dict(
@@ -80,38 +77,28 @@ def _identity_check(workers: int) -> bool:
         truth, SENSOR, EPSILON, rng=audited_generator(1), shards=8, workers=1, **common
     )
     ledger = _ledger(one.server, n_devices)
-    for use_shm in (False, True):
-        many = run_fleet_sharded(
-            truth,
-            SENSOR,
-            EPSILON,
-            rng=audited_generator(1),
-            shards=8,
-            workers=workers,
-            shm=use_shm,
-            **common,
-        )
-        for epoch in one.server.epochs:
-            if not np.array_equal(
-                one.server.values(epoch), many.server.values(epoch)
-            ):
-                return False
-        streamed = run_fleet_sharded(
-            truth,
-            SENSOR,
-            EPSILON,
-            rng=audited_generator(1),
-            shards=8,
-            workers=workers,
-            shm=use_shm,
-            streaming=True,
-            with_devices=False,
-            **common,
-        )
-        if _ledger(many.server, n_devices) != ledger:
+    many = run_fleet_sharded(
+        truth, SENSOR, EPSILON, rng=audited_generator(1), shards=8,
+        workers=workers, **common,
+    )
+    streamed = run_fleet_sharded(
+        truth, SENSOR, EPSILON, rng=audited_generator(1), shards=8,
+        workers=workers, streaming=True, with_devices=False, **common,
+    )
+    for epoch in one.server.epochs:
+        values = one.server.values(epoch)
+        if not np.array_equal(values, many.server.values(epoch)):
             return False
-        if _ledger(streamed.server, n_devices) != ledger:
+        if streamed.server.summarize(epoch).n_reports != values.size:
             return False
+        if not np.isclose(
+            streamed.server.summarize(epoch).mean, values.mean(), rtol=1e-12
+        ):
+            return False
+    if _ledger(many.server, n_devices) != ledger:
+        return False
+    if _ledger(streamed.server, n_devices) != ledger:
+        return False
 
     legacy = run_fleet(
         truth, SENSOR, EPSILON, rng=audited_generator(1), batched=True, **common
@@ -130,7 +117,7 @@ def _identity_check(workers: int) -> bool:
     )
 
 
-def _run(truth, workers, shards, use_shm=None, measure_ipc=False):
+def _run(truth, workers, shards):
     """One streaming sharded run on the live CORDIC datapath."""
     t0 = time.perf_counter()
     result = run_fleet_sharded(
@@ -146,50 +133,22 @@ def _run(truth, workers, shards, use_shm=None, measure_ipc=False):
         with_devices=False,
         log_backend=CordicLn(),
         kernel="live",
-        shm=use_shm,
-        measure_ipc=measure_ipc,
     )
     return time.perf_counter() - t0, result
 
 
-def _sweep_row(devices, epochs, workers, shards, shm_mode):
-    """Timings + IPC bytes for one fleet size."""
+def _sweep_row(devices, epochs, workers, shards):
+    """Single-process and pool timings for one fleet size."""
     truth = audited_generator(SEED).uniform(5.0, 45.0, size=(epochs, devices))
     t_single, _ = _run(truth, 1, shards)
-    row = {
+    t_parallel, _ = _run(truth, workers, shards)
+    return {
         "devices": devices,
         "epochs": epochs,
         "t_single_s": round(t_single, 4),
-        "t_parallel_shm_s": None,
-        "t_parallel_pickle_s": None,
-        "ipc_bytes_shm": None,
-        "ipc_bytes_pickle": None,
-        "ipc_reduction": None,
-        "speedup": None,
+        "t_parallel_s": round(t_parallel, 4),
+        "speedup": round(t_single / t_parallel, 3),
     }
-    if shm_mode in ("auto", "on"):
-        t, _ = _run(truth, workers, shards, use_shm=True)
-        row["t_parallel_shm_s"] = round(t, 4)
-    if shm_mode in ("auto", "off"):
-        t, _ = _run(truth, workers, shards, use_shm=False)
-        row["t_parallel_pickle_s"] = round(t, 4)
-    # IPC payloads, measured outside the timed runs (pickling the
-    # payload to count it costs real time on the pickle transport).
-    _, res = _run(truth, workers, shards, use_shm=True, measure_ipc=True)
-    row["ipc_bytes_shm"] = int(res.ipc_bytes)
-    _, res = _run(truth, workers, shards, use_shm=False, measure_ipc=True)
-    row["ipc_bytes_pickle"] = int(res.ipc_bytes)
-    if row["ipc_bytes_shm"]:
-        row["ipc_reduction"] = round(
-            row["ipc_bytes_pickle"] / row["ipc_bytes_shm"], 1
-        )
-    best = min(
-        (t for t in (row["t_parallel_shm_s"], row["t_parallel_pickle_s"]) if t),
-        default=None,
-    )
-    if best:
-        row["speedup"] = round(t_single / best, 3)
-    return row
 
 
 def main(argv=None) -> int:
@@ -199,20 +158,12 @@ def main(argv=None) -> int:
                         help="default: min(4, cpu_count)")
     parser.add_argument("--shards", type=int, default=8)
     parser.add_argument(
-        "--shm",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="transport for the timed pool runs: auto times both, "
-        "on/off restrict to one (IPC bytes are measured for both "
-        "either way)",
-    )
-    parser.add_argument(
         "--sizes", type=int, nargs="*", default=None,
         help="fleet sizes to sweep (default: 5k/50k/500k, or small in --quick)",
     )
     parser.add_argument(
         "--output", type=pathlib.Path, default=RESULTS_JSON,
-        help="where to write the schema-2 JSON results",
+        help="where to write the schema-3 JSON results",
     )
     parser.add_argument(
         "--quick",
@@ -239,11 +190,11 @@ def main(argv=None) -> int:
     plan = plan_execution(max(sizes), epochs, shards=args.shards)
 
     print(f"cores={cores} workers={workers} shards={shards} "
-          f"sizes={list(sizes)} epochs={epochs} shm={args.shm}")
+          f"sizes={list(sizes)} epochs={epochs}")
     print(f"planner would choose: {plan.describe()} ({plan.reason})")
 
     bit_identical = _identity_check(workers)
-    print(f"bit-identity (W={workers} vs W=1, shm vs pickle, "
+    print(f"bit-identity (W={workers} vs W=1, streaming vs retaining, "
           f"shards=1 vs unsharded, ledgers incl. streaming): "
           f"{'OK' if bit_identical else 'FAILED'}")
 
@@ -253,25 +204,21 @@ def main(argv=None) -> int:
 
     sweep = []
     for devices in sizes:
-        row = _sweep_row(devices, epochs, workers, args.shards, args.shm)
+        row = _sweep_row(devices, epochs, workers, args.shards)
         sweep.append(row)
         print(
             f"devices={devices:>7d}  single={row['t_single_s']:.3f}s  "
-            f"shm={row['t_parallel_shm_s']}s  pickle={row['t_parallel_pickle_s']}s  "
-            f"speedup={row['speedup']}x  "
-            f"ipc {row['ipc_bytes_pickle']} -> {row['ipc_bytes_shm']} bytes "
-            f"({row['ipc_reduction']}x smaller)"
+            f"parallel={row['t_parallel_s']:.3f}s  speedup={row['speedup']}x"
         )
 
     headline = sweep[-1]
     payload = {
-        "schema": 2,
+        "schema": 3,
         "cores": cores,
         "workers": workers,
         "shards": shards,
         "arm": "thresholding",
         "datapath": "cordic-live",
-        "shm_mode": args.shm,
         "planner": plan.describe(),
         "sweep": sweep,
         "speedup": headline["speedup"],
@@ -284,8 +231,7 @@ def main(argv=None) -> int:
     print(f"wrote {args.output}")
 
     if not bit_identical:
-        print("FAIL: sharded run is not bit-identical across worker "
-              "counts/transports")
+        print("FAIL: sharded run is not bit-identical across worker counts")
         return 1
     if assert_floor and headline["speedup"] < MIN_SPEEDUP:
         print(f"FAIL: speedup {headline['speedup']:.2f}x below the "

@@ -57,9 +57,6 @@ class FleetResult:
     counters: Optional[object] = None
     #: Sharded runs only: the shard plan the run executed under.
     shard_plan: Optional[object] = None
-    #: Sharded runs with ``measure_ipc=True`` only: measured pipe payload
-    #: (pickled tasks + results) in bytes.
-    ipc_bytes: Optional[int] = None
 
     @property
     def mean_abs_error(self) -> float:

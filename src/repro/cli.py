@@ -715,8 +715,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             f"rare-item sigma={est.std_errors()[int(np.argmin(est.counts))]:.4f}"
         )
     print(f"mean abs error: {result.mean_abs_error:.4f}")
-    # dplint: allow[DPL006] -- event/counter totals from the fleet result
-    # container; the raw-data taint is the simulation truth it also holds.
     print(
         f"retained reports: {result.server.n_retained_reports} "
         f"(events={result.counters.n_events}, draws={result.counters.n_draws})"

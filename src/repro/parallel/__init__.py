@@ -7,34 +7,40 @@ an independent audited noise stream spawned from the fleet seed via
 ``numpy.random.SeedSequence.spawn`` (:mod:`repro.rng.urng`), and each
 worker privatizes its slice through a private
 :class:`~repro.runtime.ReleasePipeline` (:mod:`repro.parallel.worker`).
-The coordinator (:mod:`repro.parallel.runner`) merges shard outputs in
-shard order, so the result is **bit-identical** for any worker count —
-the shard plan, not the pool size, fixes the noise streams.
+One coordinator, :func:`~repro.parallel.runner.run_sharded`, serves
+both fleets: it merges shard outputs in shard order, so the result is
+**bit-identical** for any worker count — the shard plan, not the pool
+size, fixes the noise streams.  What differs between a numeric and a
+categorical fleet lives in a small picklable shard kernel
+(:class:`NumericKernel`, :class:`CategoricalKernel`).
 
 Two layers ride on top:
 
-* the zero-copy shared-memory data plane (:mod:`repro.parallel.shm`) —
-  array payloads live in named ``multiprocessing.shared_memory`` blocks
-  and only block names + slice metadata cross the pool pipe; and
+* the shared-memory transport (:mod:`repro.parallel.shm`) — the one
+  data plane of every run, inline or pooled: array payloads live in
+  named ``multiprocessing.shared_memory`` blocks and only block names +
+  slice metadata cross the pool pipe; and
 * the adaptive planner (:mod:`repro.parallel.planner`) —
   :func:`~repro.parallel.planner.plan_execution` picks serial-vs-pool
   and the worker count from host probes while the shard count (the
   reproducibility key) stays caller-fixed.
 """
 
-from .categorical import (
-    CategoricalFleetResult,
-    CategoricalShardResult,
-    CategoricalShardShm,
-    CategoricalShardTask,
-    run_categorical_shard,
-    run_fleet_categorical,
-)
 from .planner import ExecutionPlan, calibrate_throughput, plan_execution
 from .sharding import DEFAULT_SHARDS, ShardPlan, clamp_workers, plan_shards
-from .shm import ShmArena, ShmArrayRef, attach_array, detach_all
-from .worker import CodebookShipment, ShardResult, ShardShm, ShardTask, run_shard
-from .runner import measure_ipc_bytes, plan_trace_event, run_fleet_sharded
+from .shm import ShmArena, ShmArrayRef, attach_array
+from .worker import CodebookShipment, ShardResult, ShardTask, run_shard
+from .runner import (
+    NumericKernel,
+    plan_trace_event,
+    run_fleet_sharded,
+    run_sharded,
+)
+from .categorical import (
+    CategoricalFleetResult,
+    CategoricalKernel,
+    run_fleet_categorical,
+)
 
 __all__ = [
     "DEFAULT_SHARDS",
@@ -47,19 +53,15 @@ __all__ = [
     "ShmArena",
     "ShmArrayRef",
     "attach_array",
-    "detach_all",
     "CodebookShipment",
-    "ShardShm",
     "ShardTask",
     "ShardResult",
     "run_shard",
+    "run_sharded",
+    "NumericKernel",
     "run_fleet_sharded",
-    "measure_ipc_bytes",
     "plan_trace_event",
+    "CategoricalKernel",
     "CategoricalFleetResult",
-    "CategoricalShardShm",
-    "CategoricalShardTask",
-    "CategoricalShardResult",
-    "run_categorical_shard",
     "run_fleet_categorical",
 ]

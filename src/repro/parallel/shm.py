@@ -1,14 +1,12 @@
-"""Zero-copy shared-memory data plane for the sharded fleet.
+"""Zero-copy shared-memory transport for the sharded fleet.
 
-The pickle transport ships every shard's epoch matrices through the pool
-pipe twice (task out, result back) — at 50k devices that is tens of
-megabytes of serialization per run, which is why the recorded 2-worker
-benchmark *lost* to single-core.  This module replaces the payload with
-names: the coordinator copies each shard's input slices into named
-:class:`multiprocessing.shared_memory.SharedMemory` blocks once, workers
-attach by name and write their outputs into coordinator-allocated result
-buffers, and only O(1) metadata (block names, shapes, offsets) plus the
-small trace artifacts cross the pipe.
+Every sharded run — inline (``workers=1``) or pooled — moves its arrays
+through named :class:`multiprocessing.shared_memory.SharedMemory`
+blocks: the coordinator copies each shard's input slices into blocks
+once, workers attach by name and write their outputs into
+coordinator-allocated result buffers, and only O(1) metadata (block
+names, shapes, offsets) plus the small trace artifacts cross the pool
+pipe.
 
 Two pieces:
 
@@ -26,6 +24,11 @@ Two pieces:
     that never reach the ``finally``.  The finalizer is pid-guarded:
     forked pool workers inherit the arena object, and *their* interpreter
     shutdown must never unlink blocks the coordinator still owns.
+
+One mapping per block per process: :func:`attach_array` in the process
+that created a block (an inline ``workers=1`` run) views the arena's own
+handle instead of mapping the block a second time — a second mapping
+doubles the block's share of the process's RSS.
 
 Lifecycle note (POSIX semantics): ``unlink`` removes the *name*; live
 mappings stay valid until closed.  The arena therefore keeps its own
@@ -48,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["ShmArrayRef", "ShmArena", "attach_array", "detach_all"]
+__all__ = ["ShmArrayRef", "ShmArena", "attach_array"]
 
 #: Byte alignment for arrays packed into one block; 16 covers every
 #: numpy scalar dtype and keeps gathers on natural boundaries.
@@ -89,13 +92,20 @@ class ShmArrayRef:
 
 # Process-local attached handles, keyed by block name.  Workers attach
 # each block once per process regardless of how many refs point into it;
-# the creating process resolves refs against the arena's own handles and
-# never goes through this table.
+# the creating process resolves refs against the arena's own handles
+# (``_OWNED``) and never goes through this table.
 _ATTACHED: Dict[str, shared_memory.SharedMemory] = {}
+
+# Blocks of live arenas, keyed by name, with the creating pid: a forked
+# child inherits this table but must attach by name like any worker.
+_OWNED: Dict[str, Tuple[int, shared_memory.SharedMemory]] = {}
 
 
 def attach_array(ref: ShmArrayRef) -> np.ndarray:
     """Attach ``ref``'s block by name and return the ndarray view.
+
+    In the process whose live arena created the block, the view is over
+    the arena's own handle: no second mapping, no ``_ATTACHED`` entry.
 
     Tracker note: on CPython 3.11 an attach *also* registers the segment
     with the ``resource_tracker``.  That is harmless here — pool workers
@@ -105,23 +115,15 @@ def attach_array(ref: ShmArrayRef) -> np.ndarray:
     unregister on attach: with a shared tracker that would strip the
     *creator's* registration and the unlink-time unregister would fail.
     """
-    handle = _ATTACHED.get(ref.name)
-    if handle is None:
-        handle = shared_memory.SharedMemory(name=ref.name)
-        _ATTACHED[ref.name] = handle
+    owner_pid, handle = _OWNED.get(ref.name, (None, None))
+    if owner_pid != os.getpid():
+        handle = _ATTACHED.get(ref.name)
+        if handle is None:
+            handle = shared_memory.SharedMemory(name=ref.name)
+            _ATTACHED[ref.name] = handle
     return np.ndarray(
         ref.shape, dtype=np.dtype(ref.dtype), buffer=handle.buf, offset=ref.offset
     )
-
-
-def detach_all() -> None:
-    """Close every block this process attached by name (worker hygiene)."""
-    while _ATTACHED:
-        _, handle = _ATTACHED.popitem()
-        try:
-            handle.close()
-        except BufferError:  # pragma: no cover - a live view pins the mapping
-            pass
 
 
 def _unlink_blocks(blocks: List[shared_memory.SharedMemory], owner_pid: int) -> None:
@@ -136,6 +138,7 @@ def _unlink_blocks(blocks: List[shared_memory.SharedMemory], owner_pid: int) -> 
         return
     while blocks:
         block = blocks.pop()
+        _OWNED.pop(block.name, None)
         try:
             block.close()
         except BufferError:  # pragma: no cover
@@ -162,6 +165,12 @@ class ShmArena:
         )
 
     # -- allocation ----------------------------------------------------
+    def _create(self, nbytes: int) -> shared_memory.SharedMemory:
+        block = shared_memory.SharedMemory(create=True, size=nbytes)
+        self._blocks.append(block)
+        _OWNED[block.name] = (self._owner_pid, block)
+        return block
+
     def allocate(self, shape: Sequence[int], dtype) -> ShmArrayRef:
         """Create one zero-initialized block holding an array of ``shape``."""
         shape = tuple(int(s) for s in shape)
@@ -170,8 +179,7 @@ class ShmArena:
         # Freshly created segments are zero pages (ftruncate semantics),
         # so no explicit memset pass is needed — or wanted, at 500k
         # devices that would be a full write over the buffer.
-        block = shared_memory.SharedMemory(create=True, size=nbytes)
-        self._blocks.append(block)
+        block = self._create(nbytes)
         return ShmArrayRef(name=block.name, shape=shape, dtype=dt.str)
 
     def share(self, array: np.ndarray) -> ShmArrayRef:
@@ -194,8 +202,7 @@ class ShmArena:
         for a in arrays:
             offsets.append(total)
             total += _aligned(max(a.nbytes, 1))
-        block = shared_memory.SharedMemory(create=True, size=max(total, 1))
-        self._blocks.append(block)
+        block = self._create(max(total, 1))
         refs: List[ShmArrayRef] = []
         for a, off in zip(arrays, offsets):
             ref = ShmArrayRef(

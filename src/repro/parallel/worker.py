@@ -1,50 +1,42 @@
 """The per-shard worker: one device slice, one noise stream, one pipeline.
 
 Everything a worker needs crosses the process boundary once, as a
-picklable :class:`ShardTask`: the shard's truth slice, its precomputed
-reporting masks (the coordinator draws all dropout randomness so workers
-consume *only* their own audited stream), the spawned
-:class:`~numpy.random.SeedSequence` for that stream, and the mechanism
-recipe.  :func:`run_shard` is a module-level function so it pickles by
-reference into a ``ProcessPoolExecutor``; it also runs inline (no pool)
-for ``workers=1``, which is how the determinism tests compare worker
-counts without multiprocessing noise.
+picklable :class:`ShardTask`: the shard kernel (the recipe of what to
+release and how to write it down — see :mod:`repro.parallel.runner` and
+:mod:`repro.parallel.categorical`), the spawned
+:class:`~numpy.random.SeedSequence` for the shard's audited stream, and
+shared-memory refs (:mod:`repro.parallel.shm`) to its input slices and
+output regions.  The coordinator draws all dropout randomness, so a
+worker consumes *only* its own audited stream.
+
+:func:`run_shard` is a module-level function so it pickles by reference
+into a ``ProcessPoolExecutor``; it also runs inline (no pool) for
+``workers=1``, where the attach reuses the coordinator's own mappings.
+Either way the worker reads its truth and reporting slices from the
+arena and writes its outputs straight into coordinator-owned buffers;
+only block names, shapes and the small trace artifacts cross the pipe.
 
 Codebook shipping: pool workers start via :func:`install_shipments`,
 which adopts the coordinator's already-built ``m → k`` table into the
 process-wide :class:`~repro.rng.codebook.CodebookCache` — each worker
 process warms once per (config, backend) instead of re-sweeping the
 ``2**Bu`` alphabet.
-
-Shared-memory transport: when the coordinator runs the zero-copy data
-plane (:mod:`repro.parallel.shm`), the task's array payload is replaced
-by a :class:`ShardShm` bundle of block refs — the worker attaches its
-input slices by name and writes its outputs (flat per-epoch value
-regions at coordinator-precomputed offsets, plus the per-device budget
-state) straight into coordinator-owned buffers.  Only block names,
-shapes and the small trace artifacts cross the pipe.  The privatization
-itself is transport-blind, which is how the shm path stays bit-identical
-to the pickle path by construction.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import BudgetExhaustedError, ConfigurationError
-from ..mechanisms import SensorSpec, make_mechanism
 from ..rng.codebook import codebook_cache
-from ..rng.urng import SplitStreamSource, audited_generator
-from ..runtime import ArrayCharge, CounterSink, ReleasePipeline, RingBufferSink
+from ..runtime import CounterSink, ReleasePipeline, RingBufferSink
 from ..runtime.events import ReleaseEvent
 from .shm import ShmArrayRef
 
 __all__ = [
     "CodebookShipment",
-    "ShardShm",
     "ShardTask",
     "ShardResult",
     "run_shard",
@@ -73,71 +65,33 @@ def install_shipments(shipments: Sequence[CodebookShipment]) -> None:
         cache.install(shipment.config, shipment.fingerprint, shipment.table)
 
 
-@dataclasses.dataclass(frozen=True)
-class ShardShm:
-    """Shared-memory refs replacing one numeric shard's array payload.
-
-    Inputs (``truth``/``reporting``) are read-only slices the coordinator
-    packed; outputs are coordinator-allocated regions the worker fills:
-    ``values_out`` is the shard's flat value buffer (per-epoch offsets
-    are recomputed worker-side from the reporting mask — deterministic,
-    the coordinator derives the same layout when merging), the rest is
-    the per-device budget/cache state the coordinator previously got back
-    through pickle.
-    """
-
-    truth: ShmArrayRef
-    reporting: ShmArrayRef
-    values_out: ShmArrayRef
-    n_fresh: ShmArrayRef
-    n_cached: ShmArrayRef
-    cached_codes: ShmArrayRef
-    remaining: Optional[ShmArrayRef] = None
-
-
 @dataclasses.dataclass
 class ShardTask:
     """Everything one shard needs, picklable."""
 
+    kernel: object
+    """The shard kernel: builds the arm, runs the per-epoch step."""
     shard_index: int
     n_shards: int
     start: int
     """Global device index of this shard's first device."""
-    arm: str
-    sensor: SensorSpec
-    epsilon: float
     seed_seq: np.random.SeedSequence
     """Spawned sub-seed of the fleet seed; this shard's audited stream."""
-    truth: Optional[np.ndarray]
-    """True values, shape ``(n_epochs, shard_devices)`` (``None`` ⇢ shm)."""
-    reporting: Optional[np.ndarray]
-    """Coordinator-drawn reporting masks, same shape, bool (``None`` ⇢ shm)."""
-    device_budget: Optional[float]
-    mechanism_kwargs: Dict[str, object]
-    shm: Optional[ShardShm] = None
-    """Zero-copy transport refs; replaces ``truth``/``reporting`` and the
-    result's array fields when set (shapes travel on the refs)."""
+    truth: ShmArrayRef
+    """True values, shape ``(n_epochs, shard_devices)``."""
+    reporting: ShmArrayRef
+    """Coordinator-drawn reporting masks, same shape, bool."""
+    outputs: Dict[str, ShmArrayRef]
+    """This shard's output regions, named by the kernel."""
 
 
 @dataclasses.dataclass
 class ShardResult:
-    """One shard's privatized output plus its trace and budget state.
+    """What rides back through the pipe: the shard's trace artifacts.
 
-    On the shm transport the array fields are ``None``/empty — the data
-    already sits in the coordinator's buffers — and only the loss bound,
-    events and counters ride back through the pipe.
+    The privatized output already sits in the coordinator's buffers.
     """
 
-    shard_index: int
-    start: int
-    claimed_loss: float
-    values_by_epoch: List[np.ndarray]
-    """Privatized values per epoch (empty array where no device reported;
-    empty *list* on the shm transport)."""
-    n_fresh: Optional[np.ndarray]
-    n_cached: Optional[np.ndarray]
-    remaining: Optional[np.ndarray]
-    cached_codes: Optional[np.ndarray]
     events: List[ReleaseEvent]
     counter: CounterSink
 
@@ -153,105 +107,34 @@ def _shard_channel(epoch: int, shard_index: int, n_shards: int) -> str:
 def run_shard(task: ShardTask) -> ShardResult:
     """Privatize one shard's device slice across all epochs.
 
-    Mirrors the batched path of
-    :func:`repro.aggregation.fleet.run_fleet` on the shard's slice: one
-    pipeline release per (epoch, shard) with vectorized
-    :class:`~repro.runtime.ArrayCharge` budget accounting.  Shard-epochs
-    with no reporting device are skipped outright — deterministically,
-    since the masks are fixed inputs — so they consume no noise stream.
-
-    Transport never touches privatization: the shm branch only swaps
-    where the inputs are read from and the outputs land, so both paths
-    consume the identical audited stream and are bit-identical.
+    One pipeline release per (epoch, shard) through the kernel's arm.
+    Shard-epochs with no reporting device are skipped outright —
+    deterministically, since the masks are fixed inputs — so they
+    consume no noise stream.  ``cursor`` counts the reports this shard
+    has written so far; kernels with a flat per-report output region
+    write the epoch's reports at that offset, and the coordinator
+    derives the same offsets from the same masks when it folds.
     """
-    use_shm = task.shm is not None
-    if use_shm:
-        truth = task.shm.truth.attach()
-        reporting = task.shm.reporting.attach()
-    else:
-        truth = task.truth
-        reporting = task.reporting
-    n_epochs, shard_devices = truth.shape
-    kwargs = dict(task.mechanism_kwargs)
-    if task.arm != "ideal":
-        kwargs.setdefault("input_bits", 14)
-        kwargs.setdefault("source", SplitStreamSource(task.seed_seq))
-    else:
-        kwargs.setdefault("rng", audited_generator(task.seed_seq))
+    truth = task.truth.attach()
+    reporting = task.reporting.attach()
+    out = {name: ref.attach() for name, ref in task.outputs.items()}
     counter = CounterSink()
-    ring = RingBufferSink(capacity=max(n_epochs + 4, 16))
-    kwargs["pipeline"] = ReleasePipeline(sinks=[counter, ring])
-    mechanism = make_mechanism(task.arm, task.sensor, task.epsilon, **kwargs)
-    if hasattr(mechanism, "rng") and hasattr(mechanism.rng, "kernel"):
-        mechanism.rng.kernel  # resolve the codebook before the epoch loop
-
-    loss = mechanism.claimed_loss_bound
-    if use_shm:
-        # Budget/cache state lives directly in coordinator-owned buffers;
-        # ArrayCharge mutates them in place, so nothing ships back.
-        remaining = (
-            task.shm.remaining.attach() if task.shm.remaining is not None else None
-        )
-        cached_codes = task.shm.cached_codes.attach()
-        n_fresh = task.shm.n_fresh.attach()
-        n_cached = task.shm.n_cached.attach()
-        values_out = task.shm.values_out.attach()
-        out_offset = 0
-    else:
-        remaining = (
-            np.full(shard_devices, float(task.device_budget))
-            if task.device_budget is not None
-            else None
-        )
-        cached_codes = np.full(shard_devices, np.nan)
-        n_fresh = np.zeros(shard_devices, dtype=np.int64)
-        n_cached = np.zeros(shard_devices, dtype=np.int64)
-    values_by_epoch: List[np.ndarray] = []
-
-    for epoch in range(n_epochs):
+    ring = RingBufferSink(capacity=max(truth.shape[0] + 4, 16))
+    arm = task.kernel.build(task.seed_seq, ReleasePipeline(sinks=[counter, ring]))
+    cursor = 0
+    for epoch in range(truth.shape[0]):
         idx = np.flatnonzero(reporting[epoch])
         if idx.size == 0:
-            if not use_shm:
-                values_by_epoch.append(np.zeros(0))
             continue
-        accounting = (
-            ArrayCharge(remaining, cached_codes, loss, index=idx)
-            if remaining is not None
-            else None
+        task.kernel.step(
+            arm,
+            out,
+            epoch,
+            idx,
+            task.start,
+            truth[epoch, idx],
+            cursor,
+            _shard_channel(epoch, task.shard_index, task.n_shards),
         )
-        try:
-            outcome = mechanism.release(
-                truth[epoch, idx],
-                accounting=accounting,
-                channel=_shard_channel(epoch, task.shard_index, task.n_shards),
-            )
-        except BudgetExhaustedError as exc:
-            # Typed, picklable: crosses the pool boundary as the same
-            # error the unsharded fleet raises.
-            raise ConfigurationError(str(exc)) from exc
-        hits = outcome.cache_hits
-        n_fresh[idx] += ~hits
-        n_cached[idx] += hits
-        if use_shm:
-            # Flat layout: epochs in order, each of this epoch's reports
-            # contiguous.  The coordinator recomputes the same offsets
-            # from the same masks when it folds the buffer.
-            values_out[out_offset : out_offset + idx.size] = np.asarray(
-                outcome.values, dtype=float
-            )
-            out_offset += idx.size
-        else:
-            values_by_epoch.append(np.asarray(outcome.values, dtype=float))
-
-    return ShardResult(
-        shard_index=task.shard_index,
-        start=task.start,
-        claimed_loss=loss,
-        values_by_epoch=values_by_epoch,
-        n_fresh=None if use_shm else n_fresh,
-        n_cached=None if use_shm else n_cached,
-        remaining=None if use_shm else remaining,
-        cached_codes=None if use_shm else cached_codes,
-        events=ring.events,
-        counter=counter,
-    )
+        cursor += idx.size
+    return ShardResult(events=ring.events, counter=counter)

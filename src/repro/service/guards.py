@@ -631,12 +631,9 @@ class EpochBudgetGuard(Guard):
     and reports a later guard repairs away are never charged.  Spend is
     a float64 column indexed by the device's slot in ``device_index``,
     charged with ``np.add.at`` (in report order, so every total is the
-    float a per-id walk gives).  At most ``max_devices_tracked`` devices
-    are tracked: past that, the least-recently-charged ones — lowest
-    last-charge stamp — are evicted and their spend forgotten, so size
-    the bound above the expected fleet cardinality — the bound trades
-    completeness against a malicious fleet of throwaway device ids
-    exhausting server memory.
+    float a per-id walk gives).  Spend is never forgotten: the column
+    grows with the shared ``device_index``, so a device that returns
+    after any number of other ids is screened at its full spend.
 
     Runs after :class:`SchemaGuard` and :class:`RateLimitGuard`, so
     fields are already typed and the batch it rules on is the one it
@@ -651,15 +648,12 @@ class EpochBudgetGuard(Guard):
         max_claimed_loss: float = 16.0,
         warn_claimed_loss: Optional[float] = None,
         device_budget: Optional[float] = None,
-        max_devices_tracked: int = 1_048_576,
         device_index: Optional[DeviceIndex] = None,
     ):
         if epoch_horizon < 0:
             raise ConfigurationError("epoch_horizon must be >= 0")
         if max_claimed_loss <= 0:
             raise ConfigurationError("max_claimed_loss must be positive")
-        if max_devices_tracked < 1:
-            raise ConfigurationError("max_devices_tracked must be >= 1")
         self.epoch_horizon = int(epoch_horizon)
         self.max_claimed_loss = float(max_claimed_loss)
         self.warn_claimed_loss = float(
@@ -667,18 +661,16 @@ class EpochBudgetGuard(Guard):
             else max_claimed_loss / 2.0
         )
         self.device_budget = None if device_budget is None else float(device_budget)
-        self.max_devices_tracked = int(max_devices_tracked)
         self.device_index = device_index if device_index is not None else DeviceIndex()
         #: Spend by slot, and the charge clock at each slot's last
-        #: charge (0: not tracked).
+        #: charge (0: never charged) — the order of :meth:`spend_items`.
         self._spend = np.zeros(1, dtype=np.float64)
         self._stamp = np.zeros(1, dtype=np.int64)
         self._clock = 0
-        self._n_tracked = 0
 
     def spend_items(self) -> List[Tuple[str, float]]:
-        """``(device id, spend)`` of each tracked device, least recently
-        charged first (the eviction order)."""
+        """``(device id, spend)`` of each charged device, least recently
+        charged first."""
         tracked = np.flatnonzero(self._stamp)
         order = tracked[np.argsort(self._stamp[tracked])]
         return [
@@ -688,7 +680,7 @@ class EpochBudgetGuard(Guard):
 
     def _charge(self, final: Dict[str, Any]) -> None:
         """Commit hook: charge spend for the devices that actually made
-        it into the admitted batch (post-repair), LRU-bounded."""
+        it into the admitted batch (post-repair)."""
         if self.device_budget is None or final.get("op") != "submit":
             return
         slots = self.device_index.lookup(final["device_ids"]).resolve()
@@ -697,19 +689,9 @@ class EpochBudgetGuard(Guard):
             return
         spend = self._spend = _room(self._spend, self.device_index)
         stamp = self._stamp = _room(self._stamp, self.device_index)
-        untracked = stamp[slots] == 0
-        if untracked.any():
-            self._n_tracked += np.unique(slots[untracked]).size
         np.add.at(spend, slots, final["claimed_loss"])
         np.maximum.at(stamp, slots, np.arange(self._clock + 1, self._clock + n + 1))
         self._clock += n
-        excess = self._n_tracked - self.max_devices_tracked
-        if excess > 0:
-            tracked = np.flatnonzero(stamp)
-            victims = tracked[np.argpartition(stamp[tracked], excess - 1)[:excess]]
-            spend[victims] = 0.0
-            stamp[victims] = 0
-            self._n_tracked -= excess
 
     def check(self, request: Dict[str, Any]) -> GuardDecision:
         epoch = request["epoch"]
@@ -971,7 +953,6 @@ def default_chain(
     max_claimed_loss: float = 16.0,
     device_budget: Optional[float] = None,
     per_epoch_limit: int = 1,
-    max_devices_tracked: int = 1_048_576,
     device_index: Optional[DeviceIndex] = None,
 ) -> GuardChain:
     """The service's standard chain: schema → rate limit → epoch/budget.
@@ -990,7 +971,6 @@ def default_chain(
                 epoch_horizon=epoch_horizon,
                 max_claimed_loss=max_claimed_loss,
                 device_budget=device_budget,
-                max_devices_tracked=max_devices_tracked,
                 device_index=index,
             ),
         ]

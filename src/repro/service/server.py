@@ -107,7 +107,6 @@ class ServiceConfig:
     max_claimed_loss: float = 16.0
     device_budget: Optional[float] = None
     per_epoch_limit: int = 1
-    max_devices_tracked: int = 1_048_576
 
     allow_shutdown: bool = False
     """Honor the ``shutdown`` op.  Off by default — this endpoint meets
@@ -145,7 +144,6 @@ class IngestionService:
             max_claimed_loss=self.config.max_claimed_loss,
             device_budget=self.config.device_budget,
             per_epoch_limit=self.config.per_epoch_limit,
-            max_devices_tracked=self.config.max_devices_tracked,
             device_index=aggregation.ledger.device_index,
         )
         #: Admission counters — the ``metrics`` endpoint's payload.

@@ -52,6 +52,17 @@ def assert_bit_identical(a, b):
         ]
 
 
+def assert_same_device_state(a, b):
+    assert_bit_identical(a, b)
+    assert len(a.devices) == len(b.devices) > 0
+    for dev_a, dev_b in zip(a.devices, b.devices):
+        assert dev_a.n_fresh == dev_b.n_fresh
+        assert dev_a.n_cached == dev_b.n_cached
+        assert dev_a.remaining_budget == pytest.approx(
+            dev_b.remaining_budget, abs=1e-12
+        )
+
+
 class TestShardPlan:
     def test_balanced_and_exhaustive(self):
         plan = plan_shards(50, 4)
@@ -101,15 +112,13 @@ class TestWorkerCountBitIdentity:
 
     def test_budget_and_dropout_state(self):
         kwargs = dict(device_budget=2.5, dropout=0.2)
-        a = run_sharded(1, **kwargs)
-        b = run_sharded(4, **kwargs)
-        assert_bit_identical(a, b)
-        for dev_a, dev_b in zip(a.devices, b.devices):
-            assert dev_a.n_fresh == dev_b.n_fresh
-            assert dev_a.n_cached == dev_b.n_cached
-            assert dev_a.remaining_budget == pytest.approx(
-                dev_b.remaining_budget, abs=1e-12
-            )
+        assert_same_device_state(run_sharded(1, **kwargs), run_sharded(4, **kwargs))
+
+    def test_budget_dropout_state_two_workers(self):
+        # A pool smaller than the shard count: workers pick up several
+        # shards' device-state regions each.
+        kwargs = dict(device_budget=2.5, dropout=0.2)
+        assert_same_device_state(run_sharded(1, **kwargs), run_sharded(2, **kwargs))
 
     def test_resampling_runs_sharded(self):
         # Resampling's redraw interleaving is batch-shaped; sharded runs
@@ -117,48 +126,6 @@ class TestWorkerCountBitIdentity:
         a = run_sharded(1, arm="resampling")
         b = run_sharded(2, arm="resampling")
         assert_bit_identical(a, b)
-
-
-class TestTransportBitIdentity:
-    """shm and pickle data planes must release identical streams."""
-
-    @pytest.mark.parametrize("arm", ["thresholding", "baseline", "rr"])
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_shm_matches_pickle(self, arm, workers):
-        assert_bit_identical(
-            run_sharded(workers, arm=arm, shm=False),
-            run_sharded(workers, arm=arm, shm=True),
-        )
-
-    def test_shm_budget_dropout_device_state(self):
-        kwargs = dict(device_budget=2.5, dropout=0.2)
-        a = run_sharded(2, shm=False, **kwargs)
-        b = run_sharded(2, shm=True, **kwargs)
-        assert_bit_identical(a, b)
-        for dev_a, dev_b in zip(a.devices, b.devices):
-            assert dev_a.n_fresh == dev_b.n_fresh
-            assert dev_a.n_cached == dev_b.n_cached
-            assert dev_a.remaining_budget == pytest.approx(
-                dev_b.remaining_budget, abs=1e-12
-            )
-
-    def test_shm_streaming_matches_pickle_retaining(self):
-        streaming = run_sharded(2, shm=True, streaming=True)
-        retaining = run_sharded(2, shm=False)
-        for epoch in retaining.server.epochs:
-            ref = retaining.server.values(epoch)
-            summary = streaming.server.summarize(epoch)
-            assert summary.n_reports == ref.size
-            assert summary.mean == pytest.approx(float(ref.mean()), rel=1e-12)
-
-    def test_ipc_bytes_measured_and_smaller_under_shm(self):
-        t = truth(n_devices=192)
-        pickle_run = run_sharded(2, t=t, shm=False, measure_ipc=True)
-        shm_run = run_sharded(2, t=t, shm=True, measure_ipc=True)
-        assert pickle_run.ipc_bytes > 0 and shm_run.ipc_bytes > 0
-        assert shm_run.ipc_bytes < pickle_run.ipc_bytes
-        # Off by default: timed runs must not pay the serialization pass.
-        assert run_sharded(1).ipc_bytes is None
 
 
 class TestLegacyBridge:
@@ -257,6 +224,15 @@ class TestStreamingRuns:
             assert st.server.summarize(epoch).variance == pytest.approx(
                 summary.variance, rel=1e-9
             )
+
+    def test_streaming_pooled_matches_retaining(self):
+        streaming = run_sharded(2, streaming=True)
+        retaining = run_sharded(2)
+        for epoch in retaining.server.epochs:
+            ref = retaining.server.values(epoch)
+            summary = streaming.server.summarize(epoch)
+            assert summary.n_reports == ref.size
+            assert summary.mean == pytest.approx(float(ref.mean()), rel=1e-12)
 
     def test_streaming_retains_no_reports(self):
         result = run_sharded(2, streaming=True, with_devices=False)

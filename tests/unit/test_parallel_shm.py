@@ -6,8 +6,9 @@ behind until reboot.  These tests pin the guarantees the arena makes:
 every block is unlinked on the normal path, on the worker-crash path
 (``BrokenProcessPool``), and on the in-worker-exception path; a forked
 child's interpreter shutdown never unlinks the coordinator's blocks
-(the pid-guarded finalizer); and the ref/attach plumbing round-trips
-arrays bit-exactly.
+(the pid-guarded finalizer); the ref/attach plumbing round-trips
+arrays bit-exactly; and an attach in the creating process reuses the
+arena's own mapping instead of mapping the block a second time.
 """
 
 import os
@@ -20,7 +21,8 @@ from multiprocessing import shared_memory
 from repro.errors import ConfigurationError
 from repro.mechanisms import SensorSpec
 from repro.parallel import run_fleet_sharded
-from repro.parallel.shm import ShmArena, ShmArrayRef, attach_array, detach_all
+from repro.parallel import shm as shm_module
+from repro.parallel.shm import ShmArena, ShmArrayRef, attach_array
 
 SENSOR = SensorSpec(0.0, 8.0)
 
@@ -54,7 +56,6 @@ class TestArenaBasics:
             ref = arena.share(data)
             np.testing.assert_array_equal(arena.view(ref), data)
             np.testing.assert_array_equal(attach_array(ref), data)
-        detach_all()
 
     def test_pack_is_one_block_many_refs(self):
         with ShmArena() as arena:
@@ -86,14 +87,28 @@ class TestArenaBasics:
         arena.close()  # second close is a no-op
 
     def test_worker_writes_are_visible_to_creator(self):
-        # The output-buffer contract: another attachment's writes land in
-        # the creator's view (same physical pages).
+        # The output-buffer contract: another process's attachment writes
+        # land in the creator's view (same physical pages).
         with ShmArena() as arena:
             ref = arena.allocate((8,), np.float64)
-            out = attach_array(ref)
-            out[...] = np.arange(8.0)
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - child exits before reporting
+                attach_array(ref)[...] = np.arange(8.0)
+                os._exit(0)
+            _, status = os.waitpid(pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
             np.testing.assert_array_equal(arena.view(ref), np.arange(8.0))
-        detach_all()
+
+    def test_in_process_attach_reuses_the_arena_mapping(self):
+        # One mapping per block per process: an inline (workers=1) run
+        # must not map its arena's blocks a second time.
+        with ShmArena() as arena:
+            ref = arena.share(np.arange(12.0)).sub(2, (5,))
+            attached = attach_array(ref)
+            assert np.shares_memory(attached, arena.view(ref))
+            np.testing.assert_array_equal(attached, np.arange(2.0, 7.0))
+            assert not shm_module._ATTACHED
+            del attached
 
     def test_allocate_is_zero_initialized(self):
         with ShmArena() as arena:
@@ -124,7 +139,6 @@ def _fleet_kwargs(**overrides):
         source_seed=7,
         shards=4,
         rng=np.random.default_rng(3),
-        shm=True,
     )
     kwargs.update(overrides)
     return kwargs
@@ -142,6 +156,8 @@ class TestRunnerCleanup:
         truth = np.random.default_rng(0).uniform(1.0, 7.0, size=(3, 40))
         run_fleet_sharded(truth, SENSOR, 0.5, workers=1, **_fleet_kwargs())
         assert not _leaked(before)
+        assert not shm_module._ATTACHED
+        assert not shm_module._OWNED
 
     def test_worker_exception_leaves_no_blocks(self):
         # A budget too small for even one release raises a typed error

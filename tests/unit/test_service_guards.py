@@ -149,12 +149,19 @@ class TestEpochBudgetGuard:
         assert g.check(submit(loss=1.0)).verdict is Verdict.ALLOW
         assert g.spend_items() == []
 
-    def test_spend_map_lru_bounded(self):
-        g = EpochBudgetGuard(device_budget=10.0, max_devices_tracked=2)
-        for name in ("a", "b", "c"):
+    def test_returning_device_keeps_its_spend(self):
+        # Spend is never evicted: a device that spent its whole budget
+        # stays blocked however many other ids are admitted after it.
+        g = EpochBudgetGuard(device_budget=4.0)
+        first = submit(ids=("a",), values=(1.0,), loss=4.0)
+        g.check(first).commit(first)
+        for name in ("b", "c", "d", "e", "f"):
             req = submit(ids=(name,), values=(1.0,), loss=1.0)
             g.check(req).commit(req)
-        assert [d for d, _ in g.spend_items()] == ["b", "c"]  # LRU evicted
+        d = g.check(submit(ids=("a",), values=(1.0,), loss=1.0))
+        assert d.verdict is Verdict.BLOCK
+        assert "past budget" in d.reason
+        assert [dev for dev, _ in g.spend_items()] == ["a", "b", "c", "d", "e", "f"]
 
 
 class TestRateLimitGuard:
