@@ -39,7 +39,6 @@ from .guards import (
 )
 from .protocol import (
     BINARY_WIRE_VERSION,
-    ReportBatch,
     decode_binary_frame,
     decode_line,
     encode,
@@ -59,7 +58,6 @@ __all__ = [
     "EpochBudgetGuard",
     "RateLimitGuard",
     "default_chain",
-    "ReportBatch",
     "BINARY_WIRE_VERSION",
     "decode_line",
     "decode_binary_frame",

@@ -36,37 +36,30 @@ enqueued.  Two consequences, both load-bearing:
   budget charge covers exactly the reports that survived later repairs,
   not the ones a downstream guard dropped.
 
-**Columnar fast path.**  Requests arriving on the binary wire carry
-numpy column buffers (``device_ids`` as a fixed-width ``S`` array,
-``values`` as ``float64``) instead of Python lists.
-:meth:`GuardChain.check_array` routes each guard through
-:meth:`Guard.check_array`; the rulings are **verdict-, delta-, and
-commit-equivalent** to the scalar path on the same logical batch
-(property-tested in
-``tests/property/test_columnar_guard_equivalence.py``).  The numeric
-column never becomes per-report Python objects: the schema guard rules
-on it with single ``np.isfinite``/shape sweeps and repairs mask it
-in-place-shaped (``values[keep_mask]``).
+**One ruling path.**  Both wires reach the same :meth:`Guard.check`.
+The schema guard turns every submission into the *canonical columnar
+request* — ``values`` a ``float64`` column, ``counts`` an ``int64``
+column, ``device_ids`` a
+:class:`~repro.aggregation.device_index.SlotIds` — and applies each
+content rule once, in one order, whichever representation the request
+came in: JSONL lists are converted (numeric strings and integral-float
+epochs repaired with a delta), binary-frame columns pass through
+without a copy.  The guards after it, and the fold, see columns only.
 
 **Interned device ids.**  The schema guard turns the batch's ids into
 slots of the chain's :class:`~repro.aggregation.device_index.DeviceIndex`
 exactly once — from the raw ``S``-column bytes on the binary wire, so a
 device's id is UTF-8 validated and decoded only the first time it is
-seen, or from the ``str`` list on JSONL — and hands the downstream
-guards and the fold a :class:`~repro.aggregation.device_index.SlotIds`.
+seen, or from the ``str`` list on JSONL.
 The stateful guards keep their per-device state as slot-indexed numpy
-columns (spend, last-charge stamp, per-epoch rate counts), so each
-rules with a gather and a compare and commits with one ``np.add.at``,
-whichever wire the batch took; ids are mapped back to strings only for
-reasons and deltas.  Ids the table has not seen get provisional slots
-at check time and are appended by :meth:`ChainOutcome.commit`, so a
-blocked or queue-refused batch allocates nothing.  The service shares
-the table with its server's disclosure ledger
-(:attr:`~repro.aggregation.AggregationServer.ledger`), which charges
-the same slots.  The base-class :meth:`Guard.check_array` delegates to
-:meth:`Guard.check`, so guards that only read scalar fields
-(``op``/``epoch``/``claimed_loss``) or work on either id
-representation need one ruling path.
+columns (spend, per-epoch rate counts), so each rules with a gather and
+a compare and commits with one ``np.add.at``; ids are mapped back to
+strings only for reasons and deltas.  Ids the table has not seen get
+provisional slots at check time and are appended by
+:meth:`ChainOutcome.commit`, so a blocked or queue-refused batch
+allocates nothing.  The service shares the table with its server's
+disclosure ledger (:attr:`~repro.aggregation.AggregationServer.ledger`),
+which charges the same slots.
 """
 
 from __future__ import annotations
@@ -184,14 +177,7 @@ class Guard:
         raise NotImplementedError
 
     def check_array(self, request: Dict[str, Any]) -> GuardDecision:
-        """Rule on a *columnar* request (numpy column buffers).
-
-        Defaults to :meth:`check`, which suits any guard that only
-        reads scalar fields — ``op``, ``epoch``, ``claimed_loss`` are
-        identical in both representations.  Guards that inspect
-        per-report columns override this with a vectorized
-        implementation; the same two-phase commit contract applies.
-        """
+        """The same ruling as :meth:`check`, which serves both wires."""
         return self.check(request)
 
     # Decision helpers ---------------------------------------------------
@@ -239,6 +225,33 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _finite(x: Any) -> Optional[float]:
+    """``float(x)``, or ``None`` if that is not finite — an integer past
+    float range included, where ``float`` would raise."""
+    try:
+        x = float(x)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _is_column(x: Any, kind: str) -> bool:
+    """Whether ``x`` is a 1-D numpy column of dtype kind ``kind``."""
+    return isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype.kind == kind
+
+
+def _decodes(raw: bytes) -> bool:
+    try:
+        raw.decode("utf-8")
+        return True
+    except UnicodeDecodeError:
+        return False
+
+
+class _Refusal(Exception):
+    """Raised by a schema rule: BLOCK the request with this reason."""
+
+
 class SchemaGuard(Guard):
     """Strict structural validation of submission requests.
 
@@ -252,22 +265,30 @@ class SchemaGuard(Guard):
     * unknown extra fields → dropped.
 
     Anything the repair cannot make exact — a NaN, an unparseable
-    string, a negative count — is a BLOCK, never a guess.
+    string, a negative count, an integer past float range — is a
+    BLOCK, never a guess.
 
-    An admitted submit carries its ids as a
+    A request may carry its columns as lists (JSONL, in-process
+    callers) or as numpy columns (a binary frame: ``S`` ids, ``float``
+    values, ``int`` counts); each rule reads either the same way.  An
+    admitted request is the canonical columnar one: ``values`` a
+    ``float64`` column, ``counts`` an ``int64`` column, and ids a
     :class:`~repro.aggregation.device_index.SlotIds` of
     ``device_index`` (the chain's shared table; a private one if
-    omitted).
+    omitted).  Columns that are already in canonical form pass through
+    without a copy.
     """
 
     name = "schema"
 
-    _SUBMIT_KEYS = frozenset(
-        {"op", "epoch", "device_ids", "values", "claimed_loss"}
-    )
-    _COUNTS_KEYS = frozenset(
-        {"op", "epoch", "counts", "n_reports", "claimed_loss"}
-    )
+    _KEYS = {
+        "submit": frozenset(
+            {"op", "epoch", "device_ids", "values", "claimed_loss"}
+        ),
+        "submit_counts": frozenset(
+            {"op", "epoch", "counts", "n_reports", "claimed_loss"}
+        ),
+    }
 
     def __init__(
         self,
@@ -283,31 +304,38 @@ class SchemaGuard(Guard):
 
     def check(self, request: Dict[str, Any]) -> GuardDecision:
         op = request.get("op")
-        if op == "submit":
-            return self._check_submit(request)
-        if op == "submit_counts":
-            return self._check_counts(request)
-        return self.block(f"unknown submission op {op!r}")
+        if op not in ("submit", "submit_counts"):
+            return self.block(f"unknown submission op {op!r}")
+        delta: List[str] = []
+        try:
+            self._check_fields(request, self._KEYS[op], delta)
+            out = {"op": op, "epoch": self._epoch(request["epoch"], delta)}
+            if op == "submit":
+                out.update(self._submit_columns(request, delta))
+            else:
+                out.update(self._counts_columns(request))
+            out["claimed_loss"] = self._loss(request["claimed_loss"], delta)
+        except _Refusal as refusal:
+            return self.block(str(refusal))
+        if delta:
+            return self.repair(out, delta, reason="schema coercion")
+        return GuardDecision(Verdict.ALLOW, self.name, request=out)
 
     # -----------------------------------------------------------------
-    def _strip_extras(
+    def _check_fields(
         self, request: Dict[str, Any], allowed: frozenset, delta: List[str]
-    ) -> Optional[Dict[str, Any]]:
+    ) -> None:
         extras = sorted(set(request) - allowed)
-        if not extras:
-            return dict(request)
-        if not self.coerce:
-            return None
-        out = {k: v for k, v in request.items() if k in allowed}
+        if extras and not self.coerce:
+            raise _Refusal(f"unknown fields {extras} (strict schema)")
         delta.extend(f"{k}: <dropped unknown field>" for k in extras)
-        return out
+        missing = sorted(allowed - set(request))
+        if missing:
+            raise _Refusal(f"missing fields {missing}")
 
-    def _coerce_epoch(
-        self, req: Dict[str, Any], delta: List[str]
-    ) -> Optional[int]:
-        epoch = req.get("epoch")
-        if _is_int(epoch):
-            return epoch if epoch >= 0 else None
+    def _epoch(self, epoch: Any, delta: List[str]) -> int:
+        if _is_int(epoch) and epoch >= 0:
+            return epoch
         if (
             self.coerce
             and isinstance(epoch, float)
@@ -317,273 +345,116 @@ class SchemaGuard(Guard):
         ):
             delta.append(f"epoch: {epoch!r} -> {int(epoch)}")
             return int(epoch)
-        return None
+        raise _Refusal(f"epoch must be a nonnegative integer, got {epoch!r}")
 
-    def _coerce_loss(
-        self, req: Dict[str, Any], delta: List[str]
-    ) -> Optional[float]:
-        loss = req.get("claimed_loss")
+    def _loss(self, loss: Any, delta: List[str]) -> float:
+        value = loss
         if isinstance(loss, str) and self.coerce:
             try:
-                parsed = float(loss)
+                value = float(loss)
             except ValueError:
-                return None
-            delta.append(f"claimed_loss: {loss!r} -> {parsed!r}")
-            loss = parsed
-        if not _is_number(loss):
-            return None
-        loss = float(loss)
-        if not math.isfinite(loss) or loss <= 0.0:
-            return None
-        return loss
-
-    def _check_submit(self, request: Dict[str, Any]) -> GuardDecision:
-        delta: List[str] = []
-        req = self._strip_extras(request, self._SUBMIT_KEYS, delta)
-        if req is None:
-            extras = sorted(set(request) - self._SUBMIT_KEYS)
-            return self.block(f"unknown fields {extras} (strict schema)")
-        missing = sorted(self._SUBMIT_KEYS - set(req))
-        if missing:
-            return self.block(f"missing fields {missing}")
-        epoch = self._coerce_epoch(req, delta)
-        if epoch is None:
-            return self.block(
-                f"epoch must be a nonnegative integer, got {req.get('epoch')!r}"
+                value = None
+            else:
+                delta.append(f"claimed_loss: {loss!r} -> {value!r}")
+        value = _finite(value) if _is_number(value) else None
+        if value is None or value <= 0.0:
+            raise _Refusal(
+                f"claimed_loss must be a positive finite number, got {loss!r}"
             )
-        ids = req.get("device_ids")
-        values = req.get("values")
-        if not isinstance(ids, list) or not isinstance(values, list):
-            return self.block("device_ids and values must be arrays")
-        if not values:
-            return self.block("empty batch (no values)")
+        return value
+
+    def _submit_columns(
+        self, request: Dict[str, Any], delta: List[str]
+    ) -> Dict[str, Any]:
+        ids = request["device_ids"]
+        values = request["values"]
+        if not (isinstance(ids, list) or _is_column(ids, "S")) or not (
+            isinstance(values, list) or _is_column(values, "f")
+        ):
+            raise _Refusal("device_ids and values must be arrays")
+        if not len(values):
+            raise _Refusal("empty batch (no values)")
         if len(ids) != len(values):
-            return self.block(
+            raise _Refusal(
                 f"device_ids ({len(ids)}) and values ({len(values)}) disagree"
             )
         if len(values) > self.max_batch:
-            return self.block(
+            raise _Refusal(
                 f"batch of {len(values)} exceeds max_batch={self.max_batch}"
             )
-        # A well-formed batch (str ids, finite float values) passes the
-        # per-report walks below untouched; only they name a bad report.
-        if not (set(map(type, ids)) <= {str} and "" not in ids):
-            for i, device_id in enumerate(ids):
-                if not isinstance(device_id, str) or not device_id:
-                    return self.block(f"device_ids[{i}] must be a nonempty string")
-        if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
-            clean_values = list(values)
-        else:
-            clean_values = []
-            for i, v in enumerate(values):
-                if isinstance(v, str) and self.coerce:
-                    try:
-                        parsed = float(v)
-                    except ValueError:
-                        return self.block(f"values[{i}] is not numeric: {v!r}")
-                    delta.append(f"values[{i}]: {v!r} -> {parsed!r}")
-                    v = parsed
-                if not _is_number(v):
-                    return self.block(f"values[{i}] must be a number, got {v!r}")
-                v = float(v)
-                if not math.isfinite(v):
-                    return self.block(f"values[{i}] is not finite")
-                clean_values.append(v)
-        loss = self._coerce_loss(req, delta)
-        if loss is None:
-            return self.block(
-                f"claimed_loss must be a positive finite number, "
-                f"got {req.get('claimed_loss')!r}"
-            )
-        out = {
-            "op": "submit",
-            "epoch": epoch,
-            "device_ids": self.device_index.lookup(ids),
-            "values": clean_values,
-            "claimed_loss": loss,
+        return {
+            "device_ids": self._slot_ids(ids),
+            "values": self._values_column(values, delta),
         }
-        if delta:
-            return self.repair(out, delta, reason="schema coercion")
-        return GuardDecision(Verdict.ALLOW, self.name, request=out)
 
-    def _check_counts(self, request: Dict[str, Any]) -> GuardDecision:
-        delta: List[str] = []
-        req = self._strip_extras(request, self._COUNTS_KEYS, delta)
-        if req is None:
-            extras = sorted(set(request) - self._COUNTS_KEYS)
-            return self.block(f"unknown fields {extras} (strict schema)")
-        missing = sorted(self._COUNTS_KEYS - set(req))
-        if missing:
-            return self.block(f"missing fields {missing}")
-        epoch = self._coerce_epoch(req, delta)
-        if epoch is None:
-            return self.block(
-                f"epoch must be a nonnegative integer, got {req.get('epoch')!r}"
-            )
-        counts = req.get("counts")
-        if not isinstance(counts, list) or len(counts) < 2:
-            return self.block("counts must be an array of >= 2 categories")
-        for i, c in enumerate(counts):
-            if not _is_int(c) or c < 0:
-                return self.block(
-                    f"counts[{i}] must be a nonnegative integer, got {c!r}"
-                )
-        n_reports = req.get("n_reports")
-        if not _is_int(n_reports) or n_reports < 1:
-            return self.block(
-                f"n_reports must be a positive integer, got {n_reports!r}"
-            )
-        if sum(counts) > n_reports * len(counts):
-            return self.block(
-                f"counts sum {sum(counts)} impossible for {n_reports} reports "
-                f"over {len(counts)} categories"
-            )
-        if n_reports > self.max_batch:
-            return self.block(
-                f"batch of {n_reports} exceeds max_batch={self.max_batch}"
-            )
-        loss = self._coerce_loss(req, delta)
-        if loss is None:
-            return self.block(
-                f"claimed_loss must be a positive finite number, "
-                f"got {req.get('claimed_loss')!r}"
-            )
-        out = {
-            "op": "submit_counts",
-            "epoch": epoch,
-            "counts": [int(c) for c in counts],
-            "n_reports": int(n_reports),
-            "claimed_loss": loss,
-        }
-        if delta:
-            return self.repair(out, delta, reason="schema coercion")
-        return GuardDecision(Verdict.ALLOW, self.name, request=out)
-
-    # -- Columnar fast path -------------------------------------------
-    def check_array(self, request: Dict[str, Any]) -> GuardDecision:
-        """Vectorized structural validation of a columnar request.
-
-        The binary decoder already guarantees the dtypes (float64
-        values, ``S`` ids, int64 counts) and column-length agreement,
-        so the columnar schema check reduces to the *content* rules —
-        finiteness, non-empty ids, valid UTF-8, batch bounds — ruled
-        with single numpy sweeps.  Coercion never arises (the wire is
-        typed), which matches the scalar path on equivalently-typed
-        input: neither coerces, both ALLOW or BLOCK with the same
-        reason.
-
-        The **canonical** columnar submit this guard emits carries the
-        value column untouched (the zero-copy f8 view) and the id
-        column as slots of the chain's table, looked up by raw bytes —
-        only ids never seen before are decoded — and reused by the
-        stateful guards and by the fold.
-        """
-        op = request.get("op")
-        if op == "submit":
-            return self._check_submit_array(request)
-        if op == "submit_counts":
-            return self._check_counts_array(request)
-        return self.block(f"unknown submission op {op!r}")
-
-    def _check_submit_array(self, request: Dict[str, Any]) -> GuardDecision:
-        epoch = request.get("epoch")
-        if not _is_int(epoch) or epoch < 0:
-            return self.block(
-                f"epoch must be a nonnegative integer, got {epoch!r}"
-            )
-        ids = request.get("device_ids")
-        values = request.get("values")
-        if not isinstance(ids, np.ndarray) or not isinstance(values, np.ndarray):
-            return self.block("device_ids and values must be arrays")
-        if values.size == 0:
-            return self.block("empty batch (no values)")
-        if ids.size != values.size:
-            return self.block(
-                f"device_ids ({ids.size}) and values ({values.size}) disagree"
-            )
-        if values.size > self.max_batch:
-            return self.block(
-                f"batch of {values.size} exceeds max_batch={self.max_batch}"
-            )
+    def _slot_ids(self, ids: Any) -> SlotIds:
+        if isinstance(ids, list):
+            # A well-formed batch (nonempty str ids) skips the walk that
+            # names a bad one.
+            if not (set(map(type, ids)) <= {str} and "" not in ids):
+                for i, device_id in enumerate(ids):
+                    if not isinstance(device_id, str) or not device_id:
+                        raise _Refusal(f"device_ids[{i}] must be a nonempty string")
+            return self.device_index.lookup(ids)
+        empty = np.flatnonzero(ids == b"")
+        if empty.size:
+            raise _Refusal(f"device_ids[{empty[0]}] must be a nonempty string")
         try:
-            slot_ids = self.device_index.lookup_raw(ids)
+            return self.device_index.lookup_raw(ids)
         except UnicodeDecodeError:
             bad = next(i for i, raw in enumerate(ids.tolist()) if not _decodes(raw))
-            return self.block(f"device_ids[{bad}] is not valid UTF-8")
-        empty = ids == b""
-        if empty.any():
-            i = int(np.flatnonzero(empty)[0])
-            return self.block(f"device_ids[{i}] must be a nonempty string")
-        finite = np.isfinite(values)
-        if not finite.all():
-            i = int(np.flatnonzero(~finite)[0])
-            return self.block(f"values[{i}] is not finite")
-        loss = request.get("claimed_loss")
-        if not _is_number(loss) or not math.isfinite(float(loss)) or loss <= 0.0:
-            return self.block(
-                f"claimed_loss must be a positive finite number, got {loss!r}"
-            )
-        out = {
-            "op": "submit",
-            "epoch": epoch,
-            "device_ids": slot_ids,
-            "values": values,
-            "claimed_loss": float(loss),
-        }
-        return GuardDecision(Verdict.ALLOW, self.name, request=out)
+            raise _Refusal(f"device_ids[{bad}] is not valid UTF-8") from None
 
-    def _check_counts_array(self, request: Dict[str, Any]) -> GuardDecision:
-        epoch = request.get("epoch")
-        if not _is_int(epoch) or epoch < 0:
-            return self.block(
-                f"epoch must be a nonnegative integer, got {epoch!r}"
-            )
-        counts = request.get("counts")
-        if not isinstance(counts, np.ndarray) or counts.size < 2:
-            return self.block("counts must be an array of >= 2 categories")
-        negative = counts < 0
-        if negative.any():
-            i = int(np.flatnonzero(negative)[0])
-            return self.block(
-                f"counts[{i}] must be a nonnegative integer, "
-                f"got {int(counts[i])!r}"
-            )
-        n_reports = request.get("n_reports")
+    def _values_column(self, values: Any, delta: List[str]) -> np.ndarray:
+        if isinstance(values, list) and not set(map(type, values)) <= {float}:
+            # Only this walk coerces, and it stops at the first bad
+            # report, so a block names the earliest one.
+            values = [self._value(i, v, delta) for i, v in enumerate(values)]
+        column = np.asarray(values, dtype=np.float64)
+        finite = np.isfinite(column)
+        if not finite.all():
+            raise _Refusal(f"values[{np.argmin(finite)}] is not finite")
+        return column
+
+    def _value(self, i: int, v: Any, delta: List[str]) -> float:
+        if isinstance(v, str) and self.coerce:
+            try:
+                parsed = float(v)
+            except ValueError:
+                raise _Refusal(f"values[{i}] is not numeric: {v!r}") from None
+            delta.append(f"values[{i}]: {v!r} -> {parsed!r}")
+            v = parsed
+        if not _is_number(v):
+            raise _Refusal(f"values[{i}] must be a number, got {v!r}")
+        value = _finite(v)
+        if value is None:
+            raise _Refusal(f"values[{i}] is not finite")
+        return value
+
+    def _counts_columns(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        counts = request["counts"]
+        entries = counts.tolist() if _is_column(counts, "i") else counts
+        if not isinstance(entries, list) or len(entries) < 2:
+            raise _Refusal("counts must be an array of >= 2 categories")
+        for i, c in enumerate(entries):
+            if not _is_int(c) or c < 0:
+                raise _Refusal(f"counts[{i}] must be a nonnegative integer, got {c!r}")
+        n_reports = request["n_reports"]
         if not _is_int(n_reports) or n_reports < 1:
-            return self.block(
-                f"n_reports must be a positive integer, got {n_reports!r}"
-            )
-        total = int(counts.sum())
-        if total > n_reports * counts.size:
-            return self.block(
+            raise _Refusal(f"n_reports must be a positive integer, got {n_reports!r}")
+        # Summed as Python ints: exact, where an int64 column sum wraps.
+        total = sum(entries)
+        if total > n_reports * len(entries):
+            raise _Refusal(
                 f"counts sum {total} impossible for {n_reports} reports "
-                f"over {counts.size} categories"
+                f"over {len(entries)} categories"
             )
         if n_reports > self.max_batch:
-            return self.block(
-                f"batch of {n_reports} exceeds max_batch={self.max_batch}"
-            )
-        loss = request.get("claimed_loss")
-        if not _is_number(loss) or not math.isfinite(float(loss)) or loss <= 0.0:
-            return self.block(
-                f"claimed_loss must be a positive finite number, got {loss!r}"
-            )
-        out = {
-            "op": "submit_counts",
-            "epoch": epoch,
-            "counts": counts,
+            raise _Refusal(f"batch of {n_reports} exceeds max_batch={self.max_batch}")
+        return {
+            "counts": np.asarray(counts, dtype=np.int64),
             "n_reports": int(n_reports),
-            "claimed_loss": float(loss),
         }
-        return GuardDecision(Verdict.ALLOW, self.name, request=out)
-
-
-def _decodes(raw: bytes) -> bool:
-    try:
-        raw.decode("utf-8")
-        return True
-    except UnicodeDecodeError:
-        return False
 
 
 def _gather(column: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -662,20 +533,16 @@ class EpochBudgetGuard(Guard):
         )
         self.device_budget = None if device_budget is None else float(device_budget)
         self.device_index = device_index if device_index is not None else DeviceIndex()
-        #: Spend by slot, and the charge clock at each slot's last
-        #: charge (0: never charged) — the order of :meth:`spend_items`.
+        #: Spend by slot; positive once charged, since the schema guard
+        #: admits only positive claimed losses.
         self._spend = np.zeros(1, dtype=np.float64)
-        self._stamp = np.zeros(1, dtype=np.int64)
-        self._clock = 0
 
     def spend_items(self) -> List[Tuple[str, float]]:
-        """``(device id, spend)`` of each charged device, least recently
-        charged first."""
-        tracked = np.flatnonzero(self._stamp)
-        order = tracked[np.argsort(self._stamp[tracked])]
+        """``(device id, spend)`` of each charged device, in slot order
+        (the order ``device_index`` first saw them)."""
         return [
             (self.device_index.id_of(slot), float(self._spend[slot]))
-            for slot in order.tolist()
+            for slot in np.flatnonzero(self._spend).tolist()
         ]
 
     def _charge(self, final: Dict[str, Any]) -> None:
@@ -684,14 +551,8 @@ class EpochBudgetGuard(Guard):
         if self.device_budget is None or final.get("op") != "submit":
             return
         slots = self.device_index.lookup(final["device_ids"]).resolve()
-        n = slots.size
-        if not n:
-            return
         spend = self._spend = _room(self._spend, self.device_index)
-        stamp = self._stamp = _room(self._stamp, self.device_index)
         np.add.at(spend, slots, final["claimed_loss"])
-        np.maximum.at(stamp, slots, np.arange(self._clock + 1, self._clock + n + 1))
-        self._clock += n
 
     def check(self, request: Dict[str, Any]) -> GuardDecision:
         epoch = request["epoch"]
@@ -872,14 +733,7 @@ class RateLimitGuard(Guard):
 
         repaired = dict(request)
         repaired["device_ids"] = ids.take(kept)
-        values = request["values"]
-        if isinstance(values, np.ndarray):
-            # Columnar batch: the surviving reports are one fancy-index
-            # over the value column — the repaired request stays
-            # columnar (no per-report Python floats materialize).
-            repaired["values"] = values[kept]
-        else:
-            repaired["values"] = [values[i] for i in kept.tolist()]
+        repaired["values"] = request["values"][kept]
         return self.repair(
             repaired, dropped, reason="rate limit", commit=commit_kept
         )
@@ -904,20 +758,12 @@ class GuardChain:
         self.guards = list(guards)
 
     def check(self, request: Dict[str, Any]) -> ChainOutcome:
-        return self._run(request, columnar=False)
-
-    def check_array(self, request: Dict[str, Any]) -> ChainOutcome:
-        """The columnar analogue of :meth:`check` — same trichotomy,
-        same two-phase commit, vectorized guard rulings throughout."""
-        return self._run(request, columnar=True)
-
-    def _run(self, request: Dict[str, Any], columnar: bool) -> ChainOutcome:
         decisions: List[GuardDecision] = []
         delta: List[str] = []
         warnings: List[str] = []
         current = request
         for guard in self.guards:
-            decision = guard.check_array(current) if columnar else guard.check(current)
+            decision = guard.check(current)
             decisions.append(decision)
             if decision.verdict is Verdict.BLOCK:
                 return ChainOutcome(

@@ -30,11 +30,12 @@ a ``uint32`` little-endian payload length, then a fixed 28-byte header
 the raw little-endian column buffers — ``values`` as ``float64[n]`` and
 ``device_ids`` as a fixed-width NUL-padded ``S{w}[n]`` column for
 ``submit``; ``counts`` as ``int64[d]`` for ``submit_counts``.  The
-server decodes columns zero-copy via ``np.frombuffer`` and the guard
-chain runs its vectorized array path — no per-report Python objects are
-ever materialized.  Read-only ops ride the binary connection inside an
-``OP_JSON`` escape frame carrying one JSONL request line.  The same
-64 MiB fence bounds a frame as bounds a JSONL line.
+server decodes columns zero-copy via ``np.frombuffer``, and the guard
+chain's schema guard takes them as they are — no per-report Python
+objects are ever materialized.  Read-only ops ride the binary
+connection inside an ``OP_JSON`` escape frame carrying one JSONL
+request line.  The same 64 MiB fence bounds a frame as bounds a JSONL
+line.
 
 Responses always carry ``status``: ``admitted`` / ``repaired`` /
 ``blocked`` / ``busy`` / ``ok`` / ``error``, plus status-specific fields
@@ -47,7 +48,11 @@ frame (bad magic, unknown opcode, wrong dtype tag, length/column
 mismatch) — but neither decides anything about the batch's *content*.
 Content admission (types, ranges, finiteness, rate limits) is the guard
 chain's job, so that every content decision is an auditable
-ALLOW/WARN/BLOCK/REPAIR with a reason, not a parse error.
+ALLOW/WARN/BLOCK/REPAIR with a reason, not a parse error.  The two
+decoders hand the chain different representations of one request — a
+JSONL submit carries lists, a binary one numpy columns — and the
+chain's schema guard turns either into the same canonical columnar
+request.
 
 Floats survive both wires bit-for-bit: Python's ``json`` emits
 ``repr``-round-trippable doubles, and the binary frame ships the raw
@@ -57,11 +62,10 @@ to the same epoch submitted in-process on either wire.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import struct
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -69,7 +73,6 @@ from ..errors import ReproError
 
 __all__ = [
     "WireError",
-    "ReportBatch",
     "decode_line",
     "encode",
     "encode_cached",
@@ -126,24 +129,6 @@ class WireError(ReproError):
     """A line failed wire-level decoding (malformed JSON, wrong shape)."""
 
 
-@dataclasses.dataclass(frozen=True)
-class ReportBatch:
-    """A *guard-admitted* scalar report batch, ready for the fold.
-
-    Constructed only by the guard chain (schema guard output) — raw wire
-    dicts never reach the aggregation server directly.
-    """
-
-    epoch: int
-    device_ids: List[str]
-    values: List[float]
-    claimed_loss: float
-
-    @property
-    def n_reports(self) -> int:
-        return len(self.values)
-
-
 def decode_line(raw: bytes) -> Dict[str, Any]:
     """Strictly decode one request line into a dict with a string ``op``.
 
@@ -160,7 +145,7 @@ def decode_line(raw: bytes) -> Dict[str, Any]:
         raise WireError(f"request line is not UTF-8: {exc}") from None
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
         raise WireError(f"request line is not JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise WireError(f"request must be a JSON object, got {type(obj).__name__}")

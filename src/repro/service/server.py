@@ -13,10 +13,10 @@ One :class:`IngestionService` fronts one
    at the schema guard, shared by the guards and the server's
    disclosure ledger, so no later layer probes a ``str``-keyed dict.
 2. **Guard** submission requests through the pre-admission
-   :class:`~repro.service.guards.GuardChain`; columnar requests take
-   the vectorized ``check_array`` path — same trichotomy, no
-   per-report Python objects.  The outcome is always *admitted*,
-   *repaired with a recorded delta*, or *blocked with a reason*.
+   :class:`~repro.service.guards.GuardChain` — one ruling path for both
+   wires, whose schema guard hands every later layer the canonical
+   columnar request.  The outcome is always *admitted*, *repaired with
+   a recorded delta*, or *blocked with a reason*.
 3. **Queue** admitted batches into a bounded queue.  A full queue is the
    backpressure signal: the request is answered ``busy`` immediately
    (explicit, retryable) instead of being buffered without bound.
@@ -30,7 +30,7 @@ One :class:`IngestionService` fronts one
    ``submit_many`` call: one lock acquisition and one executor hop per
    burst, still one ``submit_array``/``submit_counts`` per batch inside
    (batch boundaries and fold order are preserved — Chan's moment merge
-   is order- but not splitting-invariant).  Columnar batches flow into
+   is order- but not splitting-invariant).  Every submit flows into
    ``submit_array(donate=True)`` with disclosure charged per report
    into the ledger's slot column.  Batches fold atomically and in
    admission order, which is what makes a socket-fed epoch
@@ -75,7 +75,6 @@ from .protocol import (
     decode_line,
     encode,
     encode_cached,
-    is_columnar,
     peer_label,
     response,
 )
@@ -257,30 +256,33 @@ class IngestionService:
         The returned callable runs under the ``IngestHandle`` lock (via
         :meth:`~repro.aggregation.IngestHandle.submit_many`), so it
         calls the server directly rather than back through the handle.
+
+        A submit's values are the schema guard's ``float64`` column —
+        on the binary wire the read-only ``np.frombuffer`` view over the
+        received frame — and go into ``submit_array(donate=True)``
+        without a copy (streaming folds consume it immediately; retain
+        mode copies because it outlives the frame).  The ids are the
+        schema guard's slots in the table the chain shares with the
+        server's disclosure ledger, which charges them with one
+        ``np.add.at`` in report order — the same totals on either wire.
         """
         req = outcome.request
         if req["op"] == "submit":
-            if is_columnar(req):
-                return _columnar_submit_fold(req)
 
             def fold(server: AggregationServer) -> None:
-                # List→array conversion happens here, on the executor
-                # thread, so a large JSONL batch never stalls the loop.
                 server.submit_array(
                     req["epoch"],
-                    np.asarray(req["values"], dtype=float),
+                    req["values"],
                     req["claimed_loss"],
                     device_ids=req["device_ids"],
+                    donate=True,
                 )
 
             return fold
 
         def fold_counts(server: AggregationServer) -> None:
             server.submit_counts(
-                req["epoch"],
-                np.asarray(req["counts"], dtype=np.int64),
-                req["n_reports"],
-                req["claimed_loss"],
+                req["epoch"], req["counts"], req["n_reports"], req["claimed_loss"]
             )
 
         return fold_counts
@@ -458,13 +460,6 @@ class IngestionService:
                 True,
                 wire,
             )
-        if is_columnar(request):
-            # The hot path: columnar admission, no per-report objects.
-            reply = self._decide_submission(
-                request, request["op"], channel, t0, columnar=True
-            )
-            return reply, True, wire
-        # OP_JSON escape frame: the ordinary op dispatch, same wire.
         return await self._dispatch(request, channel, t0, wire)
 
     async def _handle_line(
@@ -568,8 +563,7 @@ class IngestionService:
                 True,
                 wire,
             )
-        reply = self._decide_submission(request, op, channel, t0, columnar=False)
-        return reply, True, wire
+        return self._decide_submission(request, op, channel, t0), True, wire
 
     def _negotiate(
         self, request: dict, channel: str, _us: Callable[[], float], wire: str
@@ -606,14 +600,9 @@ class IngestionService:
         return encode_cached("blocked", guard="wire", reason=reason), True, wire
 
     def _decide_submission(
-        self, request: dict, op: str, channel: str, t0: float, columnar: bool
+        self, request: dict, op: str, channel: str, t0: float
     ) -> bytes:
-        """Guard chain, then the bounded queue — shared by both wires.
-
-        ``columnar=True`` routes through the vectorized ``check_array``
-        guard path; verdicts, deltas, and commit effects are equivalent
-        to the scalar path by the guards' contract (property-tested).
-        """
+        """Guard chain, then the bounded queue — shared by both wires."""
 
         def _us() -> float:
             return (time.perf_counter() - t0) * 1e6
@@ -633,11 +622,7 @@ class IngestionService:
                 channel=channel,
             )
             return encode_cached("blocked", guard="service", reason=reason)
-        outcome = (
-            self.chain.check_array(request)
-            if columnar
-            else self.chain.check(request)
-        )
+        outcome = self.chain.check(request)
         n = _batch_size(outcome.request if outcome.admitted else request)
         epoch = outcome.request.get("epoch") if outcome.admitted else None
         if not outcome.admitted:
@@ -699,30 +684,6 @@ class IngestionService:
         if outcome.warnings:
             reply["warnings"] = list(outcome.warnings)
         return encode(reply)
-
-
-def _columnar_submit_fold(req: dict) -> Callable[[AggregationServer], None]:
-    """Whole-batch fold for a binary columnar submit.
-
-    The f8 values column is the read-only ``np.frombuffer`` view over
-    the received frame — it goes into ``submit_array(donate=True)``
-    without a copy (streaming folds consume it immediately; retain mode
-    copies because it outlives the frame).  The ids are the schema
-    guard's slots in the table the chain shares with the server's
-    disclosure ledger, which charges them with one ``np.add.at`` in
-    report order — the same totals on either wire.
-    """
-
-    def fold(server: AggregationServer) -> None:
-        server.submit_array(
-            req["epoch"],
-            req["values"],
-            req["claimed_loss"],
-            device_ids=req["device_ids"],
-            donate=True,
-        )
-
-    return fold
 
 
 def _batch_size(request: dict) -> int:

@@ -1,22 +1,22 @@
-"""Property tests: the columnar guard chain is the scalar chain.
+"""Property tests: both wires get the same admission ruling.
 
-Three equivalences, each over adversarially generated batch sequences:
+Four statements, each over adversarially generated batch sequences:
 
-* **Representation**: for any batch expressible on the binary wire,
-  ``GuardChain.check_array`` on the columnar request and
-  ``GuardChain.check`` on the equivalent scalar request return the
-  same verdict, guard, reason, delta and warnings; the canonical
-  requests agree report-for-report; and after committing admitted
-  outcomes the two chains' internal state — budget LRU contents *and
-  order*, per-epoch rate counts and their first-seen order — is
-  identical.
-* **Budget LRU oracle**: the budget guard's slot columns (spend charged
-  with ``np.add.at``, eviction by last-charge stamp) hold exactly the
-  state of the per-id pop/reinsert/evict dict walk, including eviction
-  victims and their order.
+* **Wire equivalence**: a batch encoded as a JSONL line and decoded by
+  ``decode_line``, and the same batch encoded as a binary frame and
+  decoded by ``decode_binary_frame`` — ``submit`` and ``submit_counts``
+  batches, counts whose int64 sum wraps included — get from
+  ``GuardChain.check`` the same verdict, guard, reason, delta and
+  warnings; admitted requests agree report for report; and after
+  committing admitted outcomes the two chains' budget spend and
+  per-epoch rate counts, values *and* order, are identical.
+* **Budget oracle**: the budget guard's slot column (spend charged with
+  ``np.add.at``) holds exactly the per-id dict walk, devices in the
+  order they were first charged.
 * **Rate-count oracle**: the rate guard's count columns keep/drop the
   same report indices and commit the same per-epoch counts, in the
   same order, as the naive per-report dict walk.
+* **Disclosure oracle**: the ledger charges what the per-id walk does.
 """
 
 import numpy as np
@@ -30,9 +30,16 @@ from repro.service.guards import (
     Verdict,
     default_chain,
 )
+from repro.service.protocol import (
+    decode_binary_frame,
+    decode_line,
+    encode,
+    encode_binary_counts,
+    encode_binary_submit,
+)
 
-# Small id pool so batches collide within and across batches: repairs,
-# budget exhaustion and LRU eviction all actually happen.
+# Small id pool so batches collide within and across batches: repairs
+# and budget exhaustion actually happen.
 _device_id = st.sampled_from(
     ["a", "b", "cc", "d0", "èé", "dev-1", "x" * 12]
 )
@@ -43,19 +50,35 @@ _value = st.one_of(
     st.just(float("inf")),
 )
 
+_loss = st.sampled_from([0.5, 1.0, 3.0, 9.0, 17.0])
+
 
 @st.composite
-def batches(draw):
+def submits(draw):
     n = draw(st.integers(min_value=1, max_value=6))
     return {
+        "op": "submit",
         "epoch": draw(st.integers(min_value=0, max_value=3)),
-        "device_ids": draw(
-            st.lists(_device_id, min_size=n, max_size=n)
-        ),
+        "device_ids": draw(st.lists(_device_id, min_size=n, max_size=n)),
         "values": draw(st.lists(_value, min_size=n, max_size=n)),
-        "claimed_loss": draw(
-            st.sampled_from([0.5, 1.0, 3.0, 9.0, 17.0])
+        "claimed_loss": draw(_loss),
+    }
+
+
+@st.composite
+def counts_batches(draw):
+    return {
+        "op": "submit_counts",
+        "epoch": draw(st.integers(min_value=0, max_value=3)),
+        # 2**62: four of them wrap an int64 sum to 0.
+        "counts": draw(
+            st.lists(
+                st.one_of(st.integers(min_value=-2, max_value=50), st.just(2**62)),
+                max_size=5,
+            )
         ),
+        "n_reports": draw(st.integers(min_value=0, max_value=100)),
+        "claimed_loss": draw(_loss),
     }
 
 
@@ -69,73 +92,66 @@ def chain_configs(draw):
     }
 
 
-def _scalar_request(batch):
-    return {
-        "op": "submit",
-        "epoch": batch["epoch"],
-        "device_ids": list(batch["device_ids"]),
-        "values": [float(v) for v in batch["values"]],
-        "claimed_loss": batch["claimed_loss"],
-    }
+def _jsonl(batch):
+    return decode_line(encode(batch))
 
 
-def _columnar_request(batch):
-    raw = [s.encode("utf-8") for s in batch["device_ids"]]
-    width = max(len(r) for r in raw)
-    return {
-        "op": "submit",
-        "epoch": batch["epoch"],
-        "device_ids": np.asarray(raw, dtype=f"S{width}"),
-        "values": np.asarray(batch["values"], dtype=np.float64),
-        "claimed_loss": batch["claimed_loss"],
-    }
+def _binary(batch):
+    if batch["op"] == "submit":
+        frame = encode_binary_submit(
+            batch["epoch"], batch["device_ids"], batch["values"],
+            batch["claimed_loss"],
+        )
+    else:
+        frame = encode_binary_counts(
+            batch["epoch"], batch["counts"], batch["n_reports"],
+            batch["claimed_loss"],
+        )
+    return decode_binary_frame(frame[4:])
 
 
 def _guard(chain, name):
     return next(g for g in chain.guards if g.name == name)
 
 
-def _final_reports(request):
-    """(id, value) pairs of a canonical request, representation-blind."""
-    values = request["values"]
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    return list(zip(request["device_ids"], [float(v) for v in values]))
+def _final(request):
+    """An admitted request with its numpy columns as lists, comparable
+    with == (its ``SlotIds`` compare as the ids they stand for)."""
+    return {
+        k: v.tolist() if isinstance(v, np.ndarray) else v
+        for k, v in request.items()
+    }
 
 
 @settings(max_examples=60, deadline=None)
-@given(config=chain_configs(), seq=st.lists(batches(), min_size=1, max_size=8))
+@given(
+    config=chain_configs(),
+    seq=st.lists(st.one_of(submits(), counts_batches()), min_size=1, max_size=8),
+)
 def test_columnar_chain_equivalent_to_scalar(config, seq):
-    scalar_chain = default_chain(**config)
-    columnar_chain = default_chain(**config)
+    jsonl_chain = default_chain(**config)
+    binary_chain = default_chain(**config)
     for batch in seq:
-        s_out = scalar_chain.check(_scalar_request(batch))
-        c_out = columnar_chain.check_array(_columnar_request(batch))
-        assert c_out.verdict == s_out.verdict
-        assert c_out.guard == s_out.guard
-        assert c_out.reason == s_out.reason
-        assert c_out.delta == s_out.delta
-        assert c_out.warnings == s_out.warnings
-        if s_out.admitted:
-            assert _final_reports(c_out.request) == _final_reports(
-                s_out.request
-            )
-            assert (
-                c_out.request["claimed_loss"] == s_out.request["claimed_loss"]
-            )
-            s_out.commit()
-            c_out.commit()
+        j_out = jsonl_chain.check(_jsonl(batch))
+        b_out = binary_chain.check(_binary(batch))
+        assert b_out.verdict == j_out.verdict
+        assert b_out.guard == j_out.guard
+        assert b_out.reason == j_out.reason
+        assert b_out.delta == j_out.delta
+        assert b_out.warnings == j_out.warnings
+        if j_out.admitted:
+            assert _final(b_out.request) == _final(j_out.request)
+            j_out.commit()
+            b_out.commit()
         # Committed state stays in lockstep — values AND order.
-        s_budget, c_budget = _guard(scalar_chain, "epoch-budget"), _guard(
-            columnar_chain, "epoch-budget"
-        )
-        assert c_budget.spend_items() == s_budget.spend_items()
-        s_rate, c_rate = _guard(scalar_chain, "rate-limit"), _guard(
-            columnar_chain, "rate-limit"
-        )
-        assert c_rate.tracked_epochs() == s_rate.tracked_epochs()
-        assert [c_rate.epoch_counts(e) for e in c_rate.tracked_epochs()] == [
-            s_rate.epoch_counts(e) for e in s_rate.tracked_epochs()
+        j_budget = _guard(jsonl_chain, "epoch-budget")
+        b_budget = _guard(binary_chain, "epoch-budget")
+        assert b_budget.spend_items() == j_budget.spend_items()
+        j_rate = _guard(jsonl_chain, "rate-limit")
+        b_rate = _guard(binary_chain, "rate-limit")
+        assert b_rate.tracked_epochs() == j_rate.tracked_epochs()
+        assert [b_rate.epoch_counts(e) for e in b_rate.tracked_epochs()] == [
+            j_rate.epoch_counts(e) for e in j_rate.tracked_epochs()
         ]
 
 
@@ -150,7 +166,7 @@ def test_columnar_chain_equivalent_to_scalar(config, seq):
         max_size=10,
     ),
 )
-def test_budget_charge_matches_naive_lru_walk(seq):
+def test_budget_charge_matches_first_seen_walk(seq):
     guard = EpochBudgetGuard(device_budget=1e9)
     oracle = {}
     for ids, loss in seq:
@@ -167,8 +183,8 @@ def test_budget_charge_matches_naive_lru_walk(seq):
         decision.commit(
             {"op": "submit", "device_ids": list(ids), "claimed_loss": loss}
         )
-        for device_id in ids:  # the naive pop/reinsert walk
-            oracle[device_id] = oracle.pop(device_id, 0.0) + loss
+        for device_id in ids:  # the naive walk, first-seen order
+            oracle[device_id] = oracle.get(device_id, 0.0) + loss
         assert guard.spend_items() == list(oracle.items())
 
 
@@ -192,7 +208,7 @@ def test_rate_limit_matches_naive_walk(seq, limit):
             "op": "submit",
             "epoch": epoch,
             "device_ids": list(ids),
-            "values": list(range(len(ids))),
+            "values": np.arange(len(ids), dtype=np.float64),
             "claimed_loss": 1.0,
         }
         decision = guard.check(request)
@@ -210,7 +226,7 @@ def test_rate_limit_matches_naive_walk(seq, limit):
         elif keep:
             assert decision.verdict == Verdict.REPAIR
             assert decision.request["device_ids"] == [ids[i] for i in keep]
-            assert decision.request["values"] == keep
+            assert decision.request["values"].tolist() == keep
             final = decision.request
         else:
             assert decision.verdict == Verdict.BLOCK

@@ -19,7 +19,8 @@ And whatever the chain admits never pushes a device's charged spend
 past ``device_budget``, even when one batch names a device repeatedly.
 """
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.service import default_chain
@@ -31,6 +32,8 @@ _scalar_junk = st.one_of(
     st.integers(min_value=-(10**12), max_value=10**12),
     st.floats(allow_nan=True, allow_infinity=True),
     st.text(max_size=12),
+    st.just(10**400),  # past float range: float() raises OverflowError
+    st.just(-(10**400)),
 )
 
 _value_entry = st.one_of(
@@ -38,6 +41,8 @@ _value_entry = st.one_of(
     st.integers(min_value=-(10**9), max_value=10**9),
     st.text(max_size=8),  # sometimes numeric strings -> repair
     st.none(),
+    st.just(10**400),
+    st.just(-(10**400)),
 )
 
 _device_id = st.one_of(
@@ -101,7 +106,14 @@ def submit_requests(draw):
     return request
 
 
+_SUBMIT = {"op": "submit", "epoch": 0, "device_ids": ["a", "b"],
+           "values": [1.0, 2.0], "claimed_loss": 1.0}
+
+
 @given(request=submit_requests())
+@example(request={**_SUBMIT, "values": [1.0, 10**400]})
+@example(request={**_SUBMIT, "values": [-(10**400), "2.5"]})
+@example(request={**_SUBMIT, "claimed_loss": 10**400})
 @settings(max_examples=300, deadline=None)
 def test_trichotomy_no_silent_drops(request):
     outcome = default_chain().check(dict(request))
@@ -120,7 +132,7 @@ def test_trichotomy_no_silent_drops(request):
         # Fully admitted: the batch went through untouched.
         assert outcome.delta == ()
         if request["op"] == "submit":
-            assert final["values"] == [float(v) for v in request["values"]]
+            assert final["values"].tolist() == [float(v) for v in request["values"]]
             assert final["device_ids"] == list(request["device_ids"])
     else:
         # Repaired: every change is on the record.
@@ -137,11 +149,19 @@ def test_trichotomy_no_silent_drops(request):
     assert isinstance(final["epoch"], int) and final["epoch"] >= 0
     assert isinstance(final["claimed_loss"], float) and final["claimed_loss"] > 0
     if request["op"] == "submit":
-        assert all(isinstance(v, float) for v in final["values"])
+        assert final["values"].dtype == np.float64
         assert len(final["device_ids"]) == len(final["values"])
     else:
-        assert all(isinstance(c, int) for c in final["counts"])
+        assert final["counts"].dtype == np.int64
         assert isinstance(final["n_reports"], int) and final["n_reports"] >= 1
+
+
+def _plain(request):
+    """``request`` with its numpy columns as lists, comparable with ==."""
+    return {
+        k: v.tolist() if isinstance(v, np.ndarray) else v
+        for k, v in request.items()
+    }
 
 
 @given(requests=st.lists(submit_requests(), min_size=1, max_size=8))
@@ -160,7 +180,7 @@ def test_admission_trace_is_deterministic(requests):
         assert a.guard == b.guard
         assert a.reason == b.reason
         assert a.delta == b.delta
-        assert a.request == b.request
+        assert _plain(a.request) == _plain(b.request)
         if a.admitted:
             a.commit()
             b.commit()

@@ -6,6 +6,7 @@ property-level "no silent drops" statement lives in
 ``tests/property/test_service_guard_properties.py``.
 """
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -16,6 +17,8 @@ from repro.service import (
     SchemaGuard,
     Verdict,
     default_chain,
+    decode_binary_frame,
+    encode_binary_counts,
 )
 
 
@@ -31,16 +34,24 @@ def submit(epoch=0, ids=("a", "b"), values=(1.0, 2.0), loss=1.0, **extra):
     return req
 
 
+def columns(**kwargs):
+    """:func:`submit` with its values as the canonical float64 column
+    the schema guard hands the guards after it."""
+    req = submit(**kwargs)
+    req["values"] = np.asarray(req["values"], dtype=np.float64)
+    return req
+
+
 class TestSchemaGuard:
     def test_clean_batch_allows(self):
         d = SchemaGuard().check(submit())
         assert d.verdict is Verdict.ALLOW
-        assert d.request["values"] == [1.0, 2.0]
+        assert d.request["values"].tolist() == [1.0, 2.0]
 
     def test_numeric_string_value_repaired_with_delta(self):
         d = SchemaGuard().check(submit(values=("3.25", 2.0)))
         assert d.verdict is Verdict.REPAIR
-        assert d.request["values"] == [3.25, 2.0]
+        assert d.request["values"].tolist() == [3.25, 2.0]
         assert any("3.25" in entry for entry in d.delta)
 
     def test_integral_float_epoch_repaired(self):
@@ -109,6 +120,16 @@ class TestSchemaGuard:
         )
         assert bad.verdict is Verdict.BLOCK
 
+    def test_wrapping_binary_counts_blocked(self):
+        # Regression: the counts sum of a binary frame wrapped in int64
+        # (4 * 2**62 == 0 mod 2**64) and passed the "impossible" rule.
+        frame = encode_binary_counts(1, [2**62] * 4, 1, 1.0)
+        outcome = default_chain().check(decode_binary_frame(frame[4:]))
+        assert outcome.verdict == "blocked"
+        assert outcome.reason == (
+            f"counts sum {2**64} impossible for 1 reports over 4 categories"
+        )
+
     def test_unknown_op_blocks(self):
         d = SchemaGuard().check({"op": "exfiltrate"})
         assert d.verdict is Verdict.BLOCK
@@ -167,42 +188,42 @@ class TestEpochBudgetGuard:
 class TestRateLimitGuard:
     def test_under_limit_allows(self):
         g = RateLimitGuard(per_epoch_limit=1)
-        first = submit()
+        first = columns()
         d = g.check(first)
         assert d.verdict is Verdict.ALLOW
         d.commit(first)
         # Same devices, different epoch: a fresh budget.
-        assert g.check(submit(epoch=1)).verdict is Verdict.ALLOW
+        assert g.check(columns(epoch=1)).verdict is Verdict.ALLOW
 
     def test_uncommitted_check_consumes_no_allowance(self):
         # A queue-refused (busy) batch never reached the server, so its
         # devices' per-epoch allowance must still be intact on retry.
         g = RateLimitGuard(per_epoch_limit=1)
-        assert g.check(submit()).verdict is Verdict.ALLOW
-        assert g.check(submit()).verdict is Verdict.ALLOW
+        assert g.check(columns()).verdict is Verdict.ALLOW
+        assert g.check(columns()).verdict is Verdict.ALLOW
         assert g.tracked_epochs() == []
 
     def test_duplicate_device_repaired_with_recorded_drop(self):
         g = RateLimitGuard(per_epoch_limit=1)
-        first = submit()
+        first = columns()
         g.check(first).commit(first)
-        d = g.check(submit(ids=("a", "c"), values=(9.0, 4.0)))
+        d = g.check(columns(ids=("a", "c"), values=(9.0, 4.0)))
         assert d.verdict is Verdict.REPAIR
         assert d.request["device_ids"] == ["c"]
-        assert d.request["values"] == [4.0]
+        assert d.request["values"].tolist() == [4.0]
         assert len(d.delta) == 1 and "'a'" in d.delta[0]
 
     def test_in_batch_duplicates_count(self):
         g = RateLimitGuard(per_epoch_limit=1)
-        d = g.check(submit(ids=("a", "a"), values=(1.0, 2.0)))
+        d = g.check(columns(ids=("a", "a"), values=(1.0, 2.0)))
         assert d.verdict is Verdict.REPAIR
-        assert d.request["values"] == [1.0]
+        assert d.request["values"].tolist() == [1.0]
 
     def test_fully_over_limit_blocks_instead_of_empty_repair(self):
         g = RateLimitGuard(per_epoch_limit=1)
-        first = submit()
+        first = columns()
         g.check(first).commit(first)
-        d = g.check(submit())
+        d = g.check(columns())
         assert d.verdict is Verdict.BLOCK
         assert "rate limit" in d.reason
 
@@ -216,7 +237,7 @@ class TestRateLimitGuard:
     def test_epoch_state_bounded(self):
         g = RateLimitGuard(per_epoch_limit=1, max_epochs_tracked=2)
         for epoch in range(5):
-            req = submit(epoch=epoch)
+            req = columns(epoch=epoch)
             g.check(req).commit(req)
         assert len(g.tracked_epochs()) <= 2
 
@@ -294,7 +315,7 @@ class TestGuardChain:
         )
         assert outcome.verdict == "admitted"
         outcome.commit()
-        assert budget.spend_items() == [("b", 4.0), ("a", 8.0)]
+        assert budget.spend_items() == [("a", 8.0), ("b", 4.0)]
 
     def test_budget_charges_only_surviving_reports(self):
         chain = default_chain(device_budget=2.0)

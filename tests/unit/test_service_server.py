@@ -16,7 +16,7 @@ import pytest
 
 from repro.aggregation import AggregationServer
 from repro.rng import audited_generator
-from repro.runtime import IngestEvent, JsonlSink
+from repro.runtime import IngestEvent, JsonlSink, RingBufferSink
 from repro.runtime.sinks import read_events_jsonl
 from repro.service import IngestClient, ServiceConfig, run_load
 from repro.service.server import serve_in_thread
@@ -70,6 +70,12 @@ class TestWireOps:
             b"[1, 2, 3]\n",
             b'{"no": "op"}\n',
             b'{"op": 7}\n',
+            # An integer past the parser's digit limit: a ValueError
+            # that is not a JSONDecodeError.
+            pytest.param(
+                b'{"op": "ping", "n": ' + b"1" * 5000 + b"}\n",
+                id="int-past-digit-limit",
+            ),
         ],
     )
     def test_malformed_line_blocked_at_wire(self, streaming_service, raw):
@@ -125,6 +131,40 @@ class TestAdmissionVerdicts:
             assert wait_until(lambda: 0 in aggregation.epochs)
             assert aggregation.snapshot()["epochs"]["0"]["mean"] == 3.25
 
+    @pytest.mark.parametrize(
+        "fields, reason",
+        [
+            ({"values": [1.0, 10**400]}, "values[1] is not finite"),
+            ({"values": [-(10**400), 1.0]}, "values[0] is not finite"),
+            (
+                {"claimed_loss": 10**400},
+                f"claimed_loss must be a positive finite number, got {10**400!r}",
+            ),
+        ],
+        ids=["value", "negative-value", "claimed-loss"],
+    )
+    def test_oversized_json_integers_blocked(self, fields, reason):
+        # Regression: an integer past float range made float() raise out
+        # of the guard chain, dropping the connection with no reply and
+        # no event.
+        events = RingBufferSink()
+        aggregation = AggregationServer(streaming=True)
+        handle = serve_in_thread(aggregation, extra_sinks=[events])
+        request = {"op": "submit", "epoch": 0, "device_ids": ["a", "b"],
+                   "values": [1.0, 2.0], "claimed_loss": 1.0}
+        request.update(fields)
+        try:
+            with IngestClient(*handle.address) as client:
+                reply = client.request(request)
+                assert client.ping()["status"] == "ok"
+        finally:
+            handle.stop()
+        assert reply == {"status": "blocked", "guard": "schema", "reason": reason}
+        assert [(e.verdict, e.guard, e.reason) for e in events.events][0] == (
+            "blocked", "schema", reason
+        )
+        assert aggregation.epochs == []
+
     def test_blocked_batch_never_reaches_the_server(self, streaming_service):
         aggregation, handle = streaming_service
         with IngestClient(*handle.address) as client:
@@ -154,6 +194,96 @@ class TestAdmissionVerdicts:
         assert wait_until(lambda: 3 in aggregation.categorical_epochs)
         counts, n = aggregation.category_counts(3)
         assert list(counts) == [5, 7, 2] and n == 14
+
+
+def _line(**fields):
+    return (json.dumps(fields, sort_keys=True) + "\n").encode()
+
+
+# (service config, request lines, the exact reply line to each).  The
+# replies pin status, reason, delta and warnings byte for byte.
+_GOLDEN = {
+    "numeric-string-value": (
+        {},
+        [_line(op="submit", epoch=0, device_ids=["a", "b"],
+               values=["3.25", 2.0], claimed_loss=1.0)],
+        [b'{"delta": ["values[0]: \'3.25\' -> 3.25"], "n_reports": 2, '
+         b'"queue_depth": 1, "seq": 0, "status": "repaired"}\n'],
+    ),
+    "integral-float-epoch": (
+        {},
+        [_line(op="submit", epoch=3.0, device_ids=["a"], values=[1.5],
+               claimed_loss=1.0)],
+        [b'{"delta": ["epoch: 3.0 -> 3"], "n_reports": 1, '
+         b'"queue_depth": 1, "seq": 0, "status": "repaired"}\n'],
+    ),
+    "unknown-field": (
+        {},
+        [_line(op="submit", epoch=0, device_ids=["a"], values=[1.5],
+               claimed_loss=1.0, debug="x")],
+        [b'{"delta": ["debug: <dropped unknown field>"], "n_reports": 1, '
+         b'"queue_depth": 1, "seq": 0, "status": "repaired"}\n'],
+    ),
+    "strict-schema-blocks-coercible": (
+        {"coerce": False},
+        [_line(op="submit", epoch=0, device_ids=["a"], values=["3.25"],
+               claimed_loss=1.0)],
+        [b'{"guard": "schema", "reason": "values[0] must be a number, '
+         b'got \'3.25\'", "status": "blocked"}\n'],
+    ),
+    "bool-value": (
+        {},
+        [_line(op="submit", epoch=0, device_ids=["a", "b"],
+               values=[1.0, True], claimed_loss=1.0)],
+        [b'{"guard": "schema", "reason": "values[1] must be a number, '
+         b'got True", "status": "blocked"}\n'],
+    ),
+    "nan-value": (
+        {},
+        [_line(op="submit", epoch=0, device_ids=["a", "b"],
+               values=[1.0, float("nan")], claimed_loss=1.0)],
+        [b'{"guard": "schema", "reason": "values[1] is not finite", '
+         b'"status": "blocked"}\n'],
+    ),
+    "rate-limit-duplicate-drop": (
+        {},
+        [_line(op="submit", epoch=0, device_ids=["a"], values=[1.0],
+               claimed_loss=1.0),
+         _line(op="submit", epoch=0, device_ids=["b", "a", "c"],
+               values=[2.0, 9.0, 3.0], claimed_loss=1.0)],
+        [b'{"n_reports": 1, "queue_depth": 1, "seq": 0, '
+         b'"status": "admitted"}\n',
+         b'{"delta": ["values[1]: <dropped: device \'a\' over 1/epoch rate '
+         b'limit>"], "n_reports": 2, "queue_depth": 1, "seq": 1, '
+         b'"status": "repaired"}\n'],
+    ),
+    "counts-batch-with-warning": (
+        {},
+        [_line(op="submit_counts", epoch=2, counts=[5, 7, 2], n_reports=14,
+               claimed_loss=9.0)],
+        [b'{"n_reports": 14, "queue_depth": 1, "seq": 0, '
+         b'"status": "admitted", "warnings": ["epoch-budget: claimed_loss 9 '
+         b'above warning level 8"]}\n'],
+    ),
+}
+
+
+class TestGoldenReplies:
+    @pytest.mark.parametrize("case", sorted(_GOLDEN))
+    def test_jsonl_reply_bytes(self, case):
+        config, lines, expected = _GOLDEN[case]
+        handle = serve_in_thread(
+            AggregationServer(streaming=True), ServiceConfig(**config)
+        )
+        try:
+            with IngestClient(*handle.address) as client:
+                replies = []
+                for line in lines:
+                    client.send_raw(line)
+                    replies.append(client._reader.readline())
+        finally:
+            handle.stop()
+        assert replies == expected
 
 
 class TestIngestTrace:
