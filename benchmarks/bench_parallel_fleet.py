@@ -9,11 +9,11 @@ run on the one shared-memory transport.
 Before timing anything it verifies the headline invariant on a small
 fleet: a run sharded across W workers is bit-identical to the same plan
 at ``workers=1``, a streaming run folds the same values as a retaining
-one, and a ``shards=1`` run is bit-identical to the legacy unsharded
-batched fleet.  Every one of those runs must also hold the same
-disclosure ledger: the same tracked-device count and the same bound for
-every device, whether it was charged per report id or as one dense
-array add.
+one, and a ``shards=1`` run is bit-identical to the per-device scalar
+reference loop (``run_fleet(batched=False)``).  Every one of those runs
+must also hold the same disclosure ledger: the same tracked-device count
+and the same bound for every device, whether it was charged per report
+id, per ``Report`` object or as one dense array add.
 
 The ≥2× speedup floor is only asserted on machines with ≥4 cores (and
 not in ``--quick`` mode); smaller hosts still record the sweep so the
@@ -62,9 +62,9 @@ def _ledger(server, n_devices: int):
 
 def _identity_check(workers: int) -> bool:
     """Bit-identity: W workers ≡ 1 worker, streaming ≡ retaining, and
-    shards=1 ≡ unsharded.  The disclosure ledgers must agree too, across
-    all of those, including the streaming run, whose bound is charged as
-    one dense array add instead of per report id."""
+    shards=1 ≡ the scalar reference loop.  The disclosure ledgers must
+    agree too, across all of those, including the streaming run, whose
+    bound is charged as one dense array add instead of per report id."""
     truth = audited_generator(SEED).uniform(5.0, 45.0, size=(4, 96))
     n_devices = truth.shape[1]
     common = dict(
@@ -100,19 +100,19 @@ def _identity_check(workers: int) -> bool:
     if _ledger(streamed.server, n_devices) != ledger:
         return False
 
-    legacy = run_fleet(
-        truth, SENSOR, EPSILON, rng=audited_generator(1), batched=True, **common
+    scalar = run_fleet(
+        truth, SENSOR, EPSILON, rng=audited_generator(1), batched=False, **common
     )
     bridge = run_fleet_sharded(
         truth, SENSOR, EPSILON, rng=audited_generator(1), shards=1, workers=1, **common
     )
-    for epoch in legacy.server.epochs:
+    for epoch in scalar.server.epochs:
         if not np.array_equal(
-            legacy.server.values(epoch), bridge.server.values(epoch)
+            scalar.server.values(epoch), bridge.server.values(epoch)
         ):
             return False
     return (
-        _ledger(legacy.server, n_devices) == ledger
+        _ledger(scalar.server, n_devices) == ledger
         and _ledger(bridge.server, n_devices) == ledger
     )
 
@@ -195,7 +195,7 @@ def main(argv=None) -> int:
 
     bit_identical = _identity_check(workers)
     print(f"bit-identity (W={workers} vs W=1, streaming vs retaining, "
-          f"shards=1 vs unsharded, ledgers incl. streaming): "
+          f"shards=1 vs scalar loop, ledgers incl. streaming): "
           f"{'OK' if bit_identical else 'FAILED'}")
 
     # Warm codebook/table caches outside the timed region.

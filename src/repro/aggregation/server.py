@@ -41,7 +41,6 @@ import threading
 from typing import (
     Callable,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -277,11 +276,6 @@ class AggregationServer:
             )
         else:
             self._epochs.setdefault(report.epoch, []).append(report)
-
-    def submit_all(self, reports: Iterable[Report]) -> None:
-        """Accept a batch of reports."""
-        for r in reports:
-            self.submit(r)
 
     def submit_array(
         self,

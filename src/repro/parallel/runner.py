@@ -31,13 +31,16 @@ The contract:
   seed) depend only on ``(n_devices, shards, source_seed)`` — never on
   ``workers``.  A run with ``workers=4`` is bit-identical to
   ``workers=1``.
-* **Bridge to the legacy path.**  ``shards=1`` uses the *root* seed
-  sequence (no spawn), so its single shard consumes exactly the stream
-  ``run_fleet(batched=True, source_seed=...)`` consumes — bit-identical
-  to the unsharded fleet, event channels included.
+* **One-shard plans run on the root stream.**  ``shards=1`` uses the
+  *root* seed sequence (no spawn) — the plan
+  :func:`~repro.aggregation.fleet.run_fleet` runs by default — so its
+  single shard consumes exactly the stream the scalar reference loop
+  (``run_fleet(batched=False)``) builds its arm on: bit-identical
+  reports for single-draw arms.
 * **Coordinator-owned simulation randomness.**  Dropout masks are drawn
-  here with the same generator call pattern as the unsharded fleet, then
-  shipped to the workers; workers consume only their audited stream.
+  here by :func:`draw_reporting` — the same call the scalar reference
+  loop makes — then shipped to the workers; workers consume only their
+  audited stream.
 * **Shard-ordered merge.**  Server submissions, trace events
   (re-numbered through :meth:`~repro.runtime.ReleasePipeline.adopt`),
   counter aggregates and per-device budget state all fold in shard
@@ -47,7 +50,8 @@ Note on traces: in a sharded run each ``ReleaseEvent`` is per
 (epoch, shard) — channel ``epoch-E/shard-S`` — and its
 ``budget_remaining`` is the *shard's* remaining budget sum, not the
 fleet's (each worker only sees its slice).  Fleet-wide budget state
-lives on the returned devices, as in the unsharded path.
+lives on the returned devices.  A one-shard run keeps the plain
+``epoch-E`` channel, one event per epoch.
 """
 
 from __future__ import annotations
@@ -130,6 +134,46 @@ def plan_trace_event(execution_plan: ExecutionPlan) -> ReleaseEvent:
     )
 
 
+def reject_shared_sources(kernel) -> None:
+    """Refuse a shared noise source, generator or pipeline instance:
+    every fleet run derives its own from ``source_seed``/``pipeline``."""
+    for name in kernel.forbidden:
+        if name in kernel.kwargs:
+            raise ConfigurationError(
+                f"fleet runs derive {name!r} from source_seed/pipeline; "
+                "pass those instead of a shared instance"
+            )
+
+
+def draw_reporting(
+    true_values: np.ndarray, dropout: float, rng: Optional[np.random.Generator]
+) -> np.ndarray:
+    """Validate a fleet's shape and draw its ``(n_epochs, n_devices)`` masks.
+
+    All of a fleet's simulation randomness: one ``random(n)`` per epoch,
+    plus one ``integers(n)`` on an all-straggler epoch (never a silent
+    epoch), so a given ``rng`` seed yields the same reporting sets on
+    every plan and on the scalar reference loop.
+    """
+    if true_values.ndim != 2:
+        raise ConfigurationError("true_values must be (n_epochs, n_devices)")
+    n_epochs, n_devices = true_values.shape
+    if n_devices < 1:
+        raise ConfigurationError("n_devices must be >= 1")
+    if not 0.0 <= dropout < 1.0:
+        raise ConfigurationError("dropout must be in [0, 1)")
+    # dplint: allow[DPL001] -- dropout/straggler simulation randomness only;
+    # release noise comes from the fleet's audited sources.
+    rng = rng or np.random.default_rng()
+    reporting = np.empty((n_epochs, n_devices), dtype=bool)
+    for epoch in range(n_epochs):
+        mask = rng.random(n_devices) >= dropout
+        if not mask.any():
+            mask[int(rng.integers(n_devices))] = True  # never a silent epoch
+        reporting[epoch] = mask
+    return reporting
+
+
 class ShardedRun(NamedTuple):
     """What :func:`run_sharded` hands back to its wrapper."""
 
@@ -175,36 +219,15 @@ def run_sharded(
         if shards is None:
             shards = execution_plan.shards
 
-    if true_values.ndim != 2:
-        raise ConfigurationError("true_values must be (n_epochs, n_devices)")
-    if not 0.0 <= dropout < 1.0:
-        raise ConfigurationError("dropout must be in [0, 1)")
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
-    for forbidden in kernel.forbidden:
-        if forbidden in kernel.kwargs:
-            raise ConfigurationError(
-                f"sharded runs derive {forbidden!r} per shard; pass "
-                "source_seed/pipeline instead of a shared instance"
-            )
-    # dplint: allow[DPL001] -- dropout/straggler simulation randomness only;
-    # release noise comes from the per-shard audited sources.
-    rng = rng or np.random.default_rng()
+    reject_shared_sources(kernel)
+    reporting = draw_reporting(true_values, dropout, rng)
     n_epochs, n_devices = true_values.shape
     plan = plan_shards(n_devices, shards)
     reference = kernel.reference()
     loss = reference.claimed_loss_bound
 
-    # All simulation randomness is drawn here, with the exact call
-    # pattern of the unsharded fleet (one `random(n)` per epoch, plus
-    # one `integers(n)` on an all-straggler epoch), so a given `rng`
-    # seed yields the same reporting sets sharded or not.
-    reporting = np.empty((n_epochs, n_devices), dtype=bool)
-    for epoch in range(n_epochs):
-        mask = rng.random(n_devices) >= dropout
-        if not mask.any():
-            mask[int(rng.integers(n_devices))] = True  # never a silent epoch
-        reporting[epoch] = mask
     # counts[s, e]: reports of shard s in epoch e.  Output layouts are
     # fully determined by these, so no size metadata rides back; the
     # cursor is where each (shard, epoch) cell starts in a flat
@@ -306,6 +329,11 @@ class NumericKernel:
     with_devices: bool = True
     forbidden = ("source", "rng", "pipeline")
 
+    @property
+    def noise_scale(self) -> Optional[float]:
+        """λ of the arm's Laplace noise (``None`` for randomized response)."""
+        return self.sensor.d / self.epsilon if self.arm != "rr" else None
+
     def _make(self, **extra):
         kwargs = dict(self.kwargs)
         if self.arm != "ideal":
@@ -362,7 +390,7 @@ class NumericKernel:
             outcome = mechanism.release(rows, accounting=accounting, channel=channel)
         except BudgetExhaustedError as exc:
             # Typed, picklable: crosses the pool boundary as the same
-            # error the unsharded fleet raises.
+            # error the scalar reference loop raises.
             raise ConfigurationError(str(exc)) from exc
         hits = outcome.cache_hits
         out["n_fresh"][idx] += ~hits
@@ -441,7 +469,7 @@ def run_fleet_sharded(
         with_devices=with_devices,
     )
     server = AggregationServer(
-        noise_scale=sensor.d / epsilon if arm != "rr" else None,
+        noise_scale=kernel.noise_scale,
         streaming=streaming,
         count_thresholds=count_thresholds,
     )
@@ -466,13 +494,12 @@ def run_fleet_sharded(
                 dev._cache.code = float(state["cached_codes"][i])
             devices.append(dev)
 
-    reporting = run.reporting
     return FleetResult(
         server=server,
         devices=devices,
         true_means=[
-            float(true_values[epoch, reporting[epoch]].mean())
-            for epoch in range(reporting.shape[0])
+            float(true_values[epoch, mask].mean())
+            for epoch, mask in enumerate(run.reporting)
         ],
         estimated_means=[server.summarize(e).mean for e in server.epochs],
         counters=run.counters,

@@ -97,8 +97,8 @@ class ShardResult:
 
 
 def _shard_channel(epoch: int, shard_index: int, n_shards: int) -> str:
-    # A single-shard plan reproduces the legacy per-epoch channel names,
-    # so shards=1 traces are indistinguishable from unsharded ones.
+    # A single-shard plan (run_fleet's default) keeps the plain per-epoch
+    # channel names: one event per epoch, channel ``epoch-E``.
     if n_shards == 1:
         return f"epoch-{epoch}"
     return f"epoch-{epoch}/shard-{shard_index}"

@@ -160,12 +160,12 @@ def shard_seed_sequences(seed: SeedLike, n_shards: int) -> List[np.random.SeedSe
       ``(seed, n_shards, i)`` — independent of how many workers execute
       the shards, of execution order, and of which process runs them;
     * ``n_shards == 1`` returns the fleet seed itself, so a single-shard
-      plan consumes **exactly** the unsharded
-      :class:`SplitStreamSource` stream (bit-identical to the legacy
-      batched fleet path);
+      plan consumes **exactly** the root :class:`SplitStreamSource`
+      stream — the one the scalar reference fleet loop builds its arm
+      on (bit-identical reports);
     * for ``n_shards > 1`` the sub-seeds are ``SeedSequence.spawn``
       children of the fleet seed, so no shard stream aliases another or
-      the unsharded stream.
+      the root stream.
 
     ``seed=None`` draws fresh OS entropy *once*; the returned sub-seeds
     still satisfy the invariants within the run (workers=1 and workers=W

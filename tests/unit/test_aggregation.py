@@ -185,10 +185,29 @@ class TestFleet:
             assert server_bound >= actual - 1e-9
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            run_fleet(np.zeros(5), SENSOR, 0.5)
-        with pytest.raises(ConfigurationError):
-            run_fleet(np.zeros((2, 3)), SENSOR, 0.5, dropout=1.0)
+        # Both paths validate the fleet shape through one shared helper.
+        for batched in (True, False):
+            with pytest.raises(ConfigurationError):
+                run_fleet(np.zeros(5), SENSOR, 0.5, batched=batched)
+            with pytest.raises(ConfigurationError):
+                run_fleet(np.zeros((2, 3)), SENSOR, 0.5, dropout=1.0, batched=batched)
+            with pytest.raises(ConfigurationError, match="n_devices"):
+                run_fleet(np.zeros((2, 0)), SENSOR, 0.5, batched=batched)
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_shared_noise_source_refused(self, batched):
+        # Noise streams are derived from source_seed on both paths, so a
+        # caller-supplied source would be silently ignored or aliased.
+        # (`rng` and `pipeline` are run_fleet's own parameters — the
+        # dropout generator and the event pipeline — so they never reach
+        # the mechanism kwargs.)
+        from repro.rng.urng import SplitStreamSource
+
+        with pytest.raises(ConfigurationError, match="'source'"):
+            run_fleet(
+                np.full((2, 3), 4.0), SENSOR, 0.5, batched=batched,
+                source=SplitStreamSource(1), **KW,
+            )
 
 
 class TestTypedEpochErrors:

@@ -3,8 +3,9 @@
 The tentpole invariant, asserted directly: a fleet run sharded across W
 workers is bit-identical to the same shard plan at ``workers=1`` for
 the single-draw guards (thresholding / baseline / rr) under either
-sampling kernel, and a ``shards=1`` run is bit-identical to the legacy
-unsharded fleet (both execution paths of it).  Worker counts {1, 2, 4}
+sampling kernel, and a ``shards=1`` run — what ``run_fleet`` runs by
+default — is bit-identical to the scalar reference loop
+(``run_fleet(batched=False)``).  Worker counts {1, 2, 4}
 exercise the inline path, a smaller-than-shards pool, and a full pool.
 """
 
@@ -129,15 +130,6 @@ class TestWorkerCountBitIdentity:
 
 
 class TestLegacyBridge:
-    def test_one_shard_matches_unsharded_batched(self):
-        t = truth()
-        legacy = run_fleet(
-            t, SENSOR, EPS, rng=np.random.default_rng(9),
-            source_seed=SEED, batched=True,
-        )
-        bridge = run_sharded(1, t=t, shards=1)
-        assert_bit_identical(legacy, bridge)
-
     def test_one_shard_matches_scalar_loop(self):
         t = truth()
         scalar = run_fleet(
