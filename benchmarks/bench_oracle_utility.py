@@ -19,7 +19,10 @@ An OLH decode section times ``support_counts`` at ``d = 256`` — the
 server's O(n·d) support-counting pass — as µs per 1,000 reports (median
 of 5 repeats with the garbage collector paused, plus the min/max
 spread), and asserts the kernel's counts equal the per-candidate hash
-definition on the same reports.
+definition on the same reports.  It does both at ε = 0.5, 2 and 4, so
+``g`` = 3, 8 and 56: an odd hash range, a power of two and an even
+non-power, which take different branches of NumPy's multiply-shift
+division.
 
 Machine-readable results land in ``BENCH_oracles.json`` at the repo
 root.  Standalone script (not pytest-benchmark): CI runs ``--quick`` as
@@ -51,9 +54,9 @@ ARM_LABELS = {"krr": "k-RR", "oue": "OUE", "olh": "OLH"}
 BIAS_SIGMAS = 3.0
 #: Empirical/closed-form variance ratio band (Monte Carlo tolerance).
 VAR_BAND = (0.4, 2.5)
-#: OLH decode section: domain size, ε and timed repeats.
+#: OLH decode section: domain size, ε values (g = 3, 8, 56), repeats.
 DECODE_D = 256
-DECODE_EPSILON = 2.0
+DECODE_EPSILONS = (0.5, 2.0, 4.0)
 DECODE_REPEATS = 5
 
 
@@ -108,12 +111,10 @@ def _run_arm(kind, d, epsilon, values, trials, seed0):
     }
 
 
-def _olh_decode(n):
+def _olh_decode(n, epsilon):
     """Time OLH ``support_counts`` at d = 256; check it against the definition."""
     values = _population(audited_generator(SEED + 1), DECODE_D, n)
-    arm = make_oracle(
-        "olh", DECODE_D, DECODE_EPSILON, source=SplitStreamSource(SEED + 1)
-    )
+    arm = make_oracle("olh", DECODE_D, epsilon, source=SplitStreamSource(SEED + 1))
     reports = arm.report(values)
     idx = np.arange(n, dtype=np.int64)
     reference = np.array(
@@ -136,7 +137,7 @@ def _olh_decode(n):
     per_kreport = sorted(t / n * 1e9 for t in times)  # µs per 1,000 reports
     return {
         "categories": DECODE_D,
-        "epsilon": DECODE_EPSILON,
+        "epsilon": epsilon,
         "g": arm.g,
         "reports": n,
         "repeats": DECODE_REPEATS,
@@ -196,13 +197,14 @@ def main(argv=None) -> int:
             )
     _render(rows)
 
-    decode = _olh_decode(n)
-    print(
-        f"OLH decode d={decode['categories']} g={decode['g']} n={n}: "
-        f"{decode['support_counts_us_per_kreport']} us/kreport "
-        f"(spread {decode['support_counts_us_per_kreport_spread']}), "
-        f"equals reference: {decode['equals_reference']}"
-    )
+    decode = [_olh_decode(n, epsilon) for epsilon in DECODE_EPSILONS]
+    for row in decode:
+        print(
+            f"OLH decode d={row['categories']} g={row['g']} n={n}: "
+            f"{row['support_counts_us_per_kreport']} us/kreport "
+            f"(spread {row['support_counts_us_per_kreport_spread']}), "
+            f"equals reference: {row['equals_reference']}"
+        )
 
     failures = [
         f"{r['arm']} @ eps={r['epsilon']}: "
@@ -210,11 +212,14 @@ def main(argv=None) -> int:
         for r in rows
         if not (r["unbiased_3sigma"] and r["var_in_band"])
     ]
-    if not decode["equals_reference"]:
-        failures.append("OLH support_counts differs from the per-candidate hash")
+    failures += [
+        f"OLH support_counts differs from the per-candidate hash at g={row['g']}"
+        for row in decode
+        if not row["equals_reference"]
+    ]
 
     payload = {
-        "schema": 1,
+        "schema": 2,
         "categories": d,
         "devices": n,
         "trials": trials,

@@ -367,9 +367,11 @@ class OptimizedLocalHashing(_CodeThresholdOracle):
 
     name = "OLH"
 
-    #: User-block size for the support-count pass; bounds the working
-    #: set to a few ``uint32`` columns of this length.
-    _SUPPORT_BLOCK = 16384
+    #: User-block size for the support-count pass.  Each candidate
+    #: sweeps four ``uint32`` columns of this length (``a``, ``x``,
+    #: ``y``, scratch) plus a bool mask: ≈1.1 MiB, sized to stay in a
+    #: core's L2 while a shard step (≈22,500 users) fits in one block.
+    _SUPPORT_BLOCK = 65536
 
     def __init__(
         self,
@@ -419,8 +421,13 @@ class OptimizedLocalHashing(_CodeThresholdOracle):
         as a ``uint32`` column: ``x += a`` then ``x = min(x, x - P)``.
         Since ``x, a < P < 2**31`` the sum never wraps, and the unsigned
         wrap of ``x - P`` when ``x < P`` makes ``min`` the conditional
-        subtract — so each (user, candidate) pair costs one add, one
-        subtract, one ``min`` and one ``% g``, with no multiply.
+        subtract.  The bucket ``x mod g`` is then ``x - (x // g)·g``:
+        ``(x // g)·g <= x < P`` cannot wrap either, and NumPy's
+        scalar-divisor ``floor_divide`` is a multiply-shift where
+        ``remainder`` is a hardware divide per element.  So each (user,
+        candidate) pair costs an add, a conditional subtract, a
+        floor-divide, a multiply, a subtract and a compare.  The counts
+        are exact on every NumPy version; only the speed depends on it.
 
         Reports must be integers in ``0..g-1``: anything else would
         support no candidate yet still count in ``n``, so it raises.
@@ -448,7 +455,9 @@ class OptimizedLocalHashing(_CodeThresholdOracle):
                     np.add(x, a, out=x)
                     np.subtract(x, prime, out=tmp)
                     np.minimum(x, tmp, out=x)
-                np.remainder(x, g, out=tmp)
+                np.floor_divide(x, g, out=tmp)
+                np.multiply(tmp, g, out=tmp)
+                np.subtract(x, tmp, out=tmp)
                 np.equal(tmp, y, out=hit)
                 counts[v] += np.count_nonzero(hit)
         return counts

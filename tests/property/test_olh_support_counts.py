@@ -1,14 +1,19 @@
 """Property tests: OLH support counting equals the per-candidate hash.
 
 ``OptimizedLocalHashing.support_counts`` walks the candidates with an
-add-and-conditional-subtract recurrence over ``uint32`` columns instead
-of evaluating ``((a·v + b) mod P) mod g`` per (user, candidate) pair.
-These tests pin it to that definition, evaluated directly through
+add-and-conditional-subtract recurrence over ``uint32`` columns, and
+takes each bucket as ``x - (x // g)·g`` with NumPy's scalar-divisor
+``floor_divide``, instead of evaluating ``((a·v + b) mod P) mod g`` per
+(user, candidate) pair.  These tests pin it to that definition,
+evaluated directly through
 :meth:`~repro.mechanisms.OptimizedLocalHashing.hash_values`, across
-domain sizes, hash ranges, full 64-bit hash seeds, large global user
-offsets, unsorted/duplicated explicit index arrays and batch sizes
-around the user-block boundary — and check associativity over a split
-batch, the property that keeps sharded runs bit-identical.
+domain sizes, full 64-bit hash seeds, large global user offsets,
+unsorted/duplicated explicit index arrays and batch sizes around the
+user-block boundary — and check associativity over a split batch, the
+property that keeps sharded runs bit-identical.  The hash ranges cover
+each branch of the multiply-shift division: powers of two (2, 8, 64),
+a divisor whose 32-bit magic number needs the add fix-up (7), other
+odd divisors (3, 11) and the ε-derived optimum.
 """
 
 import numpy as np
@@ -26,7 +31,7 @@ oracles = st.builds(
         d, eps, g=g, hash_seed=seed, source=SplitStreamSource(0)
     ),
     d=st.integers(min_value=2, max_value=600),
-    g=st.sampled_from([2, 3, 11, None]),
+    g=st.sampled_from([2, 3, 7, 8, 11, 64, None]),
     eps=st.floats(min_value=0.2, max_value=5.0),
     seed=st.integers(min_value=0, max_value=2**64 - 1),
 )
