@@ -599,17 +599,6 @@ class EpochBudgetGuard(Guard):
         return self.allow(commit=commit)
 
 
-class _EpochCounts:
-    """One epoch's rate state: reports per slot, and the slot column of
-    every commit in order (whose length also versions the counts)."""
-
-    __slots__ = ("counts", "log")
-
-    def __init__(self, dtype: np.dtype):
-        self.counts = np.zeros(1, dtype=dtype)
-        self.log: List[np.ndarray] = []
-
-
 class RateLimitGuard(Guard):
     """Per-device, per-epoch report-rate limiting.
 
@@ -621,8 +610,8 @@ class RateLimitGuard(Guard):
     request sequence; only the most recent ``max_epochs_tracked``
     epochs are retained so state stays bounded.  Each tracked epoch is
     one small unsigned count column indexed by the device's slot in
-    ``device_index``, plus the slot column of each commit, which gives
-    :meth:`epoch_counts` the order devices first reported in.
+    ``device_index``, and nothing else: :meth:`epoch_counts` lists
+    devices in slot order.
 
     Like the budget guard, per-device counts are applied by the
     decision's ``commit`` callback: a batch the queue refuses as
@@ -646,52 +635,48 @@ class RateLimitGuard(Guard):
         self.max_epochs_tracked = int(max_epochs_tracked)
         self.device_index = device_index if device_index is not None else DeviceIndex()
         self._dtype = np.min_scalar_type(self.per_epoch_limit)
-        self._epochs: Dict[int, _EpochCounts] = {}
+        #: Reports by slot, one column per tracked epoch.
+        self._epochs: Dict[int, np.ndarray] = {}
+        #: Commits applied so far: a check's counts are current at
+        #: commit time only if no commit landed in between.
+        self._commits = 0
 
     def tracked_epochs(self) -> List[int]:
         """Epochs with committed counts, ascending."""
         return sorted(self._epochs)
 
     def epoch_counts(self, epoch: int) -> List[Tuple[str, int]]:
-        """``(device id, reports)`` for one epoch, in the order the
-        devices first reported in it."""
-        state = self._epochs.get(epoch)
-        if state is None:
+        """``(device id, reports)`` for one epoch, in slot order (the
+        order ``device_index`` first saw the devices)."""
+        counts = self._epochs.get(epoch)
+        if counts is None:
             return []
-        reports = np.concatenate(state.log)
-        _, first = np.unique(reports, return_index=True)
         return [
-            (self.device_index.id_of(slot), int(state.counts[slot]))
-            for slot in reports[np.sort(first)].tolist()
+            (self.device_index.id_of(slot), int(counts[slot]))
+            for slot in np.flatnonzero(counts).tolist()
         ]
 
-    def _apply(
-        self,
-        epoch: int,
-        slots: np.ndarray,
-        checked: Optional[_EpochCounts],
-        seen: int,
-    ) -> None:
+    def _apply(self, epoch: int, slots: np.ndarray, seen: int) -> None:
         """Commit hook: count one report per entry of ``slots``
         (creating/evicting epoch state here, not at check time).
-        ``checked``/``seen`` are the epoch state and its commit count
-        the check ruled against."""
+        ``seen`` is the commit count the check ruled against."""
         if not slots.size:
             return
-        state = self._epochs.get(epoch)
-        if state is None:
-            state = self._epochs[epoch] = _EpochCounts(self._dtype)
-            while len(self._epochs) > self.max_epochs_tracked:
-                del self._epochs[min(self._epochs)]
-        counts = state.counts = _room(state.counts, self.device_index)
-        if state.log and (state is not checked or len(state.log) != seen):
+        counts = self._epochs.get(epoch)
+        if counts is None:
+            counts = np.zeros(1, dtype=self._dtype)
+        counts = _room(counts, self.device_index)
+        if self._commits != seen:
             # Another commit landed since the check, so counts can pass
             # the limit (by at most one request's worth): keep room.
             top = int(counts[slots].max()) + self.per_epoch_limit
             if top > np.iinfo(counts.dtype).max:
-                counts = state.counts = counts.astype(np.int64)
+                counts = counts.astype(np.int64)
         np.add.at(counts, slots, counts.dtype.type(1))
-        state.log.append(slots)
+        self._commits += 1
+        self._epochs[epoch] = counts
+        while len(self._epochs) > self.max_epochs_tracked:
+            del self._epochs[min(self._epochs)]
 
     def check(self, request: Dict[str, Any]) -> GuardDecision:
         if request["op"] != "submit":
@@ -700,11 +685,11 @@ class RateLimitGuard(Guard):
         epoch = request["epoch"]
         ids = self.device_index.lookup(request["device_ids"])
         slots = ids.provisional
-        state = self._epochs.get(epoch)
-        seen = len(state.log) if state is not None else 0
+        counts = self._epochs.get(epoch)
+        seen = self._commits
         used = (
-            _gather(state.counts, slots)
-            if state is not None
+            _gather(counts, slots)
+            if counts is not None
             else np.zeros(slots.size, dtype=np.intp)
         )
         if not ids.distinct:
@@ -712,7 +697,7 @@ class RateLimitGuard(Guard):
         if used.max() < self.per_epoch_limit:
 
             def commit(final: Dict[str, Any], epoch=epoch) -> None:
-                self._apply(epoch, ids.resolve(), state, seen)
+                self._apply(epoch, ids.resolve(), seen)
 
             return self.allow(commit=commit)
         keep = used < self.per_epoch_limit
@@ -729,7 +714,7 @@ class RateLimitGuard(Guard):
         ]
 
         def commit_kept(final: Dict[str, Any], epoch=epoch) -> None:
-            self._apply(epoch, ids.resolve()[kept], state, seen)
+            self._apply(epoch, ids.resolve()[kept], seen)
 
         repaired = dict(request)
         repaired["device_ids"] = ids.take(kept)

@@ -203,6 +203,7 @@ def test_budget_charge_matches_first_seen_walk(seq):
 def test_rate_limit_matches_naive_walk(seq, limit):
     guard = RateLimitGuard(per_epoch_limit=limit)
     oracle = {}
+    slot_order = {}  # ids in the order a commit first named them
     for epoch, ids in seq:
         request = {
             "op": "submit",
@@ -234,8 +235,11 @@ def test_rate_limit_matches_naive_walk(seq, limit):
         decision.commit(final)
         for device_id, n in pending.items():
             counts[device_id] = counts.get(device_id, 0) + n
+            slot_order.setdefault(device_id, len(slot_order))
         assert dict(guard.epoch_counts(epoch)) == counts
-        assert guard.epoch_counts(epoch) == list(counts.items())
+        assert guard.epoch_counts(epoch) == sorted(
+            counts.items(), key=lambda item: slot_order[item[0]]
+        )
 
 
 @settings(max_examples=60, deadline=None)

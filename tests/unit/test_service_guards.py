@@ -6,6 +6,8 @@ property-level "no silent drops" statement lives in
 ``tests/property/test_service_guard_properties.py``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,42 @@ class TestRateLimitGuard:
             req = columns(epoch=epoch)
             g.check(req).commit(req)
         assert len(g.tracked_epochs()) <= 2
+
+    def test_stale_checks_commit_without_wrapping(self):
+        # Every check rules before any commit lands, so each commit is
+        # stale; the uint8 count column must widen, not wrap at 256.
+        g = RateLimitGuard(per_epoch_limit=1)
+        req = columns(ids=("a",), values=(1.0,))
+        decisions = [g.check(req) for _ in range(300)]
+        assert all(d.verdict is Verdict.ALLOW for d in decisions)
+        for d in decisions:
+            d.commit(req)
+        assert g.check(req).verdict is Verdict.BLOCK
+        assert g.epoch_counts(0) == [("a", 300)]
+
+    @pytest.mark.parametrize("n_devices", [1024, 16384])
+    def test_more_reports_into_an_epoch_add_no_state(self, n_devices):
+        # An epoch's rate state is one count column over the slots, so
+        # once it is sized, further reports only bump counts in place.
+        g = RateLimitGuard(per_epoch_limit=4)
+        ids = [f"dev-{i}" for i in range(n_devices)]
+        g.device_index.intern(ids)
+        req = columns(ids=ids, values=np.zeros(n_devices))
+
+        def one_round():
+            g.check(req).commit(req)
+
+        one_round()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(3):
+                one_round()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert g.epoch_counts(0)[-1] == (ids[-1], 4)
+        assert grown < 1024
 
 
 class TestGuardChain:
