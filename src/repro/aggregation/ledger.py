@@ -3,30 +3,31 @@
 :class:`DisclosureLedger` is the state behind
 :meth:`~repro.aggregation.AggregationServer.worst_case_disclosure` — a
 conservative server-side mirror of every device's on-device budget
-(the authoritative accountant lives on the device).  It keeps each
-device id in exactly one of two stores:
+(the authoritative accountant lives on the device).  It is one float64
+total column plus one bool "charged" column, and the ledger's first
+charge fixes what indexes them:
 
-* **slot store** — a float64 total column plus a bool "charged" column,
-  indexed by the device's slot in a
-  :class:`~repro.aggregation.device_index.DeviceIndex`.  Per-id charges land
-  here.  The ingestion service shares one index between its guard chain
-  and this ledger, so an admitted batch arrives as a
+* **slots** — a per-id charge (:meth:`~DisclosureLedger.charge`,
+  :meth:`~DisclosureLedger.record_claimed_losses`) keys the columns by
+  the device's slot in a
+  :class:`~repro.aggregation.device_index.DeviceIndex`.  The ingestion
+  service shares one index between its guard chain and this ledger, so
+  an admitted batch arrives as a
   :class:`~repro.aggregation.device_index.SlotIds` column and is charged
   with one ``np.add.at``; ``str`` ids are interned first, and slots of
   another index are translated through a cached slot-to-slot map.
-* **dense store** — a float64 total column plus a bool "seen" column
-  indexed by fleet device index ``i``, whose id is
-  :func:`fleet_device_id` ``(i)``.  Only :meth:`record_report_counts`
-  grows it, so a fleet runner charges a whole run's composition bound
-  with one array add and no per-device Python objects.
+* **fleet indexes** — :meth:`~DisclosureLedger.record_report_counts`
+  keys them by fleet device index ``i``, whose id is
+  :func:`fleet_device_id` ``(i)``, so a fleet runner charges a whole
+  run's composition bound with one array add and no per-device Python
+  objects.
 
-Routing keeps every total bit-identical to a plain per-id dict walk:
-``np.add.at`` adds each device's charges in batch order, a
-*canonical* id (one whose integer round-trips through
-:func:`fleet_device_id`) inside the dense range is charged in the dense
-column, and when the dense range grows over a canonical id already in
-the slot store, that total moves into the dense column first, so the
-order of additions is unchanged.
+A charge of the other kind raises :class:`ConfigurationError` before
+anything changes, and so does reading
+:attr:`~DisclosureLedger.device_index` from a fleet-keyed ledger: no
+server mixes fleet-run charges with per-id ones.  Either way every
+total is bit-identical to a plain per-id dict walk, because
+``np.add.at`` adds each device's charges in batch order.
 
 Every entry point fails closed on a negative or NaN claimed loss: a
 negative loss would lower a device's bound, a NaN would poison it for
@@ -47,7 +48,7 @@ from .device_index import DeviceIndex, SlotIds, grow_column
 __all__ = ["DisclosureLedger", "fleet_device_id", "check_claimed_loss"]
 
 _PREFIX = "dev-"
-#: Digits of the largest index a dense column could hold (int64).
+#: Digits of the largest index a fleet-keyed column could hold (int64).
 _MAX_DIGITS = 18
 
 
@@ -86,11 +87,12 @@ def check_claimed_loss(loss: object) -> float:
 class DisclosureLedger:
     """Running per-device claimed-loss totals (the composition bound).
 
-    ``device_index`` is the slot table of the slot store; pass the one
-    the ingestion guards use so admitted batches need no translation.
+    ``device_index`` is the slot table a per-id charge keys the columns
+    by; pass the one the ingestion guards use so admitted batches need
+    no translation.
     """
 
-    __slots__ = ("_index", "_total", "_charged", "_foreign", "_dense", "_seen")
+    __slots__ = ("_index", "_total", "_charged", "_foreign", "_fleet")
 
     def __init__(self, device_index: Optional[DeviceIndex] = None) -> None:
         self._index = device_index if device_index is not None else DeviceIndex()
@@ -99,13 +101,26 @@ class DisclosureLedger:
         #: ``(table, remap)``: for each slot of the last other table
         #: charged, own slot + 1 (``0`` until first seen).
         self._foreign: Optional[Tuple[DeviceIndex, np.ndarray]] = None
-        self._dense = np.zeros(0, dtype=np.float64)
-        self._seen = np.zeros(0, dtype=bool)
+        #: The key, fixed by the first charge: ``None`` until then,
+        #: ``True`` for fleet indexes, ``False`` for slots.
+        self._fleet: Optional[bool] = None
 
     @property
     def device_index(self) -> DeviceIndex:
-        """The slot table behind the slot store."""
+        """The slot table a per-id charge keys the columns by."""
+        self._check_key(fleet=False)
         return self._index
+
+    def _check_key(self, fleet: bool) -> None:
+        """Raise unless the columns are unkeyed or keyed the ``fleet`` way."""
+        if self._fleet is (not fleet):
+            raise ConfigurationError(
+                "this disclosure ledger is keyed by device slot (per-id charges); "
+                "it takes no record_report_counts"
+                if fleet
+                else "this disclosure ledger is keyed by fleet index "
+                "(record_report_counts); it takes no per-id charges or slot table"
+            )
 
     # ------------------------------------------------------------------
     # Charging
@@ -113,9 +128,17 @@ class DisclosureLedger:
     def charge(self, device_ids: Sequence[str], claimed_loss: float) -> None:
         """Add ``claimed_loss`` once per id in ``device_ids``, in order."""
         loss = check_claimed_loss(claimed_loss)
-        if self._dense.size or len(device_ids) == 1:
-            for device_id in device_ids:
-                self._add(device_id, loss)
+        self._check_key(fleet=False)
+        if len(device_ids) == 1:
+            (device_id,) = device_ids
+            slot = self._index.slot_of(device_id)
+            if slot is None:
+                slot = int(self._index.intern((device_id,))[0])
+            if slot >= self._total.size:
+                self._reserve()
+            self._total[slot] += loss
+            self._charged[slot] = True
+            self._fleet = False
             return
         self._charge_slots(self._own_slots(device_ids), loss)
 
@@ -124,10 +147,7 @@ class DisclosureLedger:
         checked = [
             (device_id, check_claimed_loss(loss)) for device_id, loss in losses.items()
         ]
-        if self._dense.size:
-            for device_id, loss in checked:
-                self._add(device_id, loss)
-            return
+        self._check_key(fleet=False)
         self._charge_slots(
             self._index.intern([device_id for device_id, _ in checked]),
             np.array([loss for _, loss in checked], dtype=np.float64),
@@ -138,7 +158,7 @@ class DisclosureLedger:
     ) -> None:
         """Charge fleet device ``i`` with ``report_counts[i] * claimed_loss``.
 
-        The one call that grows the dense store (to
+        Keys the columns by fleet index (growing them to
         ``len(report_counts)``).  Devices with a zero count are not
         charged and not tracked, exactly as if their ids were never
         named.
@@ -153,40 +173,30 @@ class DisclosureLedger:
             )
         if counts.size and counts.min() < 0:
             raise ConfigurationError("report_counts must be nonnegative")
+        self._check_key(fleet=True)
+        self._fleet = True
         n = counts.size
-        self._grow(n)
+        self._total = grow_column(self._total, n)
+        self._charged = grow_column(self._charged, n)
         charged = counts > 0
         with np.errstate(invalid="ignore"):  # 0 * inf on uncharged rows
             np.add(
-                self._dense[:n],
+                self._total[:n],
                 counts * loss,
-                out=self._dense[:n],
+                out=self._total[:n],
                 where=charged,
             )
-        self._seen[:n] |= charged
+        self._charged[:n] |= charged
 
     def _charge_slots(self, slots: np.ndarray, losses) -> None:
         """Add ``losses`` (one, or one per slot) at ``slots``, in order."""
         self._reserve()
         np.add.at(self._total, slots, losses)
         self._charged[slots] = True
-
-    def _add(self, device_id: str, loss: float) -> None:
-        i = _canonical_index(device_id) if self._dense.size else None
-        if i is not None and i < self._dense.size:
-            self._dense[i] += loss
-            self._seen[i] = True
-            return
-        slot = self._index.slot_of(device_id)
-        if slot is None:
-            slot = int(self._index.intern((device_id,))[0])
-        if slot >= self._total.size:
-            self._reserve()
-        self._total[slot] += loss
-        self._charged[slot] = True
+        self._fleet = False
 
     def _own_slots(self, device_ids: Sequence[str]) -> np.ndarray:
-        """Slot-store slots of ``device_ids``, interning unseen ids."""
+        """Slots of ``device_ids`` in the ledger's table, interning unseen ids."""
         if not isinstance(device_ids, SlotIds):
             return self._index.intern(device_ids)
         if device_ids.table is self._index:
@@ -209,51 +219,30 @@ class DisclosureLedger:
         return own
 
     def _reserve(self) -> None:
-        """Grow the slot-store columns to cover every slot of the table."""
+        """Grow the columns to cover every slot of the table."""
         self._total = grow_column(self._total, len(self._index))
         self._charged = grow_column(self._charged, len(self._index))
-
-    def _grow(self, n: int) -> None:
-        """Extend the dense range to ``n`` devices, moving slot-store
-        entries of canonical ids in the new range into it."""
-        old = self._dense.size
-        if n <= old:
-            return
-        dense = np.zeros(n, dtype=np.float64)
-        seen = np.zeros(n, dtype=bool)
-        dense[:old] = self._dense
-        seen[:old] = self._seen
-        self._dense, self._seen = dense, seen
-        for slot in np.flatnonzero(self._charged).tolist():
-            i = _canonical_index(self._index.id_of(slot))
-            if i is not None and old <= i < n:
-                dense[i] = self._total[slot]
-                seen[i] = True
-                self._total[slot] = 0.0
-                self._charged[slot] = False
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
     def total(self, device_id: str) -> float:
         """The device's running total (``0.0`` for an id never charged)."""
-        i = _canonical_index(device_id) if self._dense.size else None
-        if i is not None and i < self._dense.size:
-            return float(self._dense[i])
-        slot = self._index.slot_of(device_id)
-        if slot is None or slot >= self._total.size:
+        if self._fleet:
+            i = _canonical_index(device_id)
+        else:
+            i = self._index.slot_of(device_id)
+        if i is None or i >= self._total.size:
             return 0.0
-        return float(self._total[slot])
+        return float(self._total[i])
 
     def __len__(self) -> int:
-        """Devices tracked in both stores (a Python ``int``)."""
-        return int(np.count_nonzero(self._charged)) + int(np.count_nonzero(self._seen))
+        """Devices charged (a Python ``int``)."""
+        return int(np.count_nonzero(self._charged))
 
     def items(self) -> Iterator[Tuple[str, float]]:
-        """``(id, total)`` pairs: the slot store in slot order (the order
-        devices were first seen), then the tracked dense devices by
-        ascending index."""
-        for slot in np.flatnonzero(self._charged).tolist():
-            yield self._index.id_of(slot), float(self._total[slot])
-        for i in np.flatnonzero(self._seen):
-            yield fleet_device_id(int(i)), float(self._dense[i])
+        """``(id, total)`` pairs in key order: by slot (the order the
+        devices were first seen), or by ascending fleet index."""
+        id_of = fleet_device_id if self._fleet else self._index.id_of
+        for i in np.flatnonzero(self._charged).tolist():
+            yield id_of(i), float(self._total[i])

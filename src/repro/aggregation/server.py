@@ -224,10 +224,6 @@ class IngestHandle:
                     errors.append(exc)
         return errors
 
-    def record_claimed_losses(self, losses: Mapping[str, float]) -> None:
-        with self._lock:
-            self._server.record_claimed_losses(losses)
-
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
             return self._server.snapshot()
@@ -369,16 +365,18 @@ class AggregationServer:
         if counts.min() < 0:
             raise ConfigurationError("support counts must be nonnegative")
         bucket = self._categories.get(epoch)
-        if bucket is None:
-            bucket = self._categories[epoch] = _EpochCategoryCounts(counts.size)
-        elif bucket.counts.size != counts.size:
+        if bucket is not None and bucket.counts.size != counts.size:
             raise ConfigurationError(
                 f"epoch {epoch} categorical domain changed: "
                 f"{bucket.counts.size} -> {counts.size} categories"
             )
-        bucket.fold(counts, n_reports)
         if device_ids is not None:
+            # Charged first, as in submit_array: a refused charge leaves
+            # the epoch unfolded.
             self._ledger.charge(device_ids, claimed_loss)
+        if bucket is None:
+            bucket = self._categories[epoch] = _EpochCategoryCounts(counts.size)
+        bucket.fold(counts, n_reports)
 
     def record_claimed_losses(self, losses: Mapping[str, float]) -> None:
         """Bulk-add per-device claimed losses to the disclosure bound.
@@ -401,9 +399,12 @@ class AggregationServer:
         device ``i`` is :func:`~repro.aggregation.fleet_device_id`
         ``(i)``, and its total is bit-identical to recording
         ``{fleet_device_id(i): float(report_counts[i]) * claimed_loss}``
-        through :meth:`record_claimed_losses`.  This is the only call
-        that allocates the ledger's dense per-device column (sized
-        ``len(report_counts)``); per-id charges never do.
+        through :meth:`record_claimed_losses`.  It keys the ledger's one
+        total column by fleet index (sized ``len(report_counts)``), so a
+        server charged this way refuses per-id charges, and one charged
+        per id refuses this call, with a
+        :class:`~repro.errors.ConfigurationError` before anything
+        changes.
         """
         self._ledger.record_report_counts(report_counts, claimed_loss)
 
@@ -604,12 +605,11 @@ class AggregationServer:
         Per-epoch aggregates in both modes (streaming: the exact moment
         state; retain: the summary statistics), categorical support
         counts, the retention tally, and ``n_devices_tracked`` — the
-        number of devices the disclosure ledger holds a total for,
-        across its per-id and dense stores (a Python ``int``).  Every
-        number is derived from folded state only, so a snapshot of a
-        streaming server fed over the socket is comparable
-        field-for-field — bit-for-bit for the float moments — with one
-        fed in-process with the same batches in the same order.
+        number of devices the disclosure ledger holds a total for (a
+        Python ``int``).  Every number is derived from folded state
+        only, so a snapshot of a streaming server fed over the socket is
+        comparable field-for-field — bit-for-bit for the float moments —
+        with one fed in-process with the same batches in the same order.
         """
         epochs: Dict[str, Dict[str, object]] = {}
         for epoch in self.epochs:
@@ -651,13 +651,14 @@ class AggregationServer:
         running per-device sum, so it works identically in streaming
         mode, where the reports themselves are gone.
 
-        Totals live in a :class:`~repro.aggregation.ledger.DisclosureLedger`:
-        per-id charges in a column indexed by the device's slot in the
-        ledger's :class:`~repro.aggregation.device_index.DeviceIndex`,
-        fleet devices charged by :meth:`record_report_counts` in a dense
-        column.  Either way the
-        total is the float a plain per-id dict walk over the same
-        charges gives, bit for bit.
+        Totals live in one column of a
+        :class:`~repro.aggregation.ledger.DisclosureLedger`, indexed by
+        the device's slot in the ledger's
+        :class:`~repro.aggregation.device_index.DeviceIndex` when the
+        server is charged per id, or by fleet index when it is charged
+        through :meth:`record_report_counts`.  Either way the total is
+        the float a plain per-id dict walk over the same charges gives,
+        bit for bit.
         """
         return self._ledger.total(device_id)
 

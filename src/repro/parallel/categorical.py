@@ -16,15 +16,15 @@ its first device's index and the (non-contiguous, under dropout)
 reporting set, so shard layout never changes any user's hash.
 
 The trace substrate rides along unchanged: the coordinator merges shard
-counters, adopts the events (renumbered) into the target pipeline, and
-``trace_path`` additionally appends them shard-by-shard to a JSONL trace
-via :class:`~repro.runtime.JsonlSink` in append mode.
+counters and adopts the events (renumbered) into the target pipeline,
+so a JSONL trace is ``pipeline=ReleasePipeline([JsonlSink(path,
+append=True)])``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from ..errors import ConfigurationError
 from ..mechanisms.oracles import make_oracle
 from ..queries.frequency import FrequencyEstimate
 from ..rng.urng import SplitStreamSource
-from ..runtime import CounterSink, JsonlSink, ReleasePipeline
+from ..runtime import CounterSink, ReleasePipeline
 from .planner import ExecutionPlan
 from .runner import run_sharded
 from .sharding import ShardPlan
@@ -136,9 +136,6 @@ def run_fleet_categorical(
     pipeline: Optional[ReleasePipeline] = None,
     workers: int = 1,
     shards: Optional[int] = None,
-    streaming: bool = True,
-    count_thresholds: Sequence[float] = (),
-    trace_path=None,
     execution_plan: Optional[ExecutionPlan] = None,
     **oracle_kwargs,
 ) -> CategoricalFleetResult:
@@ -147,12 +144,8 @@ def run_fleet_categorical(
     ``true_values`` is an ``(n_epochs, n_devices)`` integer category
     matrix; each reporting device sends one privatized report per epoch
     through the chosen frequency-oracle arm.  The server receives only
-    per-shard support counts (``submit_counts``) — the categorical path
-    is streaming-native, ``streaming`` only controls the server's mode
-    flag for any numeric traffic sharing it.  ``trace_path`` appends
-    every shard's release events to one JSONL trace, shard by shard, via
-    :class:`~repro.runtime.JsonlSink` in append mode.  ``workers``,
-    ``shards`` and ``execution_plan`` are as on
+    per-shard support counts (``submit_counts``) on a streaming server of
+    its own.  ``workers``, ``shards`` and ``execution_plan`` are as on
     :func:`~repro.parallel.runner.run_sharded`.
 
     Determinism contract: bit-identical for any ``workers``; the
@@ -172,20 +165,12 @@ def run_fleet_categorical(
         epsilon=float(epsilon),
         kwargs=dict(oracle_kwargs),
     )
-    server = AggregationServer(streaming=streaming, count_thresholds=count_thresholds)
+    server = AggregationServer(streaming=True)
     run = run_sharded(
         kernel, true_values, server, dropout=dropout, rng=rng,
         source_seed=source_seed, pipeline=pipeline, workers=workers,
         shards=shards, execution_plan=execution_plan,
     )
-    if trace_path is not None:
-        # One append-mode sink per shard: successive sinks extend the
-        # file, which is exactly the JsonlSink(append=True) contract.
-        for result in run.results:
-            with JsonlSink(trace_path, append=True) as sink:
-                for event in result.events:
-                    sink.emit(event)
-
     reporting = run.reporting
     return CategoricalFleetResult(
         server=server,

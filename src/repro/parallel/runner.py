@@ -182,8 +182,6 @@ class ShardedRun(NamedTuple):
     reference: object
     #: Coordinator-drawn reporting masks, ``(n_epochs, n_devices)`` bool.
     reporting: np.ndarray
-    #: Per-shard results in shard order (events + counters).
-    results: List[ShardResult]
     #: Shard counters merged in shard order.
     counters: CounterSink
     #: Whatever the kernel's ``finish`` returned.
@@ -301,7 +299,7 @@ def run_sharded(
     counters = functools.reduce(
         CounterSink.merge, (r.counter for r in results), CounterSink()
     )
-    return ShardedRun(plan, reference, reporting, results, counters, collected)
+    return ShardedRun(plan, reference, reporting, counters, collected)
 
 
 #: Per-device state a numeric shard writes back: (dtype, initial value).

@@ -136,6 +136,9 @@ class IngestionService:
     ):
         self.config = config or ServiceConfig()
         self._handle = aggregation.ingest_handle()
+        # Raises for a fleet run's server: its ledger takes no per-id
+        # charges, so no admitted batch could fold.
+        index = aggregation.ledger.device_index
         self.chain = chain if chain is not None else default_chain(
             max_batch=self.config.max_batch,
             coerce=self.config.coerce,
@@ -143,7 +146,7 @@ class IngestionService:
             max_claimed_loss=self.config.max_claimed_loss,
             device_budget=self.config.device_budget,
             per_epoch_limit=self.config.per_epoch_limit,
-            device_index=aggregation.ledger.device_index,
+            device_index=index,
         )
         #: Admission counters — the ``metrics`` endpoint's payload.
         self.counters = CounterSink()

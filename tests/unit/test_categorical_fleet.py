@@ -7,7 +7,7 @@ from repro.aggregation import fleet_device_id
 from repro.errors import ConfigurationError
 from repro.mechanisms import SensorSpec
 from repro.parallel import run_fleet_categorical, run_fleet_sharded
-from repro.runtime import CounterSink, ReleasePipeline
+from repro.runtime import CounterSink, JsonlSink, ReleasePipeline
 from repro.runtime.sinks import read_events_jsonl
 
 
@@ -125,14 +125,23 @@ class TestTraceSubstrate:
 
     def test_jsonl_append_trace(self, truth, tmp_path):
         path = tmp_path / "cat-trace.jsonl"
-        result = _run(truth, workers=1, trace_path=path)
+
+        def traced_run():
+            with JsonlSink(path, append=True) as sink:
+                return _run(truth, workers=2, pipeline=ReleasePipeline(sinks=[sink]))
+
+        result = traced_run()
         events = read_events_jsonl(path)
         assert len(events) == result.counters.n_events
         assert {e.mechanism for e in events} == {"OUE"}
+        # Adopted in shard order and renumbered: one monotone sequence.
+        assert [e.seq for e in events] == list(range(1, len(events) + 1))
         # Append mode: a second run extends the same file.
-        result2 = _run(truth, workers=1, trace_path=path)
+        result2 = traced_run()
         events2 = read_events_jsonl(path)
         assert len(events2) == len(events) + result2.counters.n_events
+        assert events2[: len(events)] == events
+        assert [e.seq for e in events2[len(events):]] == [e.seq for e in events]
 
     def test_events_adopted_into_target_pipeline(self, truth):
         from repro.runtime import RingBufferSink

@@ -1,12 +1,12 @@
-"""The disclosure ledger: id routing, fail-closed charges, bounded memory.
+"""The disclosure ledger: its two keys, fail-closed charges, bounded memory.
 
-The property test in ``tests/property/test_disclosure_ledger_property.py``
-checks totals against a plain-dict oracle over random interleavings;
+The property tests in ``tests/property/test_disclosure_ledger_property.py``
+check totals against a plain-dict oracle over random charge sequences;
 these tests pin the individual rules and every rejecting entry point.
 """
 
 import math
-import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +19,7 @@ from repro.aggregation import (
 )
 from repro.aggregation.ledger import _canonical_index
 from repro.errors import ConfigurationError
-from repro.service import IngestClient
+from repro.service import IngestionService, default_chain
 from repro.service.server import serve_in_thread
 
 
@@ -56,40 +56,20 @@ class TestCanonicalIds:
 
 
 class TestRouting:
+    """``record_report_counts`` keys the columns by fleet index."""
+
     def test_report_counts_charge_dense_column(self):
         ledger = DisclosureLedger()
         ledger.record_report_counts(np.array([2, 0, 3]), 0.5)
         assert ledger.total("dev-0000") == 1.0
         assert ledger.total("dev-0001") == 0.0
         assert ledger.total("dev-0002") == 1.5
+        # Look-alikes and indexes past the column are never charged.
+        assert ledger.total("dev-002") == 0.0
+        assert ledger.total("dev-0003") == 0.0
         assert len(ledger) == 2
         assert isinstance(len(ledger), int)
         assert list(ledger.items()) == [("dev-0000", 1.0), ("dev-0002", 1.5)]
-
-    def test_dict_entry_moves_into_column_on_growth(self):
-        ledger = DisclosureLedger()
-        ledger.charge(["x", "dev-0001", "dev-042"], 0.25)
-        ledger.record_report_counts(np.array([1, 2]), 1.0)
-        # dev-0001 left the dict store; the look-alike dev-042 did not.
-        assert list(ledger.items()) == [
-            ("x", 0.25),
-            ("dev-042", 0.25),
-            ("dev-0000", 1.0),
-            ("dev-0001", 2.25),
-        ]
-        assert len(ledger) == 4
-
-    def test_per_id_charge_inside_range_uses_column(self):
-        ledger = DisclosureLedger()
-        ledger.record_report_counts(np.array([0, 0, 1]), 1.0)
-        ledger.charge(["dev-0001", "dev-0001", "dev-0005"], 0.5)
-        assert ledger.total("dev-0001") == 1.0
-        assert ledger.total("dev-0005") == 0.5
-        assert list(ledger.items()) == [
-            ("dev-0005", 0.5),
-            ("dev-0001", 1.0),
-            ("dev-0002", 1.0),
-        ]
 
     def test_infinite_loss_is_a_valid_charge(self):
         ledger = DisclosureLedger()
@@ -106,41 +86,90 @@ class TestRouting:
         with pytest.raises(ConfigurationError):
             ledger.record_report_counts(counts, 1.0)
         assert len(ledger) == 0
+        # A refused call does not fix the key either.
+        ledger.charge(["a"], 1.0)
+        assert list(ledger.items()) == [("a", 1.0)]
+
+
+class TestKeyRefusal:
+    """The first charge fixes the key; the other kind is refused before
+    anything changes."""
+
+    @pytest.mark.parametrize(
+        "charge",
+        [
+            lambda s: s.submit(
+                SimpleNamespace(device_id="dev-0000", epoch=0, value=1.0, claimed_loss=1.0)
+            ),
+            lambda s: s.submit_array(0, np.ones(1), 1.0, device_ids=["dev-0000"]),
+            lambda s: s.submit_array(0, np.ones(2), 1.0, device_ids=["x", "dev-0001"]),
+            lambda s: s.submit_counts(0, np.array([1, 1]), 1, 1.0, device_ids=["x"]),
+            lambda s: s.record_claimed_losses({"dev-0000": 1.0}),
+        ],
+        ids=["submit", "submit_array-1", "submit_array-2", "submit_counts",
+             "record_claimed_losses"],
+    )
+    def test_per_id_charge_of_fleet_keyed_server_raises(self, charge):
+        server = AggregationServer(streaming=True)
+        server.record_report_counts(np.array([1, 2]), 0.5)
+        with pytest.raises(ConfigurationError, match="fleet index"):
+            charge(server)
+        assert list(server.ledger.items()) == [("dev-0000", 0.5), ("dev-0001", 1.0)]
+        assert server.epochs == [] and server.categorical_epochs == []
+
+    def test_report_counts_of_slot_keyed_ledger_raises(self):
+        ledger = DisclosureLedger()
+        ledger.charge(["dev-0001", "x"], 0.25)
+        with pytest.raises(ConfigurationError, match="device slot"):
+            ledger.record_report_counts(np.array([1, 2]), 1.0)
+        assert list(ledger.items()) == [("dev-0001", 0.25), ("x", 0.25)]
+        assert ledger.total("dev-0000") == 0.0
+
+    def test_device_index_of_fleet_keyed_ledger_raises(self):
+        ledger = DisclosureLedger()
+        assert len(ledger.device_index) == 0  # unkeyed: readable
+        ledger.record_report_counts(np.array([1]), 1.0)
+        with pytest.raises(ConfigurationError, match="fleet index"):
+            ledger.device_index
+
+    def test_serving_fleet_keyed_server_raises(self):
+        server = AggregationServer(streaming=True)
+        server.record_report_counts(np.ones(8, dtype=np.int64), 1.0)
+        with pytest.raises(ConfigurationError, match="fleet index"):
+            IngestionService(server)
+        with pytest.raises(ConfigurationError, match="fleet index"):
+            serve_in_thread(server)
+        with pytest.raises(ConfigurationError, match="fleet index"):
+            IngestionService(server, chain=default_chain())
+        assert server.snapshot()["n_devices_tracked"] == 8
 
 
 class TestBoundedMemory:
-    def test_per_id_input_never_grows_dense_store(self):
+    def test_hostile_canonical_id_sizes_column_by_table(self):
+        # A per-id charge takes a slot of the table whatever index its id
+        # names, so a billion-device id costs one row, not a billion.
         server = AggregationServer(streaming=True)
-        server.record_report_counts(np.ones(8, dtype=np.int64), 1.0)
-        server.submit_array(
-            0, np.zeros(2), 1.0, device_ids=["dev-999999999", "dev-0003"]
-        )
-        server.record_claimed_losses({"dev-99999999": 2.0, "dev-" + "9" * 5000: 1.0})
-        assert server.ledger._dense.size == 8
-        assert server.worst_case_disclosure("dev-999999999") == 1.0
-        assert server.worst_case_disclosure("dev-0003") == 2.0
-
-    def test_service_submit_never_grows_dense_store(self):
-        server = AggregationServer(streaming=True)
-        server.record_report_counts(np.ones(8, dtype=np.int64), 1.0)
-        handle = serve_in_thread(server)
+        tracemalloc.start()
         try:
-            with IngestClient(*handle.address) as client:
-                reply = client.submit(0, ["dev-999999999", "dev-0003"], [1.0, 2.0], 1.0)
-                assert reply["status"] == "admitted"
-                deadline = time.monotonic() + 5.0
-                while (
-                    client.snapshot()["snapshot"]["epochs"].get("0", {}).get("count")
-                    != 2
-                ):
-                    assert time.monotonic() < deadline, "batch never folded"
-                    time.sleep(0.005)
+            before = tracemalloc.take_snapshot()
+            server.submit_array(
+                0, np.zeros(2), 1.0, device_ids=["dev-999999999", "dev-0003"]
+            )
+            server.record_claimed_losses(
+                {"dev-99999999": 2.0, "dev-" + "9" * 5000: 1.0}
+            )
+            grown = sum(
+                stat.size_diff
+                for stat in tracemalloc.take_snapshot().compare_to(before, "filename")
+            )
         finally:
-            handle.stop()
-        assert server.ledger._dense.size == 8
+            tracemalloc.stop()
+        assert grown < 64 * 1024
+        assert len(server.ledger.device_index) == 4
         assert server.worst_case_disclosure("dev-999999999") == 1.0
-        assert server.worst_case_disclosure("dev-0003") == 2.0
-        assert server.snapshot()["n_devices_tracked"] == 9
+        assert server.worst_case_disclosure("dev-99999999") == 2.0
+        assert server.worst_case_disclosure("dev-0003") == 1.0
+        assert server.snapshot()["n_devices_tracked"] == 4
 
 
 _BAD_LOSSES = [-1.0, -1e-300, math.nan]
@@ -196,7 +225,7 @@ class TestFailClosedLosses:
         with pytest.raises(ConfigurationError):
             server.record_report_counts(np.array([1, 2]), loss)
         assert server.snapshot()["n_devices_tracked"] == 0
-        assert server.ledger._dense.size == 0
+        assert len(server.ledger) == 0
 
 
 class TestIdCount:
@@ -217,5 +246,14 @@ class TestIdCount:
         server = AggregationServer(streaming=True)
         with pytest.raises(ConfigurationError, match="disagree"):
             server.submit_counts(0, np.array([1, 1]), 2, 1.0, device_ids=ids)
+        assert server.categorical_epochs == []
+        assert server.snapshot()["n_devices_tracked"] == 0
+
+
+class TestChargeBeforeFold:
+    def test_refused_charge_leaves_counts_unfolded(self):
+        server = AggregationServer(streaming=True)
+        with pytest.raises(TypeError):
+            server.submit_counts(0, np.array([1, 1]), 1, 1.0, device_ids=[["x"]])
         assert server.categorical_epochs == []
         assert server.snapshot()["n_devices_tracked"] == 0
