@@ -22,7 +22,11 @@ spread), and asserts the kernel's counts equal the per-candidate hash
 definition on the same reports.  It does both at ε = 0.5, 2 and 4, so
 ``g`` = 3, 8 and 56: an odd hash range, a power of two and an even
 non-power, which take different branches of NumPy's multiply-shift
-division.
+division.  An ``olh_decode_epochs`` row times the multi-epoch decode a
+fleet shard runs — 22,500 users, 8 epochs with 10% dropout each, g = 8,
+d = 256 — as one ``support_counts_epochs`` sweep against the 8
+per-epoch ``support_counts`` calls it replaces (same repeats, GC paused)
+and asserts the two give the same counts.
 
 Machine-readable results land in ``BENCH_oracles.json`` at the repo
 root.  Standalone script (not pytest-benchmark): CI runs ``--quick`` as
@@ -58,6 +62,11 @@ VAR_BAND = (0.4, 2.5)
 DECODE_D = 256
 DECODE_EPSILONS = (0.5, 2.0, 4.0)
 DECODE_REPEATS = 5
+#: Multi-epoch decode row: one fleet shard's users, epochs and dropout.
+EPOCHS_USERS = 22_500
+EPOCHS_E = 8
+EPOCHS_EPSILON = 2.0  # g = 8
+EPOCHS_DROPOUT = 0.1
 
 
 def _population(rng, d, n):
@@ -111,6 +120,21 @@ def _run_arm(kind, d, epsilon, values, trials, seed0):
     }
 
 
+def _timed(call):
+    """``(sorted seconds of DECODE_REPEATS calls, last result)``, GC paused."""
+    times = []
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(DECODE_REPEATS):
+            t0 = time.perf_counter()
+            result = call()
+            times.append(time.perf_counter() - t0)
+    finally:
+        gc.enable()
+    return sorted(times), result
+
+
 def _olh_decode(n, epsilon):
     """Time OLH ``support_counts`` at d = 256; check it against the definition."""
     values = _population(audited_generator(SEED + 1), DECODE_D, n)
@@ -124,17 +148,8 @@ def _olh_decode(n, epsilon):
         ],
         dtype=np.int64,
     )
-    times = []
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(DECODE_REPEATS):
-            t0 = time.perf_counter()
-            counts = arm.support_counts(reports)
-            times.append(time.perf_counter() - t0)
-    finally:
-        gc.enable()
-    per_kreport = sorted(t / n * 1e9 for t in times)  # µs per 1,000 reports
+    times, counts = _timed(lambda: arm.support_counts(reports))
+    per_kreport = [t / n * 1e9 for t in times]  # µs per 1,000 reports
     return {
         "categories": DECODE_D,
         "epsilon": epsilon,
@@ -147,6 +162,43 @@ def _olh_decode(n, epsilon):
         ],
         "equals_reference": bool(np.array_equal(counts, reference)),
     }
+
+
+def _olh_decode_epochs():
+    """Time one shard's multi-epoch OLH decode against per-epoch calls."""
+    gen = audited_generator(SEED + 2)
+    arm = make_oracle(
+        "olh", DECODE_D, EPOCHS_EPSILON, source=SplitStreamSource(SEED + 2)
+    )
+    reporting = gen.random((EPOCHS_E, EPOCHS_USERS)) >= EPOCHS_DROPOUT
+    values = _population(gen, DECODE_D, EPOCHS_USERS)
+    users = np.arange(EPOCHS_USERS, dtype=np.int64)
+    buckets = np.full((EPOCHS_E, EPOCHS_USERS), arm.g, dtype=np.min_scalar_type(arm.g))
+    epochs = []
+    for row, mask in zip(buckets, reporting):
+        reports = arm.report(values[mask], user_offset=users[mask])
+        row[mask] = reports
+        epochs.append((reports, users[mask]))
+
+    sweep_s, sweep = _timed(lambda: arm.support_counts_epochs(buckets))
+    per_epoch_s, per_epoch = _timed(
+        lambda: np.stack([arm.support_counts(r, user_offset=u) for r, u in epochs])
+    )
+
+    result = {
+        "categories": DECODE_D,
+        "epsilon": EPOCHS_EPSILON,
+        "g": arm.g,
+        "users": EPOCHS_USERS,
+        "epochs": EPOCHS_E,
+        "dropout": EPOCHS_DROPOUT,
+        "repeats": DECODE_REPEATS,
+        "equals_reference": bool(np.array_equal(sweep, per_epoch)),
+    }
+    for name, times in (("sweep", sweep_s), ("per_epoch", per_epoch_s)):
+        result[f"{name}_ms"] = round(statistics.median(times) * 1e3, 2)
+        result[f"{name}_ms_spread"] = [round(times[0] * 1e3, 2), round(times[-1] * 1e3, 2)]
+    return result
 
 
 def _render(rows):
@@ -205,6 +257,15 @@ def main(argv=None) -> int:
             f"(spread {row['support_counts_us_per_kreport_spread']}), "
             f"equals reference: {row['equals_reference']}"
         )
+    epochs = _olh_decode_epochs()
+    print(
+        f"OLH decode of {epochs['epochs']} epochs x {epochs['users']} users "
+        f"d={epochs['categories']} g={epochs['g']}: one sweep "
+        f"{epochs['sweep_ms']} ms (spread {epochs['sweep_ms_spread']}), "
+        f"per-epoch calls {epochs['per_epoch_ms']} ms "
+        f"(spread {epochs['per_epoch_ms_spread']}), "
+        f"equals reference: {epochs['equals_reference']}"
+    )
 
     failures = [
         f"{r['arm']} @ eps={r['epsilon']}: "
@@ -217,6 +278,10 @@ def main(argv=None) -> int:
         for row in decode
         if not row["equals_reference"]
     ]
+    if not epochs["equals_reference"]:
+        failures.append(
+            "OLH support_counts_epochs differs from the per-epoch support_counts"
+        )
 
     payload = {
         "schema": 2,
@@ -229,6 +294,7 @@ def main(argv=None) -> int:
         "quick": args.quick,
         "rows": rows,
         "olh_decode": decode,
+        "olh_decode_epochs": epochs,
         "failures": failures,
     }
     RESULTS_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

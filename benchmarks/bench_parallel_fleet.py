@@ -20,7 +20,10 @@ not in ``--quick`` mode); smaller hosts still record the sweep so the
 trajectory is visible in ``BENCH_parallel.json`` (schema 3).
 
 Standalone script (not pytest-benchmark): CI runs ``--quick`` with two
-workers as a smoke test, developers run it bare for the full sweep.
+workers as a smoke test, developers run it bare for the full sweep.  A
+``--quick`` run writes ``BENCH_parallel.quick.json`` (git-ignored), so
+it never overwrites the committed full sweep; ``--output`` overrides
+either default.
 """
 
 import argparse
@@ -39,6 +42,7 @@ from repro.rng import CordicLn, audited_generator
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 RESULTS_JSON = REPO_ROOT / "BENCH_parallel.json"
+QUICK_RESULTS_JSON = REPO_ROOT / "BENCH_parallel.quick.json"
 
 SENSOR = SensorSpec(0.0, 50.0)
 EPSILON = 2.0
@@ -151,7 +155,7 @@ def _sweep_row(devices, epochs, workers, shards):
     }
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--epochs", type=int, default=24)
     parser.add_argument("--workers", type=int, default=None,
@@ -162,8 +166,9 @@ def main(argv=None) -> int:
         help="fleet sizes to sweep (default: 5k/50k/500k, or small in --quick)",
     )
     parser.add_argument(
-        "--output", type=pathlib.Path, default=RESULTS_JSON,
-        help="where to write the schema-3 JSON results",
+        "--output", type=pathlib.Path, default=None,
+        help="where to write the schema-3 JSON results (default: "
+        "BENCH_parallel.json, or BENCH_parallel.quick.json with --quick)",
     )
     parser.add_argument(
         "--quick",
@@ -171,7 +176,13 @@ def main(argv=None) -> int:
         help="CI smoke mode: small fleets, 2 workers, no speedup floor",
     )
     args = parser.parse_args(argv)
+    if args.output is None:
+        args.output = QUICK_RESULTS_JSON if args.quick else RESULTS_JSON
+    return args
 
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     cores = os.cpu_count() or 1
     if args.quick:
         sizes = tuple(args.sizes) if args.sizes else QUICK_SIZES

@@ -368,9 +368,12 @@ class OptimizedLocalHashing(_CodeThresholdOracle):
     name = "OLH"
 
     #: User-block size for the support-count pass.  Each candidate
-    #: sweeps four ``uint32`` columns of this length (``a``, ``x``,
-    #: ``y``, scratch) plus a bool mask: ≈1.1 MiB, sized to stay in a
-    #: core's L2 while a shard step (≈22,500 users) fits in one block.
+    #: sweeps three ``uint32`` columns of this length (``a``, ``x``,
+    #: scratch), one report row and one bool row per epoch and, with
+    #: several epochs, a narrow bucket column: ≈1.1 MiB at one epoch
+    #: (a ``uint32`` report row) and ≈1.9 MiB at eight (``uint8`` rows
+    #: for g < 256), sized to stay in a core's L2 while a shard
+    #: (≈25,000 users) fits in one block.
     _SUPPORT_BLOCK = 65536
 
     def __init__(
@@ -415,7 +418,37 @@ class OptimizedLocalHashing(_CodeThresholdOracle):
 
     # -- server-side metadata ------------------------------------------
     def support_counts(self, reports, user_offset: int = 0) -> np.ndarray:
-        """``c_v = #{i : y_i == h_i(v)}``, blocked over users.
+        """``c_v = #{i : y_i == h_i(v)}``: the one-epoch call of
+        :meth:`support_counts_epochs`.
+
+        Reports must be integers in ``0..g-1``: anything else would
+        support no candidate yet still count in ``n``, so it raises.
+        An empty batch gives zero counts.
+        """
+        reports = np.asarray(reports).reshape(1, -1)
+        return self._sweep(reports, user_offset, self.g - 1)[0]
+
+    def support_counts_epochs(self, reports, user_offset=0) -> np.ndarray:
+        """Support counts of every epoch of one user set, in one sweep.
+
+        ``reports`` is an ``(n_epochs, n_users)`` integer matrix: column
+        ``i`` is the user at ``user_offset`` (an int, or an array of
+        ``n_users`` global indices, as for :meth:`support_counts`), and
+        entry ``g`` marks an epoch in which that user sent no report — it
+        matches no bucket.  Returns the ``(n_epochs, n_categories)``
+        int64 count rows, each equal to :meth:`support_counts` of that
+        epoch's reports.  A user's hash is the same in every epoch, so
+        the candidate walk runs once for all of them; storing the matrix
+        as ``np.min_scalar_type(g)`` keeps the compares narrow.  Any
+        entry outside ``0..g`` raises before a count is taken.
+        """
+        reports = np.asarray(reports)
+        if reports.ndim != 2:
+            raise ConfigurationError("OLH epoch reports must be an (epochs, users) matrix")
+        return self._sweep(reports, user_offset, self.g)
+
+    def _sweep(self, reports: np.ndarray, user_offset, top: int) -> np.ndarray:
+        """The decode, blocked over users.
 
         Walks the candidates in order with ``x_v = (a·v + b) mod P`` kept
         as a ``uint32`` column: ``x += a`` then ``x = min(x, x - P)``.
@@ -424,32 +457,44 @@ class OptimizedLocalHashing(_CodeThresholdOracle):
         subtract.  The bucket ``x mod g`` is then ``x - (x // g)·g``:
         ``(x // g)·g <= x < P`` cannot wrap either, and NumPy's
         scalar-divisor ``floor_divide`` is a multiply-shift where
-        ``remainder`` is a hardware divide per element.  So each (user,
-        candidate) pair costs an add, a conditional subtract, a
-        floor-divide, a multiply, a subtract and a compare.  The counts
-        are exact on every NumPy version; only the speed depends on it.
-
-        Reports must be integers in ``0..g-1``: anything else would
-        support no candidate yet still count in ``n``, so it raises.
-        An empty batch gives zero counts.
+        ``remainder`` is a hardware divide per element.  With several
+        epochs the reports are held as ``np.min_scalar_type(g)``, and the
+        bucket is cast to that dtype and compared against every epoch's
+        row in one broadcast ``equal``.  So each (user, candidate) pair
+        costs an add, a conditional subtract, a floor-divide, a multiply,
+        a subtract and a cast, plus one narrow compare per epoch.  The
+        counts are exact on every NumPy version; only the speed depends
+        on it.
         """
-        reports = np.asarray(reports).reshape(-1)
-        indices = _resolve_user_indices(reports.size, user_offset)
-        counts = np.zeros(self.n_categories, dtype=np.int64)
+        n_epochs, n = reports.shape
+        indices = _resolve_user_indices(n, user_offset)
+        counts = np.zeros((n_epochs, self.n_categories), dtype=np.int64)
         if reports.size == 0:
             return counts
         if not np.issubdtype(reports.dtype, np.integer):
             raise ConfigurationError("OLH reports must be integers")
-        if reports.min() < 0 or reports.max() >= self.g:
-            raise ConfigurationError(f"OLH reports must be in 0..{self.g - 1}")
+        if reports.min() < 0 or reports.max() > top:
+            absent = f" ({self.g} for no report)" if top == self.g else ""
+            raise ConfigurationError(f"OLH reports must be in 0..{self.g - 1}{absent}")
+        # One row compares flat and in ``uint32``: there the bucket's
+        # narrowing cast and a (1, n) broadcast cost more than they save.
+        single = n_epochs == 1
+        dtype = np.dtype(np.uint32) if single else np.min_scalar_type(self.g)
+        reports = reports.astype(dtype, copy=False)
         prime, g = np.uint32(_HASH_PRIME), np.uint32(self.g)
-        for start in range(0, reports.size, self._SUPPORT_BLOCK):
-            stop = min(start + self._SUPPORT_BLOCK, reports.size)
+        for start in range(0, n, self._SUPPORT_BLOCK):
+            stop = min(start + self._SUPPORT_BLOCK, n)
             a, b = _user_hash_params(self.hash_seed, indices[start:stop])
             a, x = a.astype(np.uint32), b.astype(np.uint32)
-            y = reports[start:stop].astype(np.uint32)
+            y = np.ascontiguousarray(reports[:, start:stop])
             tmp = np.empty_like(x)
-            hit = np.empty(x.shape, dtype=bool)
+            hit = np.empty(y.shape, dtype=bool)
+            rows = list(hit)
+            if single:
+                y, hit, bucket = y[0], rows[0], tmp
+            else:
+                bucket = np.empty(x.shape, dtype=dtype)
+            tally = []
             for v in range(self.n_categories):
                 if v:
                     np.add(x, a, out=x)
@@ -458,8 +503,11 @@ class OptimizedLocalHashing(_CodeThresholdOracle):
                 np.floor_divide(x, g, out=tmp)
                 np.multiply(tmp, g, out=tmp)
                 np.subtract(x, tmp, out=tmp)
-                np.equal(tmp, y, out=hit)
-                counts[v] += np.count_nonzero(hit)
+                if bucket is not tmp:
+                    bucket[...] = tmp
+                np.equal(y, bucket, out=hit)
+                tally.append([np.count_nonzero(row) for row in rows])
+            counts += np.array(tally, dtype=np.int64).T
         return counts
 
     def estimator_params(self) -> Tuple[float, float]:

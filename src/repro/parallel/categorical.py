@@ -47,7 +47,9 @@ class CategoricalKernel:
     """Shard kernel of a categorical fleet: support counts per epoch.
 
     Output: ``counts``, an ``(n_shards, n_epochs, n_categories)`` matrix;
-    each shard fills its own ``(n_epochs, n_categories)`` rows.
+    each shard fills its own ``(n_epochs, n_categories)`` rows — k-RR
+    and OUE in each epoch's ``step``, OLH in ``close_shard``, which
+    decodes every epoch of the shard in one hash sweep.
     """
 
     oracle: str
@@ -81,7 +83,40 @@ class CategoricalKernel:
         # Global device indices: the per-user public randomness key.
         users = start + idx
         reports = oracle.report(rows, channel=channel, user_offset=users)
+        if self.oracle == "olh":
+            # A user's hash is the same every epoch: close_shard decodes
+            # all of the shard's epochs in one candidate sweep.
+            return epoch, idx, reports
+        # k-RR and OUE decode by a bincount or a column sum, which
+        # nothing shares across epochs.
         out["counts"][epoch] = oracle.support_counts(reports, user_offset=users)
+        return None
+
+    def close_shard(self, oracle, out, start, steps):
+        if self.oracle != "olh" or not steps:
+            return
+        # One column per device that reported in any epoch; the sentinel
+        # g marks the epochs it skipped.
+        reported = np.zeros(max(idx[-1] for _, idx, _ in steps) + 1, dtype=bool)
+        for _, idx, _ in steps:
+            reported[idx] = True
+        users = np.flatnonzero(reported)
+        column = np.cumsum(reported) - 1
+        buckets = np.full(
+            (len(steps), users.size), oracle.g, dtype=np.min_scalar_type(oracle.g)
+        )
+        for row, (_, idx, reports) in zip(buckets, steps):
+            # Checked before the narrowing copy: a report of g, or one
+            # that wraps onto a bucket, must not pass as a valid one.
+            if not np.issubdtype(reports.dtype, np.integer) or (
+                reports.min() < 0 or reports.max() >= oracle.g
+            ):
+                raise ConfigurationError(f"OLH reports must be in 0..{oracle.g - 1}")
+            row[column[idx]] = reports
+        epochs = [epoch for epoch, _, _ in steps]
+        out["counts"][epochs] = oracle.support_counts_epochs(
+            buckets, user_offset=start + users
+        )
 
     def fold(self, server, out, epoch, shard, reports, mask, start, loss):
         # The count fold is additive and consumes the vector immediately

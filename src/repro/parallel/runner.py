@@ -16,6 +16,12 @@ and arena cleanup — and delegates what differs to a small picklable
 ``build(seed_seq, pipeline)`` / ``step(...)``
     Worker side: the shard's arm on its audited stream, and one epoch's
     release written into the shard's output regions.
+``close_shard(arm, out, start, steps)``
+    Worker side, once after the shard's last epoch: whatever the kernel
+    deferred across epochs, with ``steps`` the values ``step`` returned
+    in epoch order (the categorical kernel decodes every OLH epoch of
+    the shard in one hash sweep here; the numeric kernel has nothing
+    to do).
 ``fold(...)`` / ``finish(...)``
     Coordinator side: one (epoch, shard) cell into the server, then the
     run's bulk bookkeeping.
@@ -394,6 +400,9 @@ class NumericKernel:
         out["n_fresh"][idx] += ~hits
         out["n_cached"][idx] += hits
         out["values"][cursor : cursor + idx.size] = outcome.values
+
+    def close_shard(self, mechanism, out, start, steps):
+        pass
 
     def fold(self, server, out, epoch, shard, reports, mask, start, loss):
         # Donated: streaming moments consume the view immediately, retain

@@ -113,7 +113,9 @@ def run_shard(task: ShardTask) -> ShardResult:
     consume no noise stream.  ``cursor`` counts the reports this shard
     has written so far; kernels with a flat per-report output region
     write the epoch's reports at that offset, and the coordinator
-    derives the same offsets from the same masks when it folds.
+    derives the same offsets from the same masks when it folds.  After
+    the last epoch the kernel's ``close_shard`` gets what each ``step``
+    returned, in epoch order, and finishes whatever it deferred.
     """
     truth = task.truth.attach()
     reporting = task.reporting.attach()
@@ -122,11 +124,12 @@ def run_shard(task: ShardTask) -> ShardResult:
     ring = RingBufferSink(capacity=max(truth.shape[0] + 4, 16))
     arm = task.kernel.build(task.seed_seq, ReleasePipeline(sinks=[counter, ring]))
     cursor = 0
+    steps = []
     for epoch in range(truth.shape[0]):
         idx = np.flatnonzero(reporting[epoch])
         if idx.size == 0:
             continue
-        task.kernel.step(
+        steps.append(task.kernel.step(
             arm,
             out,
             epoch,
@@ -135,6 +138,7 @@ def run_shard(task: ShardTask) -> ShardResult:
             truth[epoch, idx],
             cursor,
             _shard_channel(epoch, task.shard_index, task.n_shards),
-        )
+        ))
         cursor += idx.size
+    task.kernel.close_shard(arm, out, task.start, steps)
     return ShardResult(events=ring.events, counter=counter)

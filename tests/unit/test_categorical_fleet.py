@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.aggregation import fleet_device_id
+from repro.aggregation import AggregationServer, fleet_device_id
 from repro.errors import ConfigurationError
-from repro.mechanisms import SensorSpec
-from repro.parallel import run_fleet_categorical, run_fleet_sharded
+from repro.mechanisms import SensorSpec, make_oracle
+from repro.parallel import (
+    CategoricalKernel, plan_shards, run_fleet_categorical, run_fleet_sharded,
+)
+from repro.parallel.runner import draw_reporting
+from repro.rng import SplitStreamSource
+from repro.rng.urng import shard_seed_sequences
 from repro.runtime import CounterSink, JsonlSink, ReleasePipeline
 from repro.runtime.sinks import read_events_jsonl
 
@@ -48,6 +53,97 @@ class TestWorkerCountIdentity:
         c4, _ = r4.server.category_counts(0)
         c2, _ = r2.server.category_counts(0)
         assert not np.array_equal(c4, c2)
+
+
+class TestOlhShardDecode:
+    """OLH decodes every epoch of a shard in one sweep after its last
+    step; each count row must still be that epoch's own decode."""
+
+    N_CATEGORIES, EPSILON, SHARDS, DROPOUT = 6, 2.0, 4, 0.85
+
+    @pytest.fixture(scope="class")
+    def olh_truth(self):
+        return np.random.default_rng(31).integers(0, self.N_CATEGORIES, size=(5, 40))
+
+    def _folded_rows(self, olh_truth, workers, monkeypatch):
+        """Every ``(epoch, counts, n)`` the coordinator folds, in order."""
+        folded = []
+        submit = AggregationServer.submit_counts
+
+        def record(server, epoch, counts, n, loss, donate=False):
+            folded.append((epoch, np.array(counts), n))
+            return submit(server, epoch, counts, n, loss, donate=donate)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(AggregationServer, "submit_counts", record)
+            run_fleet_categorical(
+                olh_truth, self.N_CATEGORIES, self.EPSILON, oracle="olh",
+                dropout=self.DROPOUT, rng=np.random.default_rng(8),
+                source_seed=41, shards=self.SHARDS, workers=workers,
+                pipeline=ReleasePipeline(sinks=[]),
+            )
+        return folded
+
+    def _per_epoch_rows(self, olh_truth):
+        """The same reports, decoded one epoch at a time."""
+        reporting = draw_reporting(olh_truth, self.DROPOUT, np.random.default_rng(8))
+        plan = plan_shards(olh_truth.shape[1], self.SHARDS)
+        seqs = shard_seed_sequences(41, plan.n_shards)
+        cells = {}
+        for s, (start, stop) in enumerate(plan.slices):
+            oracle = make_oracle(
+                "olh", self.N_CATEGORIES, self.EPSILON, source=SplitStreamSource(seqs[s])
+            )
+            for epoch in range(olh_truth.shape[0]):
+                users = start + np.flatnonzero(reporting[epoch, start:stop])
+                if users.size:
+                    reports = oracle.report(olh_truth[epoch, users], user_offset=users)
+                    cells[epoch, s] = (
+                        oracle.support_counts(reports, user_offset=users),
+                        users.size,
+                    )
+        return [
+            (epoch, counts, n)
+            for (epoch, _), (counts, n) in sorted(cells.items())
+        ]
+
+    def test_rows_equal_per_epoch_decode(self, olh_truth, monkeypatch):
+        expected = self._per_epoch_rows(olh_truth)
+        # The masks leave some shard-epochs empty: those are skipped, and
+        # the sweep must not shift the rows of the others.
+        assert len(expected) < olh_truth.shape[0] * self.SHARDS
+        folded = self._folded_rows(olh_truth, 1, monkeypatch)
+        assert len(folded) == len(expected)
+        for (epoch, counts, n), (e_epoch, e_counts, e_n) in zip(folded, expected):
+            assert (epoch, n) == (e_epoch, e_n)
+            np.testing.assert_array_equal(counts, e_counts)
+
+    def test_two_workers_equal_one(self, olh_truth, monkeypatch):
+        one = self._folded_rows(olh_truth, 1, monkeypatch)
+        two = self._folded_rows(olh_truth, 2, monkeypatch)
+        assert len(one) == len(two)
+        for (epoch, counts, n), (epoch2, counts2, n2) in zip(one, two):
+            assert (epoch, n) == (epoch2, n2)
+            np.testing.assert_array_equal(counts, counts2)
+
+    @pytest.mark.parametrize("bad_epoch", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [-1, 8, 11, 256 + 3])
+    def test_out_of_range_report_raises_before_any_count(self, bad_epoch, bad):
+        kernel = CategoricalKernel("olh", 16, 2.0, {})
+        oracle = kernel.reference()
+        assert oracle.g == 8  # 256 + 3 would wrap onto bucket 3 in uint8
+        marker = np.full((3, 16), -7, dtype=np.int64)
+        out = {"counts": marker.copy()}
+        steps = []
+        for epoch in range(3):
+            idx = np.arange(epoch, 10, dtype=np.int64)
+            reports = np.arange(idx.size, dtype=np.int64) % oracle.g
+            if epoch == bad_epoch:
+                reports[-1] = bad
+            steps.append((epoch, idx, reports))
+        with pytest.raises(ConfigurationError, match="OLH reports"):
+            kernel.close_shard(oracle, out, 100, steps)
+        np.testing.assert_array_equal(out["counts"], marker)
 
 
 class TestAccuracyAndEstimates:

@@ -244,6 +244,38 @@ class TestInterface:
         with pytest.raises(ConfigurationError, match="OLH reports"):
             o.support_counts(bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.int64(-1),
+            np.int64(9),  # g == 8 marks no report; 9 is out of range
+            np.uint64((1 << 32) + 3),  # aliases 3 in uint32
+            np.float64(2.0),
+        ],
+    )
+    def test_olh_epoch_decode_rejects_bad_reports(self, bad):
+        o = OptimizedLocalHashing(16, 2.0, source=SplitStreamSource(0))
+        reports = np.full((3, 4), o.g, dtype=bad.dtype)
+        reports[0, 0] = 1
+        reports[2, 3] = bad
+        with pytest.raises(ConfigurationError, match="OLH reports"):
+            o.support_counts_epochs(reports)
+
+    def test_olh_epoch_decode_sentinel_is_no_report(self):
+        o = OptimizedLocalHashing(16, 2.0, source=SplitStreamSource(0))
+        reports = np.array([[3, o.g, 5], [o.g, o.g, o.g]])
+        counts = o.support_counts_epochs(reports, user_offset=10)
+        assert counts.shape == (2, 16) and counts.dtype == np.int64
+        np.testing.assert_array_equal(
+            counts[0], o.support_counts([3, 5], user_offset=np.array([10, 12]))
+        )
+        np.testing.assert_array_equal(counts[1], np.zeros(16, dtype=np.int64))
+        # Only the multi-epoch call reads g as "no report".
+        with pytest.raises(ConfigurationError, match="OLH reports"):
+            o.support_counts(np.array([3, o.g]))
+        with pytest.raises(ConfigurationError, match="matrix"):
+            o.support_counts_epochs(np.array([3, 5]))
+
     def test_olh_support_counts_empty_is_zeros(self):
         o = OptimizedLocalHashing(16, 2.0, source=SplitStreamSource(0))
         for empty in (np.array([], dtype=np.int64), np.array([])):
