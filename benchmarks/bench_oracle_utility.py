@@ -30,7 +30,9 @@ and asserts the two give the same counts.
 
 Machine-readable results land in ``BENCH_oracles.json`` at the repo
 root.  Standalone script (not pytest-benchmark): CI runs ``--quick`` as
-the oracle-smoke job and uploads the JSON as an artifact.
+the oracle-smoke job and uploads the JSON as an artifact.  A ``--quick``
+run writes ``BENCH_oracles.quick.json`` (git-ignored) instead, so it
+never overwrites the committed full run.
 """
 
 import argparse
@@ -50,6 +52,7 @@ from repro.rng import SplitStreamSource, audited_generator
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 RESULTS_JSON = REPO_ROOT / "BENCH_oracles.json"
+QUICK_RESULTS_JSON = REPO_ROOT / "BENCH_oracles.quick.json"
 
 SEED = 20260808
 ARMS = ("krr", "oue", "olh")
@@ -216,7 +219,7 @@ def _render(rows):
         )
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--categories", type=int, default=32)
     parser.add_argument("--devices", type=int, default=20_000)
@@ -230,7 +233,12 @@ def main(argv=None) -> int:
         help="CI smoke mode: small domain/population, fewer trials",
     )
     args = parser.parse_args(argv)
+    args.output = QUICK_RESULTS_JSON if args.quick else RESULTS_JSON
+    return args
 
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     if args.quick:
         d, n, trials, epsilons = 8, 4_000, 10, [1.0, 2.0]
     else:
@@ -297,8 +305,8 @@ def main(argv=None) -> int:
         "olh_decode_epochs": epochs,
         "failures": failures,
     }
-    RESULTS_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {RESULTS_JSON}")
+    args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {args.output}")
 
     if failures:
         for f in failures:

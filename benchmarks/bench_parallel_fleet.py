@@ -15,9 +15,14 @@ must also hold the same disclosure ledger: the same tracked-device count
 and the same bound for every device, whether it was charged per report
 id, per ``Report`` object or as one dense array add.
 
-The ≥2× speedup floor is only asserted on machines with ≥4 cores (and
-not in ``--quick`` mode); smaller hosts still record the sweep so the
-trajectory is visible in ``BENCH_parallel.json`` (schema 3).
+Each fleet size is timed ``REPEATS`` times (``QUICK_REPEATS`` with
+``--quick``), a single-process run then a pool run per repeat, and the
+row records the median and quartiles of both times and of the per-repeat
+speedup, next to a host block (cores, affinity, Python, NumPy).  The
+≥2× floor is checked against the headline row's median speedup, and
+only on machines with ≥4 cores (and not in ``--quick`` mode); smaller
+hosts still record the sweep so the trajectory is visible in
+``BENCH_parallel.json`` (schema 4).
 
 Standalone script (not pytest-benchmark): CI runs ``--quick`` with two
 workers as a smoke test, developers run it bare for the full sweep.  A
@@ -30,6 +35,8 @@ import argparse
 import json
 import os
 import pathlib
+import platform
+import statistics
 import sys
 import time
 
@@ -51,9 +58,28 @@ MIN_SPEEDUP = 2.0
 #: The floor only binds on machines with enough cores to show it.
 MIN_CORES_FOR_FLOOR = 4
 
-#: Fleet sizes swept (full mode) — the 50k row is the headline number.
+#: Fleet sizes swept (full mode) — the largest row is the headline.
 SWEEP_SIZES = (5_000, 50_000, 500_000)
 QUICK_SIZES = (500, 2_000)
+#: Timed repeats per row: full mode, ``--quick``.
+REPEATS = 5
+QUICK_REPEATS = 3
+
+
+def _host():
+    """Cores, affinity, interpreter and NumPy version of this host."""
+    return {
+        "cores": os.cpu_count(),
+        "affinity": sorted(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def _summary(values):
+    """Median and quartiles, as ``statistics.quantiles(values, n=4)``."""
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
 def _ledger(server, n_devices: int):
@@ -141,17 +167,21 @@ def _run(truth, workers, shards):
     return time.perf_counter() - t0, result
 
 
-def _sweep_row(devices, epochs, workers, shards):
-    """Single-process and pool timings for one fleet size."""
+def _sweep_row(devices, epochs, workers, shards, repeats):
+    """Single-process and pool timings for one fleet size: ``repeats``
+    alternating pairs, summarized by median and quartiles."""
     truth = audited_generator(SEED).uniform(5.0, 45.0, size=(epochs, devices))
-    t_single, _ = _run(truth, 1, shards)
-    t_parallel, _ = _run(truth, workers, shards)
+    single, parallel = [], []
+    for _ in range(repeats):
+        single.append(_run(truth, 1, shards)[0])
+        parallel.append(_run(truth, workers, shards)[0])
     return {
         "devices": devices,
         "epochs": epochs,
-        "t_single_s": round(t_single, 4),
-        "t_parallel_s": round(t_parallel, 4),
-        "speedup": round(t_single / t_parallel, 3),
+        "repeats": repeats,
+        "t_single_s": _summary(single),
+        "t_parallel_s": _summary(parallel),
+        "speedup": _summary([a / b for a, b in zip(single, parallel)]),
     }
 
 
@@ -167,7 +197,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     )
     parser.add_argument(
         "--output", type=pathlib.Path, default=None,
-        help="where to write the schema-3 JSON results (default: "
+        help="where to write the schema-4 JSON results (default: "
         "BENCH_parallel.json, or BENCH_parallel.quick.json with --quick)",
     )
     parser.add_argument(
@@ -183,15 +213,18 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    cores = os.cpu_count() or 1
+    host = _host()
+    cores = host["cores"] or 1
     if args.quick:
         sizes = tuple(args.sizes) if args.sizes else QUICK_SIZES
         epochs = min(args.epochs, 4)
         workers = 2 if args.workers is None else args.workers
+        repeats = QUICK_REPEATS
     else:
         sizes = tuple(args.sizes) if args.sizes else SWEEP_SIZES
         epochs = args.epochs
         workers = min(4, cores) if args.workers is None else args.workers
+        repeats = REPEATS
     assert_floor = (
         not args.quick
         and cores >= MIN_CORES_FOR_FLOOR
@@ -201,7 +234,7 @@ def main(argv=None) -> int:
     plan = plan_execution(max(sizes), epochs, shards=args.shards)
 
     print(f"cores={cores} workers={workers} shards={shards} "
-          f"sizes={list(sizes)} epochs={epochs}")
+          f"sizes={list(sizes)} epochs={epochs} repeats={repeats}")
     print(f"planner would choose: {plan.describe()} ({plan.reason})")
 
     bit_identical = _identity_check(workers)
@@ -215,24 +248,31 @@ def main(argv=None) -> int:
 
     sweep = []
     for devices in sizes:
-        row = _sweep_row(devices, epochs, workers, args.shards)
+        row = _sweep_row(devices, epochs, workers, args.shards, repeats)
         sweep.append(row)
+        single, parallel, speedup = (
+            row[k] for k in ("t_single_s", "t_parallel_s", "speedup")
+        )
         print(
-            f"devices={devices:>7d}  single={row['t_single_s']:.3f}s  "
-            f"parallel={row['t_parallel_s']:.3f}s  speedup={row['speedup']}x"
+            f"devices={devices:>7d}  single={single['median']:.3f}s "
+            f"[{single['q1']:.3f}, {single['q3']:.3f}]  "
+            f"parallel={parallel['median']:.3f}s "
+            f"[{parallel['q1']:.3f}, {parallel['q3']:.3f}]  "
+            f"speedup={speedup['median']}x [{speedup['q1']}, {speedup['q3']}]"
         )
 
-    headline = sweep[-1]
+    headline = sweep[-1]["speedup"]["median"]
     payload = {
-        "schema": 3,
-        "cores": cores,
+        "schema": 4,
+        "host": host,
+        "repeats": repeats,
         "workers": workers,
         "shards": shards,
         "arm": "thresholding",
         "datapath": "cordic-live",
         "planner": plan.describe(),
         "sweep": sweep,
-        "speedup": headline["speedup"],
+        "speedup": headline,
         "speedup_floor": MIN_SPEEDUP,
         "floor_asserted": assert_floor,
         "bit_identical": bit_identical,
@@ -244,8 +284,8 @@ def main(argv=None) -> int:
     if not bit_identical:
         print("FAIL: sharded run is not bit-identical across worker counts")
         return 1
-    if assert_floor and headline["speedup"] < MIN_SPEEDUP:
-        print(f"FAIL: speedup {headline['speedup']:.2f}x below the "
+    if assert_floor and headline < MIN_SPEEDUP:
+        print(f"FAIL: median speedup {headline:.2f}x below the "
               f"{MIN_SPEEDUP}x floor on a {cores}-core machine")
         return 1
     if not assert_floor:

@@ -30,6 +30,13 @@ and arena cleanup — and delegates what differs to a small picklable
 :class:`~repro.parallel.categorical.CategoricalKernel` (behind
 :func:`~repro.parallel.categorical.run_fleet_categorical`) are the two.
 
+The numeric kernel's guarded arm is calibrated once per call, on the
+reference arm, and every shard's ``build`` gets that threshold
+(``threshold=``).  Its ``step`` also writes the epoch's sum of true
+values into the shard's row of a small ``(n_shards, n_epochs)`` region,
+which ``finish`` turns into the true means; and its per-device budget
+and cache columns exist only with a device budget.
+
 The contract:
 
 * **Determinism across worker counts.**  The shard plan and the
@@ -308,7 +315,8 @@ def run_sharded(
     return ShardedRun(plan, reference, reporting, counters, collected)
 
 
-#: Per-device state a numeric shard writes back: (dtype, initial value).
+#: Per-device state a budgeted numeric shard writes back: (dtype,
+#: initial value).  An unbudgeted run keeps none of it (see ``finish``).
 _DEVICE_STATE = {
     "n_fresh": (np.int64, 0),
     "n_cached": (np.int64, 0),
@@ -320,9 +328,25 @@ _DEVICE_STATE = {
 class NumericKernel:
     """Shard kernel of a numeric fleet: one scalar release per report.
 
-    Outputs: ``values``, the flat privatized-value region (epochs in
-    order within each shard, shards in order), and the per-device budget
-    and cache columns the fleet's ``Device`` objects are rebuilt from.
+    Outputs:
+
+    ``values``
+        The flat privatized-value region (epochs in order within each
+        shard, shards in order).
+    ``sums``
+        ``(n_shards, n_epochs)`` float64: each shard's sum of its
+        reporting devices' true values per epoch, from which ``finish``
+        derives the fleet's true means without gathering the truth
+        matrix again.
+    ``remaining``, ``n_fresh``, ``n_cached``, ``cached_codes``
+        Per-device budget and cache columns, allocated only with a
+        ``device_budget``.  Without one, every release is uncharged, so
+        no report is a cache replay and ``finish`` derives the same
+        state from the reporting masks.
+
+    ``threshold`` pins the guarded arms' threshold: the coordinator
+    calibrates it once on its reference arm and every shard's arm is
+    built on that value instead of recalibrating.
     """
 
     arm: str
@@ -331,6 +355,7 @@ class NumericKernel:
     device_budget: Optional[float]
     kwargs: Dict[str, object]
     with_devices: bool = True
+    threshold: Optional[float] = None
     forbidden = ("source", "rng", "pipeline")
 
     @property
@@ -342,6 +367,8 @@ class NumericKernel:
         kwargs = dict(self.kwargs)
         if self.arm != "ideal":
             kwargs.setdefault("input_bits", 14)
+        if self.threshold is not None:
+            kwargs["threshold"] = self.threshold
         kwargs.update(extra)
         return make_mechanism(self.arm, self.sensor, self.epsilon, **kwargs)
 
@@ -349,27 +376,31 @@ class NumericKernel:
         return self._make()
 
     def allocate(self, arena: ShmArena, plan: ShardPlan, counts: np.ndarray):
-        columns = dict(_DEVICE_STATE)
+        columns = {}
         if self.device_budget is not None:
+            columns = dict(_DEVICE_STATE)
             columns["remaining"] = (np.float64, float(self.device_budget))
         totals = counts.sum(axis=1)
-        refs = {"values": arena.allocate((max(int(totals.sum()), 1),), np.float64)}
+        n_epochs = counts.shape[1]
+        refs = {
+            "values": arena.allocate((max(int(totals.sum()), 1),), np.float64),
+            "sums": arena.allocate((plan.n_shards, n_epochs), np.float64),
+        }
         for name, (dtype, initial) in columns.items():
             refs[name] = arena.allocate((plan.n_devices,), dtype)
             if initial:  # fresh blocks are already zero pages
                 arena.view(refs[name])[...] = initial
         bases = np.cumsum(totals) - totals
-        shard_refs = [
-            {
-                name: (
-                    ref.sub(int(bases[s]), (int(totals[s]),))
-                    if name == "values"
-                    else ref.sub(start, (stop - start,))
-                )
-                for name, ref in refs.items()
+        shard_refs = []
+        for s, (start, stop) in enumerate(plan.slices):
+            shard = {
+                "values": refs["values"].sub(int(bases[s]), (int(totals[s]),)),
+                "sums": refs["sums"].sub(s * n_epochs, (n_epochs,)),
             }
-            for s, (start, stop) in enumerate(plan.slices)
-        ]
+            shard.update(
+                (name, refs[name].sub(start, (stop - start,))) for name in columns
+            )
+            shard_refs.append(shard)
         return refs, shard_refs
 
     def build(self, seed_seq, pipeline):
@@ -382,23 +413,23 @@ class NumericKernel:
         return mechanism
 
     def step(self, mechanism, out, epoch, idx, start, rows, cursor, channel):
-        remaining = out.get("remaining")
-        accounting = (
-            ArrayCharge(
-                remaining, out["cached_codes"], mechanism.claimed_loss_bound, index=idx
+        out["sums"][epoch] = rows.sum()
+        if self.device_budget is None:
+            outcome = mechanism.release(rows, channel=channel)
+        else:
+            accounting = ArrayCharge(
+                out["remaining"], out["cached_codes"], mechanism.claimed_loss_bound,
+                index=idx,
             )
-            if remaining is not None
-            else None
-        )
-        try:
-            outcome = mechanism.release(rows, accounting=accounting, channel=channel)
-        except BudgetExhaustedError as exc:
-            # Typed, picklable: crosses the pool boundary as the same
-            # error the scalar reference loop raises.
-            raise ConfigurationError(str(exc)) from exc
-        hits = outcome.cache_hits
-        out["n_fresh"][idx] += ~hits
-        out["n_cached"][idx] += hits
+            try:
+                outcome = mechanism.release(rows, accounting=accounting, channel=channel)
+            except BudgetExhaustedError as exc:
+                # Typed, picklable: crosses the pool boundary as the same
+                # error the scalar reference loop raises.
+                raise ConfigurationError(str(exc)) from exc
+            hits = outcome.cache_hits
+            out["n_fresh"][idx] += ~hits
+            out["n_cached"][idx] += hits
         out["values"][cursor : cursor + idx.size] = outcome.values
 
     def close_shard(self, mechanism, out, start, steps):
@@ -421,14 +452,32 @@ class NumericKernel:
             )
 
     def finish(self, server, out, reporting, loss):
+        """``(true_means, device state or None)``.
+
+        The true means sum the shards' partial sums in shard order, so
+        they are the same for any worker count; on a multi-shard plan
+        the float order differs from one mean over the epoch's reports
+        in the last bits.
+        """
+        # Shards are rows, summed top to bottom.  (A per-row
+        # count_nonzero is ~8x faster than a sum along axis 1.)
+        n_reports = np.array([np.count_nonzero(mask) for mask in reporting])
+        true_means = (out["sums"].sum(axis=0) / n_reports).tolist()
+        report_counts = reporting.sum(axis=0)
         if server.streaming:
             # The composition bound, recorded in bulk: every report claims
             # the same per-release loss, and the report count per device is
             # fixed by the coordinator-drawn masks.
-            server.record_report_counts(reporting.sum(axis=0), loss)
+            server.record_report_counts(report_counts, loss)
         if not self.with_devices:
-            return None
-        return {name: out[name].copy() for name in out if name != "values"}
+            return true_means, None
+        if self.device_budget is None:
+            # Uncharged releases are never cache replays: every report is
+            # fresh, none is cached and no code is kept.
+            return true_means, {"n_fresh": report_counts}
+        return true_means, {
+            name: out[name].copy() for name in (*_DEVICE_STATE, "remaining")
+        }
 
 
 def run_fleet_sharded(
@@ -475,6 +524,11 @@ def run_fleet_sharded(
         kwargs=dict(mechanism_kwargs),
         with_devices=with_devices,
     )
+    # The call's one threshold calibration: every shard's arm is built on
+    # the reference arm's value (arms without a threshold leave it None).
+    kernel = dataclasses.replace(
+        kernel, threshold=getattr(kernel.reference(), "threshold", None)
+    )
     server = AggregationServer(
         noise_scale=kernel.noise_scale,
         streaming=streaming,
@@ -485,29 +539,26 @@ def run_fleet_sharded(
         source_seed=source_seed, pipeline=pipeline, workers=workers,
         shards=shards, execution_plan=execution_plan,
     )
+    true_means, state = run.collected
 
     devices: List[Device] = []
     if with_devices:
-        state = run.collected
         for i in range(run.plan.n_devices):
             dev = Device(fleet_device_id(i), run.reference, budget=device_budget)
             dev.n_fresh = int(state["n_fresh"][i])
-            dev.n_cached = int(state["n_cached"][i])
-            if "remaining" in state and dev._accountant is not None:
+            if device_budget is not None:
+                dev.n_cached = int(state["n_cached"][i])
                 dev._accountant._spent = float(device_budget) - float(
                     state["remaining"][i]
                 )
-            if not np.isnan(state["cached_codes"][i]):
-                dev._cache.code = float(state["cached_codes"][i])
+                if not np.isnan(state["cached_codes"][i]):
+                    dev._cache.code = float(state["cached_codes"][i])
             devices.append(dev)
 
     return FleetResult(
         server=server,
         devices=devices,
-        true_means=[
-            float(true_values[epoch, mask].mean())
-            for epoch, mask in enumerate(run.reporting)
-        ],
+        true_means=true_means,
         estimated_means=[server.summarize(e).mean for e in server.epochs],
         counters=run.counters,
         shard_plan=run.plan,

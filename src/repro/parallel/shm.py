@@ -196,7 +196,9 @@ class ShmArena:
         single segment: one block for every shard's truth slice, one for
         every reporting slice, instead of blocks × shards.
         """
-        arrays = [np.ascontiguousarray(a) for a in arrays]
+        # Each (possibly strided) array is copied once, straight into its
+        # place in the block: no contiguous temporary.
+        arrays = [np.asarray(a) for a in arrays]
         offsets: List[int] = []
         total = 0
         for a in arrays:

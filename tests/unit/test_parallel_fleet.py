@@ -9,6 +9,10 @@ default — is bit-identical to the scalar reference loop
 exercise the inline path, a smaller-than-shards pool, and a full pool.
 """
 
+import math
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -16,7 +20,8 @@ from repro.aggregation import fleet_device_id
 from repro.aggregation.fleet import run_fleet
 from repro.errors import ConfigurationError
 from repro.mechanisms import SensorSpec
-from repro.parallel import DEFAULT_SHARDS, plan_shards, run_fleet_sharded
+from repro.parallel import DEFAULT_SHARDS, NumericKernel, plan_shards, run_fleet_sharded
+from repro.parallel.runner import draw_reporting
 from repro.rng import CordicLn
 from repro.runtime import CounterSink, ReleasePipeline, RingBufferSink
 
@@ -62,6 +67,7 @@ def assert_same_device_state(a, b):
         assert dev_a.remaining_budget == pytest.approx(
             dev_b.remaining_budget, abs=1e-12
         )
+        assert dev_a._cache.code == dev_b._cache.code
 
 
 class TestShardPlan:
@@ -119,7 +125,9 @@ class TestWorkerCountBitIdentity:
         # A pool smaller than the shard count: workers pick up several
         # shards' device-state regions each.
         kwargs = dict(device_budget=2.5, dropout=0.2)
-        assert_same_device_state(run_sharded(1, **kwargs), run_sharded(2, **kwargs))
+        one = run_sharded(1, **kwargs)
+        assert any(dev.n_cached for dev in one.devices)
+        assert_same_device_state(one, run_sharded(2, **kwargs))
 
     def test_resampling_runs_sharded(self):
         # Resampling's redraw interleaving is batch-shaped; sharded runs
@@ -248,3 +256,114 @@ class TestStreamingRuns:
             st.server.snapshot()["n_devices_tracked"]
             == rt.server.snapshot()["n_devices_tracked"]
         )
+
+
+def fsum_means(t, reporting):
+    return [
+        math.fsum(t[epoch, mask]) / int(mask.sum())
+        for epoch, mask in enumerate(reporting)
+    ]
+
+
+class TestTrueMeans:
+    """True means come from the shards' partial sums, summed in shard
+    order: the same for any worker count, within rounding of one mean
+    over each epoch's reports."""
+
+    KWARGS = dict(dropout=0.25, streaming=True, with_devices=False)
+
+    def test_bit_identical_across_workers(self):
+        t = truth(n_epochs=4, n_devices=96)
+        means = [
+            run_sharded(w, t=t, shards=8, **self.KWARGS).true_means for w in (1, 2, 4)
+        ]
+        assert means[0] == means[1] == means[2]
+
+    def test_close_to_fsum_and_scalar_loop(self):
+        t = truth(n_epochs=4, n_devices=96)
+        sharded = run_sharded(2, t=t, shards=8, **self.KWARGS)
+        reporting = draw_reporting(t, 0.25, np.random.default_rng(9))
+        assert sharded.true_means == pytest.approx(fsum_means(t, reporting), rel=1e-12)
+        scalar = run_fleet(
+            t, SENSOR, EPS, rng=np.random.default_rng(9), dropout=0.25,
+            source_seed=SEED, batched=False,
+        )
+        assert sharded.true_means == pytest.approx(scalar.true_means, rel=1e-12)
+
+    def test_one_shard_matches_scalar_loop_exactly(self):
+        t = truth()
+        scalar = run_fleet(
+            t, SENSOR, EPS, rng=np.random.default_rng(9), dropout=0.25,
+            source_seed=SEED, batched=False,
+        )
+        bridge = run_sharded(1, t=t, shards=1, dropout=0.25)
+        assert bridge.true_means == scalar.true_means
+
+
+class TestDeviceColumns:
+    def test_unbudgeted_run_keeps_no_device_columns(self, monkeypatch):
+        allocated = []
+        allocate = NumericKernel.allocate
+
+        def recording(kernel, arena, plan, counts):
+            refs, shard_refs = allocate(kernel, arena, plan, counts)
+            allocated.append(sorted(refs))
+            return refs, shard_refs
+
+        monkeypatch.setattr(NumericKernel, "allocate", recording)
+        t = truth()
+        sharded = run_sharded(2, t=t, dropout=0.25)
+        assert allocated == [["sums", "values"]]
+        scalar = run_fleet(
+            t, SENSOR, EPS, rng=np.random.default_rng(9), dropout=0.25,
+            source_seed=SEED, batched=False,
+        )
+        assert len(sharded.devices) == len(scalar.devices) == t.shape[1]
+        for dev_a, dev_b in zip(sharded.devices, scalar.devices):
+            assert dev_a.n_fresh == dev_b.n_fresh > 0
+            assert dev_a.n_cached == dev_b.n_cached == 0
+            assert dev_a._cache.code is dev_b._cache.code is None
+            assert dev_a.remaining_budget is dev_b.remaining_budget is None
+
+
+class TestCalibrateOnce:
+    """A fleet call calibrates its guarded arm's exact threshold once, on
+    the coordinator's reference arm; every shard's arm is built on it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.mechanisms import resampling, thresholding
+
+        parent, seen = os.getpid(), []
+        for module in (resampling, thresholding):
+            calibrate = module.calibrate_threshold_exact
+
+            def counting(*args, _calibrate=calibrate, **kwargs):
+                # A forked pool worker inherits this patch; its count
+                # would be invisible here, so it fails the call instead.
+                assert os.getpid() == parent, "a shard recalibrated"
+                seen.append(kwargs["mode"])
+                return _calibrate(*args, **kwargs)
+
+            monkeypatch.setattr(module, "calibrate_threshold_exact", counting)
+        return seen
+
+    @pytest.mark.parametrize("arm", ["resampling", "thresholding"])
+    @pytest.mark.parametrize("workers,shards", [(1, 1), (1, 4), (2, 4), (4, 8)])
+    def test_one_calibration_per_call(self, calls, monkeypatch, arm, workers, shards):
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patch reaches pool workers only when they fork")
+        reference = NumericKernel(arm, SENSOR, EPS, None, {}).reference()
+        del calls[:]
+        build = NumericKernel.build
+
+        def checked(kernel, seed_seq, pipeline):
+            mechanism = build(kernel, seed_seq, pipeline)
+            assert mechanism.threshold == reference.threshold
+            assert mechanism.window == reference.window
+            return mechanism
+
+        monkeypatch.setattr(NumericKernel, "build", checked)
+        result = run_sharded(workers, arm=arm, shards=shards)
+        assert len(calls) == 1
+        assert result.devices[0]._mechanism.window == reference.window

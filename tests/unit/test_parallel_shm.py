@@ -12,6 +12,7 @@ arena's own mapping instead of mapping the block a second time.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,27 @@ class TestArenaBasics:
             assert len(arena.block_names) == 1
             for ref, original in zip(refs, arrays):
                 np.testing.assert_array_equal(arena.view(ref), original)
+
+    def test_pack_copies_strided_slices_without_a_temporary(self):
+        # The coordinator packs column slices of an (epochs, devices)
+        # matrix: each must land bit-exact, copied once into the block.
+        # NumPy reports its buffers to tracemalloc and the block is not
+        # a tracked allocation, so a contiguous temporary of any slice
+        # would show in the peak.
+        matrix = np.random.default_rng(1).standard_normal((16, 40_000))
+        slices = [matrix[:, start : start + 10_000] for start in range(0, 40_000, 10_000)]
+        assert not slices[0].flags.c_contiguous
+        with ShmArena() as arena:
+            tracemalloc.start()
+            try:
+                refs = arena.pack(slices)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < slices[0].nbytes
+            for ref, original in zip(refs, slices):
+                assert arena.view(ref).flags.c_contiguous
+                assert arena.view(ref).tobytes() == np.ascontiguousarray(original).tobytes()
 
     def test_sub_ref_addresses_a_slice(self):
         with ShmArena() as arena:
