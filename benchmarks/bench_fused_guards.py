@@ -17,11 +17,12 @@ what makes this a microbench of the *passes* rather than of numpy's
 bit generator.  The end-to-end resampling release (generation included)
 is reported alongside for context, with no floor — at small ``Bu`` the
 bit generator is a constant ~40% of the release and dilutes any pass
-fusion.  Results land in ``BENCH_kernels.json`` under ``fused_guards``.
+fusion.  Both arms are timed by the method in ``_kernel_results.py``
+(alternating repeats, median and quartiles, host block) and the floor
+is checked against the median speedup.  Results land in
+``BENCH_kernels.json`` under ``fused_guards``.
 """
 
-import json
-import pathlib
 import time
 
 import numpy as np
@@ -30,39 +31,15 @@ from repro.mechanisms import ResamplingMechanism, SensorSpec
 from repro.rng import CordicLn
 from repro.runtime import ReleasePipeline
 
+from _kernel_results import REPEATS, merge_results, speedup_row, time_pairs
+from bench_parallel_fleet import _summary
 from conftest import record_experiment
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-RESULTS_JSON = REPO_ROOT / "BENCH_kernels.json"
 
 SENSOR = SensorSpec(0.0, 10.0)
 EPSILON = 0.5
 INPUT_BITS = 14
 N_SAMPLES = 1_000_000
-REPS = 9
 MIN_SPEEDUP = 1.3
-
-
-def _write_results(payload: dict) -> None:
-    data = {"schema": 1}
-    if RESULTS_JSON.exists():
-        try:
-            data = json.loads(RESULTS_JSON.read_text())
-        except json.JSONDecodeError:
-            pass
-    data["schema"] = 1
-    data["fused_guards"] = payload
-    RESULTS_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def _best(fn, reps=REPS):
-    best = float("inf")
-    out = None
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, out
 
 
 def bench_fused_guard_passes(benchmark):
@@ -107,34 +84,37 @@ def bench_fused_guard_passes(benchmark):
         return mask, k_y
 
     def run():
-        unfused_round()  # warm (gather table, numpy dispatch)
-        fused_round()  # warm (builds the signed table once)
-        t_unfused, ref = _best(unfused_round)
-        t_fused, out = _best(fused_round)
-        return t_unfused, t_fused, ref, out
+        ref = unfused_round()  # warm (gather table, numpy dispatch)
+        out = fused_round()  # warm (builds the signed table once)
+        return ref, out, time_pairs(fused_round, unfused_round)
 
-    t_unfused, t_fused, ref, out = benchmark.pedantic(run, rounds=1, iterations=1)
+    ref, out, (t_fused, t_unfused) = benchmark.pedantic(run, rounds=1, iterations=1)
     for got, want in zip(out, ref):
         np.testing.assert_array_equal(got, want)
-    speedup = t_unfused / t_fused
+    row = speedup_row(t_fused, t_unfused, "fused", "unfused", scale=1e3, unit="ms")
+    speedup = row["speedup"]["median"]
 
     # Context: the full resampling release, PCG generation included.
     truth = np.random.default_rng(11).uniform(1.0, 9.0, N_SAMPLES)
     mech.release(truth[:1000])  # warm
-    t_release, _ = _best(lambda: mech.release(truth), reps=3)
+    release_ms = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        mech.release(truth)
+        release_ms.append((time.perf_counter() - t0) * 1e3)
+    t_release = _summary(release_ms)
 
-    _write_results(
-        {
-            "backend": "cordic",
-            "input_bits": INPUT_BITS,
-            "samples": N_SAMPLES,
-            "window": [int(lo), int(hi)],
-            "unfused_ms": round(t_unfused * 1e3, 3),
-            "fused_ms": round(t_fused * 1e3, 3),
-            "speedup": round(speedup, 2),
-            "min_speedup": MIN_SPEEDUP,
-            "release_end_to_end_ms": round(t_release * 1e3, 3),
-        }
+    merge_results(
+        "fused_guards",
+        dict(
+            row,
+            backend="cordic",
+            input_bits=INPUT_BITS,
+            samples=N_SAMPLES,
+            window=[int(lo), int(hi)],
+            min_speedup=MIN_SPEEDUP,
+            release_end_to_end_ms=t_release,
+        ),
     )
     record_experiment(
         "fused_guard_passes",
@@ -142,12 +122,14 @@ def bench_fused_guard_passes(benchmark):
             [
                 f"resampling-round passes, {N_SAMPLES} samples, Bu={INPUT_BITS}, "
                 f"CORDIC log, window [{lo}, {hi}]",
-                f"unfused chain : {t_unfused * 1e3:7.2f} ms "
+                f"unfused chain : {row['unfused_ms']['median']:7.2f} ms "
                 "(gather, 2b, 1-, sign*k, +codes, 2-pass mask, clip)",
-                f"fused passes  : {t_fused * 1e3:7.2f} ms "
+                f"fused passes  : {row['fused_ms']['median']:7.2f} ms "
                 "(signed gather+add, 1-pass mask, in-place clip)",
-                f"speedup       : {speedup:.2f}x (floor {MIN_SPEEDUP:.1f}x)",
-                f"end-to-end    : {t_release * 1e3:7.2f} ms/release "
+                f"speedup       : {speedup:.2f}x "
+                f"[{row['speedup']['q1']:.2f}, {row['speedup']['q3']:.2f}] "
+                f"(median of {row['repeats']}; floor {MIN_SPEEDUP:.1f}x)",
+                f"end-to-end    : {t_release['median']:7.2f} ms/release "
                 "(PCG64 generation included; no floor)",
             ]
         ),

@@ -3,16 +3,14 @@
 Seeds the perf trajectory for the sampling kernel (docs/performance.md):
 times the resampling arm at 1M draws under the hardware (CORDIC) log
 datapath with the codebook kernel against the live per-draw datapath,
-asserts the ≥3× floor, and times raw ``sample_codes`` for both log
-back-ends plus the batched-vs-scalar fleet epoch.  Machine-readable
-results land in ``BENCH_kernels.json`` at the repo root so future PRs
-can track regressions; the human-readable table goes to
+asserts the ≥3× floor on the median speedup, and times raw
+``sample_codes`` for both log back-ends plus the batched-vs-scalar fleet
+epoch.  Every row is timed by the method in ``_kernel_results.py``
+(alternating repeats, median and quartiles, host block); the results
+land in ``BENCH_kernels.json`` at the repo root so future PRs can track
+regressions, and the human-readable table goes to
 ``benchmarks/results/`` like every other bench.
 """
-
-import json
-import pathlib
-import time
 
 import numpy as np
 
@@ -22,10 +20,8 @@ from repro.rng import CordicLn, FxpLaplaceConfig, FxpLaplaceRng, NumpySource
 from repro.rng.codebook import codebook_cache
 from repro.runtime import ReleasePipeline
 
+from _kernel_results import merge_results, speedup_row, time_pairs
 from conftest import record_experiment
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-RESULTS_JSON = REPO_ROOT / "BENCH_kernels.json"
 
 SENSOR = SensorSpec(0.0, 10.0)
 EPSILON = 0.5
@@ -35,19 +31,6 @@ MIN_SPEEDUP = 3.0
 
 FLEET_DEVICES = 2_000
 FLEET_EPOCHS = 3
-
-
-def _write_results(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_kernels.json (schema-stamped)."""
-    data = {"schema": 1}
-    if RESULTS_JSON.exists():
-        try:
-            data = json.loads(RESULTS_JSON.read_text())
-        except json.JSONDecodeError:
-            pass
-    data["schema"] = 1
-    data[section] = payload
-    RESULTS_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def bench_kernel_resampling_arm(benchmark):
@@ -70,44 +53,48 @@ def bench_kernel_resampling_arm(benchmark):
             pipeline=ReleasePipeline(),
         )
 
+    events = {}
+
+    def release(name, mech):
+        def run():
+            events[name] = mech.release(truth).event
+        return run
+
     def run():
         mech_cb = build("codebook")
         mech_live = build("live")
         # Warm both arms (table build / numpy dispatch) outside the timing.
         mech_cb.release(truth[:1000])
         mech_live.release(truth[:1000])
-        t0 = time.perf_counter()
-        out_cb = mech_cb.release(truth)
-        t_cb = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        out_live = mech_live.release(truth)
-        t_live = time.perf_counter() - t0
-        return t_cb, t_live, out_cb.event, out_live.event
+        return time_pairs(release("codebook", mech_cb), release("live", mech_live))
 
-    t_cb, t_live, ev_cb, ev_live = benchmark.pedantic(run, rounds=1, iterations=1)
-    speedup = t_live / t_cb
-    _write_results(
+    t_cb, t_live = benchmark.pedantic(run, rounds=1, iterations=1)
+    ev_cb, ev_live = events["codebook"], events["live"]
+    row = speedup_row(t_cb, t_live, "codebook", "live")
+    speedup = row["speedup"]["median"]
+    merge_results(
         "resampling_arm",
-        {
-            "backend": "cordic",
-            "input_bits": INPUT_BITS,
-            "samples": N_DRAWS,
-            "draws_codebook": ev_cb.draws,
-            "draws_live": ev_live.draws,
-            "codebook_s": round(t_cb, 4),
-            "live_s": round(t_live, 4),
-            "speedup": round(speedup, 2),
-            "min_speedup": MIN_SPEEDUP,
-        },
+        dict(
+            row,
+            backend="cordic",
+            input_bits=INPUT_BITS,
+            samples=N_DRAWS,
+            draws_codebook=ev_cb.draws,
+            draws_live=ev_live.draws,
+            min_speedup=MIN_SPEEDUP,
+        ),
     )
     record_experiment(
         "kernel_codebook_resampling",
         "\n".join(
             [
-                f"resampling arm, {N_DRAWS} samples, Bu={INPUT_BITS}, CORDIC log",
-                f"live datapath : {t_live:.3f} s ({ev_live.draws} draws)",
-                f"codebook      : {t_cb:.3f} s ({ev_cb.draws} draws)",
-                f"speedup       : {speedup:.1f}x (floor {MIN_SPEEDUP:.0f}x)",
+                f"resampling arm, {N_DRAWS} samples, Bu={INPUT_BITS}, CORDIC log, "
+                f"median of {row['repeats']}",
+                f"live datapath : {row['live_s']['median']:.3f} s ({ev_live.draws} draws)",
+                f"codebook      : {row['codebook_s']['median']:.3f} s ({ev_cb.draws} draws)",
+                f"speedup       : {speedup:.1f}x "
+                f"[{row['speedup']['q1']:.1f}, {row['speedup']['q3']:.1f}] "
+                f"(floor {MIN_SPEEDUP:.0f}x)",
                 f"kernels       : {ev_cb.kernel} vs {ev_live.kernel}",
             ]
         ),
@@ -118,9 +105,9 @@ def bench_kernel_resampling_arm(benchmark):
 
 def bench_kernel_sample_codes(benchmark):
     """Raw ``sample_codes`` timing, codebook vs live, both log back-ends."""
-    rows = {}
 
     def run():
+        rows = {}
         for name, backend in (("exact", None), ("cordic", CordicLn())):
             cfg = FxpLaplaceConfig(
                 input_bits=INPUT_BITS,
@@ -128,44 +115,40 @@ def bench_kernel_sample_codes(benchmark):
                 delta=SENSOR.d / 64.0,
                 lam=SENSOR.d / EPSILON,
             )
-            timings = {}
+            rngs = {}
             for kernel in ("codebook", "live"):
-                rng = FxpLaplaceRng(
+                rngs[kernel] = FxpLaplaceRng(
                     cfg, source=NumpySource(seed=3), log_backend=backend,
                     kernel=kernel,
                 )
-                rng.sample_codes(1000)  # warm (table build / dispatch)
-                t0 = time.perf_counter()
-                rng.sample_codes(N_DRAWS)
-                timings[kernel] = time.perf_counter() - t0
-            rows[name] = timings
+                rngs[kernel].sample_codes(1000)  # warm (table build / dispatch)
+            t_cb, t_live = time_pairs(
+                lambda: rngs["codebook"].sample_codes(N_DRAWS),
+                lambda: rngs["live"].sample_codes(N_DRAWS),
+            )
+            rows[name] = speedup_row(t_cb, t_live, "codebook", "live")
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    payload = {"samples": N_DRAWS, "input_bits": INPUT_BITS}
-    for backend, t in rows.items():
-        payload[backend] = {
-            "codebook_s": round(t["codebook"], 4),
-            "live_s": round(t["live"], 4),
-            "speedup": round(t["live"] / t["codebook"], 2),
-        }
-    _write_results("sample_codes", payload)
+    merge_results("sample_codes", dict(rows, samples=N_DRAWS, input_bits=INPUT_BITS))
     record_experiment(
         "kernel_codebook_sample_codes",
         "\n".join(
-            [f"sample_codes, {N_DRAWS} draws, Bu={INPUT_BITS}"]
+            [f"sample_codes, {N_DRAWS} draws, Bu={INPUT_BITS}, "
+             f"median of {rows['cordic']['repeats']}"]
             + [
-                f"{name:6s}: codebook {t['codebook'] * 1e3:7.1f} ms, "
-                f"live {t['live'] * 1e3:7.1f} ms "
-                f"({t['live'] / t['codebook']:.1f}x)"
-                for name, t in rows.items()
+                f"{name:6s}: codebook {r['codebook_s']['median'] * 1e3:7.1f} ms, "
+                f"live {r['live_s']['median'] * 1e3:7.1f} ms "
+                f"({r['speedup']['median']:.1f}x)"
+                for name, r in rows.items()
             ]
         ),
     )
     # The CORDIC datapath is where tables shine; the exact-log path must
     # at minimum not regress.
-    assert rows["cordic"]["live"] / rows["cordic"]["codebook"] >= MIN_SPEEDUP
-    assert rows["exact"]["codebook"] <= rows["exact"]["live"] * 1.25
+    assert rows["cordic"]["speedup"]["median"] >= MIN_SPEEDUP
+    exact = rows["exact"]
+    assert exact["codebook_s"]["median"] <= exact["live_s"]["median"] * 1.25
 
 
 def bench_kernel_fleet_paths(benchmark):
@@ -181,44 +164,43 @@ def bench_kernel_fleet_paths(benchmark):
         delta=10 / 64,
         pipeline=ReleasePipeline(),
     )
+    results = {}
 
-    def run():
-        t0 = time.perf_counter()
-        batched = run_fleet(
-            truth, SENSOR, rng=np.random.default_rng(4), batched=True, **kwargs
-        )
-        t_batched = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        scalar = run_fleet(
-            truth, SENSOR, rng=np.random.default_rng(4), batched=False, **kwargs
-        )
-        t_scalar = time.perf_counter() - t0
-        identical = all(
-            np.array_equal(batched.server.values(e), scalar.server.values(e))
-            for e in batched.server.epochs
-        )
-        return t_batched, t_scalar, identical
+    def fleet(batched):
+        def run():
+            results[batched] = run_fleet(
+                truth, SENSOR, rng=np.random.default_rng(4), batched=batched,
+                **kwargs,
+            )
+        return run
 
-    t_batched, t_scalar, identical = benchmark.pedantic(run, rounds=1, iterations=1)
-    _write_results(
+    t_batched, t_scalar = benchmark.pedantic(
+        time_pairs, args=(fleet(True), fleet(False)), rounds=1, iterations=1
+    )
+    batched, scalar = results[True], results[False]
+    identical = all(
+        np.array_equal(batched.server.values(e), scalar.server.values(e))
+        for e in batched.server.epochs
+    )
+    row = speedup_row(t_batched, t_scalar, "batched", "scalar")
+    merge_results(
         "fleet",
-        {
-            "devices": FLEET_DEVICES,
-            "epochs": FLEET_EPOCHS,
-            "batched_s": round(t_batched, 4),
-            "scalar_s": round(t_scalar, 4),
-            "bit_identical": identical,
-            "cache_stats": codebook_cache().stats(),
-        },
+        dict(
+            row,
+            devices=FLEET_DEVICES,
+            epochs=FLEET_EPOCHS,
+            bit_identical=identical,
+            cache_stats=codebook_cache().stats(),
+        ),
     )
     record_experiment(
         "kernel_codebook_fleet",
         "\n".join(
             [
                 f"fleet {FLEET_DEVICES} devices x {FLEET_EPOCHS} epochs, "
-                "codebook kernel",
-                f"batched : {t_batched:.3f} s",
-                f"scalar  : {t_scalar:.3f} s",
+                f"codebook kernel, median of {row['repeats']}",
+                f"batched : {row['batched_s']['median']:.3f} s",
+                f"scalar  : {row['scalar_s']['median']:.3f} s",
                 "outputs : " + ("bit-identical" if identical else "MISMATCH"),
             ]
         ),

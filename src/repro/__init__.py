@@ -58,7 +58,6 @@ from .mechanisms import (
 from .privacy import (
     BudgetAccountant,
     LossReport,
-    RandomizedResponse,
     verify_additive_mechanism,
 )
 from .queries import (
@@ -129,7 +128,6 @@ __all__ = [
     # privacy
     "BudgetAccountant",
     "LossReport",
-    "RandomizedResponse",
     "verify_additive_mechanism",
     # queries
     "CountingQuery",

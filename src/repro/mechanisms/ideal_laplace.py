@@ -7,7 +7,8 @@ from typing import Optional
 import numpy as np
 
 from ..privacy.definitions import LossReport
-from ..privacy.laplace_mechanism import IdealLaplaceMechanismCore
+from ..rng.laplace_ideal import IdealLaplace
+from ..rng.urng import audited_generator
 from ..runtime import ReleaseRequest
 from .base import LocalMechanism, SensorSpec
 
@@ -32,7 +33,12 @@ class IdealLaplaceMechanism(LocalMechanism):
         pipeline=None,
     ):
         super().__init__(sensor, epsilon, pipeline=pipeline)
-        self._core = IdealLaplaceMechanismCore(sensor.m, sensor.M, epsilon, rng)
+        self._laplace = IdealLaplace(sensor.d / epsilon)
+        self._rng = rng or audited_generator()
+
+    def _sample_noise(self, n: int) -> np.ndarray:
+        """Draw ``n`` float64 ``Lap(d/ε)`` values (the pipeline's draw stage)."""
+        return self._laplace.sample(n, self._rng)
 
     def release_request(self, x: np.ndarray) -> ReleaseRequest:
         """Ideal arm: real-valued "codes" (no grid), no guard.
@@ -46,7 +52,7 @@ class IdealLaplaceMechanism(LocalMechanism):
             epsilon=self.epsilon,
             claimed_loss=self.claimed_loss_bound,
             codes=x.reshape(-1),
-            draw=self._core.sample_noise,
+            draw=self._sample_noise,
             guard="none",
         )
 

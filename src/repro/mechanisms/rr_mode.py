@@ -26,7 +26,6 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..privacy.definitions import LossReport, pointwise_loss
-from ..privacy.randomized_response import debias_frequency
 from ..runtime import ReleaseOutcome, ReleaseRequest
 from .base import SensorSpec
 from .categorical import CategoricalMechanism
@@ -156,10 +155,13 @@ class DpBoxRandomizedResponse(FxpMechanismBase, CategoricalMechanism):
 
         Uses the average of the two exact flip probabilities as the
         channel symmetrization (they differ only by one grid step's worth
-        of tie handling).
+        of tie handling).  ``E[observed] = keep·f + (1-keep)·(1-f)`` is
+        inverted and clipped to ``[0, 1]``, the estimator behind the
+        paper's MAE plots.
         """
         keep = 1.0 - 0.5 * (self._flip_from_m + self._flip_from_M)
-        return debias_frequency(float(np.mean(noisy_bits)), keep)
+        raw = (float(np.mean(noisy_bits)) - (1.0 - keep)) / (2.0 * keep - 1.0)
+        return min(max(raw, 0.0), 1.0)
 
     # ------------------------------------------------------------------
     def channel_matrix(self) -> np.ndarray:

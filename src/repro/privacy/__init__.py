@@ -1,18 +1,14 @@
-"""Differential-privacy core: definitions, exact loss analysis, thresholds,
-budget accounting, verification, and randomized response."""
+"""Differential-privacy analysis and accounting: definitions, exact loss
+analysis, thresholds, budget accounting and verification.
+
+This package draws no randomness.  Every sampler lives with the
+mechanisms and releases through :class:`~repro.runtime.ReleasePipeline`.
+"""
 
 from .accountant import BudgetAccountant, compose_losses
 from .approximate import delta_at_epsilon, epsilon_at_delta, hockey_stick_divergence
-from .categorical import KRandomizedResponse, OneHotRappor
 from .definitions import LossReport, pointwise_loss
-from .laplace_mechanism import IdealLaplaceMechanismCore, ideal_worst_case_loss
 from .loss import DiscreteMechanismFamily, input_grid_codes
-from .randomized_response import (
-    RandomizedResponse,
-    debias_frequency,
-    rr_epsilon_from_keep_prob,
-    rr_keep_prob_from_epsilon,
-)
 from .thresholds import (
     calibrate_threshold_exact,
     exact_worst_loss_at_threshold,
@@ -28,18 +24,10 @@ __all__ = [
     "delta_at_epsilon",
     "epsilon_at_delta",
     "hockey_stick_divergence",
-    "KRandomizedResponse",
-    "OneHotRappor",
     "LossReport",
     "pointwise_loss",
-    "IdealLaplaceMechanismCore",
-    "ideal_worst_case_loss",
     "DiscreteMechanismFamily",
     "input_grid_codes",
-    "RandomizedResponse",
-    "debias_frequency",
-    "rr_epsilon_from_keep_prob",
-    "rr_keep_prob_from_epsilon",
     "calibrate_threshold_exact",
     "exact_worst_loss_at_threshold",
     "paper_resampling_threshold",

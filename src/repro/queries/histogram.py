@@ -8,9 +8,11 @@ Two routes are provided:
   *noised numeric values*.  Laplace noise smears mass across buckets, so
   narrow buckets lose badly.
 * :func:`histogram_via_krr` — the categorical route: each device
-  bucketizes its own raw value and reports the bucket through k-ary
-  randomized response (:class:`~repro.privacy.categorical.KRandomizedResponse`),
-  which the analyst debiases.  For histogram-shaped questions this is the
+  bucketizes its own raw value and reports the bucket through the k-ary
+  randomized-response oracle
+  (:class:`~repro.mechanisms.oracles.KaryRandomizedResponse`, released
+  through the pipeline on dyadic thresholds), which the analyst debiases
+  with the realized channel.  For histogram-shaped questions this is the
   standard and far more accurate construction at the same ε — the test
   suite quantifies the gap.
 """
@@ -23,8 +25,10 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..mechanisms.base import SensorSpec
-from ..privacy.categorical import KRandomizedResponse
+from ..mechanisms.oracles import make_oracle
+from ..rng.urng import UniformCodeSource
 from .base import Query
+from .frequency import estimate_frequencies
 
 __all__ = ["HistogramQuery", "bucketize", "histogram_via_krr"]
 
@@ -76,14 +80,14 @@ def histogram_via_krr(
     sensor: SensorSpec,
     n_buckets: int,
     epsilon: float,
-    rng: Optional[np.random.Generator] = None,
+    source: Optional[UniformCodeSource] = None,
 ) -> np.ndarray:
     """LDP histogram through the categorical channel (debiased).
 
     Each record is bucketized *locally* and the bucket index passes
-    through ε-LDP k-ary randomized response; the return value is the
-    debiased frequency vector.
+    through the ε-LDP k-RR oracle; the return value is the debiased
+    frequency vector, clipped and renormalized onto the simplex.
     """
     idx = bucketize(np.asarray(raw, dtype=float), sensor, n_buckets)
-    krr = KRandomizedResponse(n_buckets, epsilon, rng=rng)
-    return krr.estimate_frequencies(krr.privatize(idx))
+    oracle = make_oracle("krr", n_buckets, epsilon, source=source)
+    return estimate_frequencies(oracle, oracle.report(idx)).normalized()

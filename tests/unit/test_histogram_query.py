@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.mechanisms import SensorSpec, make_mechanism
 from repro.queries.histogram import HistogramQuery, bucketize, histogram_via_krr
+from repro.rng import SplitStreamSource
 
 SENSOR = SensorSpec(0.0, 8.0)
 
@@ -62,7 +63,7 @@ class TestKrrRoute:
 
     def test_estimates_on_simplex(self, data):
         est = histogram_via_krr(
-            data, SENSOR, 8, epsilon=1.0, rng=np.random.default_rng(2)
+            data, SENSOR, 8, epsilon=1.0, source=SplitStreamSource(2)
         )
         assert est.sum() == pytest.approx(1.0)
         assert est.min() >= 0
@@ -73,7 +74,7 @@ class TestKrrRoute:
         errs = [
             np.abs(
                 histogram_via_krr(
-                    data, SENSOR, 8, epsilon=1.0, rng=np.random.default_rng(s)
+                    data, SENSOR, 8, epsilon=1.0, source=SplitStreamSource(s)
                 )
                 - truth
             ).sum()
@@ -93,7 +94,7 @@ class TestKrrRoute:
             noisy = mech.privatize(data)
             errs_naive.append(np.abs(q.frequencies(noisy) - truth).sum())
             est = histogram_via_krr(
-                data, SENSOR, 8, epsilon=1.0, rng=np.random.default_rng(seed)
+                data, SENSOR, 8, epsilon=1.0, source=SplitStreamSource(seed)
             )
             errs_krr.append(np.abs(est - truth).sum())
         assert np.mean(errs_krr) < 0.5 * np.mean(errs_naive)
@@ -107,7 +108,7 @@ class TestKrrRoute:
             sample = full[:n]
             truth = q.frequencies(sample)
             est = histogram_via_krr(
-                sample, SENSOR, 8, epsilon=1.0, rng=np.random.default_rng(5)
+                sample, SENSOR, 8, epsilon=1.0, source=SplitStreamSource(5)
             )
             errs.append(np.abs(est - truth).sum())
         assert errs[1] < errs[0]

@@ -73,6 +73,17 @@ class TestIdealArm:
         x = np.full((3, 4), 2.0)
         assert small_ideal.privatize(x).shape == (3, 4)
 
+    def test_privatize_golden(self):
+        # Fixed seed, fixed outputs: the ideal arm draws Lap(d/ε) from
+        # the caller's generator, two uniforms per value, bit for bit.
+        mech = make_mechanism(
+            "ideal", SensorSpec(0, 10), 1.0, rng=np.random.default_rng(7)
+        )
+        np.testing.assert_array_equal(
+            mech.privatize([1, 5, 9]),
+            [15.907344560921949, 17.034186748466205, 10.351859659377439],
+        )
+
 
 class TestBaselineArm:
     def test_not_ldp(self, small_baseline):

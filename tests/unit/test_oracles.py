@@ -45,6 +45,8 @@ class TestCalibration:
         # The nonzero-offset codes split into g-1 EQUAL blocks.
         assert (total - t) % (g - 1) == 0
         assert (total - t) // (g - 1) == c
+        # The channel's rows sum to 1: the code mass is fully assigned.
+        assert t + (g - 1) * c == total
         assert math.log(t / c) <= eps + 1e-9
         assert t > c >= 1
 

@@ -159,3 +159,24 @@ class TestCategoricalReHoming:
     def test_encode_rejects_non_bits(self):
         with pytest.raises(ConfigurationError):
             self._mechanism(0).encode(np.array([0, 2]))
+
+
+class TestDebias:
+    """``estimate_frequency`` inverts the symmetrized channel and clips."""
+
+    def test_identity_at_truth(self, rr):
+        # Reports whose 1-frequency equals its expectation debias back to
+        # f.  The flip probabilities are dyadic, so 2**20 reports hold
+        # that expectation exactly.
+        keep = 1.0 - 0.5 * (rr._flip_from_m + rr._flip_from_M)
+        n = 1 << 20
+        for f in (0.0, 0.25, 0.5, 1.0):
+            ones = (keep * f + (1.0 - keep) * (1.0 - f)) * n
+            assert ones == int(ones)
+            bits = np.zeros(n, dtype=int)
+            bits[: int(ones)] = 1
+            assert rr.estimate_frequency(bits) == pytest.approx(f, abs=1e-12)
+
+    def test_clipping(self, rr):
+        assert rr.estimate_frequency(np.zeros(100, dtype=int)) == 0.0
+        assert rr.estimate_frequency(np.ones(100, dtype=int)) == 1.0
