@@ -18,7 +18,11 @@ id, per ``Report`` object or as one dense array add.
 Each fleet size is timed ``REPEATS`` times (``QUICK_REPEATS`` with
 ``--quick``), a single-process run then a pool run per repeat, and the
 row records the median and quartiles of both times and of the per-repeat
-speedup, next to a host block (cores, affinity, Python, NumPy).  The
+speedup, next to a host block (cores, affinity, Python, NumPy).  One
+more row, ``olh``, times the categorical coordinator the same way: OLH
+(``repro.parallel.run_fleet_categorical``) over 200,000 devices × 8
+epochs at d = 256, the size of the ``fleet-categorical-olh`` end-to-end
+workload; its pooled counts must equal the single-process ones.  The
 ≥2× floor is checked against the headline row's median speedup, and
 only on machines with ≥4 cores (and not in ``--quick`` mode); smaller
 hosts still record the sweep so the trajectory is visible in
@@ -44,7 +48,9 @@ import numpy as np
 
 from repro.aggregation import fleet_device_id, run_fleet
 from repro.mechanisms import SensorSpec
-from repro.parallel import plan_execution, plan_shards, run_fleet_sharded
+from repro.parallel import (
+    plan_execution, plan_shards, run_fleet_categorical, run_fleet_sharded,
+)
 from repro.rng import CordicLn, audited_generator
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -64,6 +70,11 @@ QUICK_SIZES = (500, 2_000)
 #: Timed repeats per row: full mode, ``--quick``.
 REPEATS = 5
 QUICK_REPEATS = 3
+#: The OLH row: ``(devices, epochs)`` in full mode and with ``--quick``.
+OLH_SIZE = (200_000, 8)
+QUICK_OLH_SIZE = (20_000, 4)
+OLH_CATEGORIES = 256
+OLH_DROPOUT = 0.1
 
 
 def _host():
@@ -167,22 +178,82 @@ def _run(truth, workers, shards):
     return time.perf_counter() - t0, result
 
 
-def _sweep_row(devices, epochs, workers, shards, repeats):
-    """Single-process and pool timings for one fleet size: ``repeats``
-    alternating pairs, summarized by median and quartiles."""
-    truth = audited_generator(SEED).uniform(5.0, 45.0, size=(epochs, devices))
+def _run_olh(truth, workers, shards):
+    """One OLH categorical fleet run, as the end-to-end workload makes it."""
+    t0 = time.perf_counter()
+    result = run_fleet_categorical(
+        truth,
+        OLH_CATEGORIES,
+        EPSILON,
+        oracle="olh",
+        dropout=OLH_DROPOUT,
+        rng=audited_generator(2),
+        source_seed=SEED,
+        workers=workers,
+        shards=shards,
+    )
+    return time.perf_counter() - t0, result
+
+
+def _pairs(run, truth, workers, shards, repeats):
+    """``repeats`` alternating single-process and pool runs of ``run``,
+    summarized by median and quartiles; plus the last pair's results."""
     single, parallel = [], []
     for _ in range(repeats):
-        single.append(_run(truth, 1, shards)[0])
-        parallel.append(_run(truth, workers, shards)[0])
+        t_single, one = run(truth, 1, shards)
+        t_parallel, many = run(truth, workers, shards)
+        single.append(t_single)
+        parallel.append(t_parallel)
     return {
-        "devices": devices,
-        "epochs": epochs,
         "repeats": repeats,
         "t_single_s": _summary(single),
         "t_parallel_s": _summary(parallel),
         "speedup": _summary([a / b for a, b in zip(single, parallel)]),
+    }, (one, many)
+
+
+def _sweep_row(devices, epochs, workers, shards, repeats):
+    """Single-process and pool timings for one numeric fleet size."""
+    truth = audited_generator(SEED).uniform(5.0, 45.0, size=(epochs, devices))
+    timings, _ = _pairs(_run, truth, workers, shards, repeats)
+    return {"devices": devices, "epochs": epochs, **timings}
+
+
+def _olh_row(devices, epochs, workers, shards, repeats):
+    """The OLH coordinator's timings, and whether the pool's support
+    counts and true frequencies equal the single process's."""
+    truth = audited_generator(SEED).integers(
+        0, OLH_CATEGORIES, size=(epochs, devices)
+    )
+    timings, (one, many) = _pairs(_run_olh, truth, workers, shards, repeats)
+    identical = all(
+        np.array_equal(one.server.category_counts(e)[0], many.server.category_counts(e)[0])
+        and np.array_equal(one.true_frequencies[e], many.true_frequencies[e])
+        for e in range(epochs)
+    )
+    row = {
+        "oracle": "olh",
+        "devices": devices,
+        "epochs": epochs,
+        "categories": OLH_CATEGORIES,
+        "g": one.oracle.g,
+        "dropout": OLH_DROPOUT,
+        **timings,
     }
+    return row, identical
+
+
+def _print_row(label, row):
+    single, parallel, speedup = (
+        row[k] for k in ("t_single_s", "t_parallel_s", "speedup")
+    )
+    print(
+        f"{label}  single={single['median']:.3f}s "
+        f"[{single['q1']:.3f}, {single['q3']:.3f}]  "
+        f"parallel={parallel['median']:.3f}s "
+        f"[{parallel['q1']:.3f}, {parallel['q3']:.3f}]  "
+        f"speedup={speedup['median']}x [{speedup['q1']}, {speedup['q3']}]"
+    )
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -250,16 +321,13 @@ def main(argv=None) -> int:
     for devices in sizes:
         row = _sweep_row(devices, epochs, workers, args.shards, repeats)
         sweep.append(row)
-        single, parallel, speedup = (
-            row[k] for k in ("t_single_s", "t_parallel_s", "speedup")
-        )
-        print(
-            f"devices={devices:>7d}  single={single['median']:.3f}s "
-            f"[{single['q1']:.3f}, {single['q3']:.3f}]  "
-            f"parallel={parallel['median']:.3f}s "
-            f"[{parallel['q1']:.3f}, {parallel['q3']:.3f}]  "
-            f"speedup={speedup['median']}x [{speedup['q1']}, {speedup['q3']}]"
-        )
+        _print_row(f"devices={devices:>7d}", row)
+
+    olh_devices, olh_epochs = QUICK_OLH_SIZE if args.quick else OLH_SIZE
+    olh, olh_identical = _olh_row(olh_devices, olh_epochs, workers, args.shards, repeats)
+    _print_row(f"olh {olh_devices}x{olh_epochs}", olh)
+    print(f"olh pooled counts equal single-process: {'OK' if olh_identical else 'FAILED'}")
+    bit_identical = bit_identical and olh_identical
 
     headline = sweep[-1]["speedup"]["median"]
     payload = {
@@ -272,6 +340,7 @@ def main(argv=None) -> int:
         "datapath": "cordic-live",
         "planner": plan.describe(),
         "sweep": sweep,
+        "olh": olh,
         "speedup": headline,
         "speedup_floor": MIN_SPEEDUP,
         "floor_asserted": assert_floor,

@@ -22,6 +22,12 @@ sets; :meth:`TaintAnalysis.trace` then resolves symbolic roots back
 through recorded call edges to concrete sources, producing the
 ``FlowStep`` witness chain attached to findings.
 
+Shared stores carry taint: ``arena.pack(xs)``/``arena.share(x)`` taint
+the receiver with what they copy in, and ``arena.view(ref)`` reads that
+taint back out, so a truth matrix shipped to shard workers through a
+:class:`~repro.parallel.shm.ShmArena` still taints the results the
+coordinator reads from the arena.
+
 Sanitizers cut flows structurally: a call whose attribute/name matches
 ``privatize*`` / ``read_private`` / ``charge_and_emit`` — or
 ``release(...)``/``submit(...)`` seams carrying an ``accounting=``
@@ -50,6 +56,8 @@ __all__ = [
     "TaintAnalysis",
     "SANITIZER_ATTRS",
     "ACCOUNTED_SEAM_ATTRS",
+    "STORE_ATTRS",
+    "LOAD_ATTRS",
 ]
 
 _MAX_LOCAL_PASSES = 10
@@ -60,6 +68,14 @@ _MAX_TRACE_DEPTH = 25
 SANITIZER_ATTRS = ("privatize", "read_private", "charge_and_emit")
 #: Seam calls sanitizing only when they bind an ``accounting=`` policy.
 ACCOUNTED_SEAM_ATTRS = ("release",)
+#: Storage writes: ``arena.pack(arrays)`` / ``arena.share(array)`` copy
+#: their arguments into the receiver's shared-memory blocks, so the
+#: receiver holds that taint afterwards (and so do the returned refs,
+#: which address the copied data).
+STORE_ATTRS = frozenset({"pack", "share"})
+#: Storage reads: ``arena.view(ref)`` is an array over the receiver's
+#: blocks, so it carries whatever was stored in them.
+LOAD_ATTRS = frozenset({"view"})
 #: Metadata accessors whose result is configuration, not data: the
 #: *shape* of the truth matrix is the experiment geometry (n_epochs ×
 #: n_devices), not a sensor value.  Without this, ``n, m = x.shape``
@@ -786,6 +802,8 @@ class _FunctionInterp:
 
         source_roots = self._source_match(call, resolved)
         result = TaintValue({r for r in source_roots})
+        if isinstance(call.func, ast.Attribute):
+            result = result.union(self._storage_flow(call, arg_vals, kw_vals))
 
         # ``pool.map(f, xs)`` — treat as elementwise f(x).
         if (
@@ -842,6 +860,28 @@ class _FunctionInterp:
         for v in kw_vals.values():
             out = out.union(TaintValue(v.all_roots()))
         return out
+
+    def _storage_flow(
+        self,
+        call: ast.Call,
+        arg_vals: List[TaintValue],
+        kw_vals: Dict[str, TaintValue],
+    ) -> TaintValue:
+        """Taint through a shared store: what a ``pack``/``share`` call
+        writes taints its receiver (and the refs it returns); what a
+        ``view`` reads carries the receiver's taint."""
+        receiver = call.func.value
+        if call.func.attr in STORE_ATTRS:
+            stored: Set = set()
+            for v in [*arg_vals, *kw_vals.values()]:
+                stored |= v.all_roots()
+            if stored and isinstance(receiver, ast.Name):
+                old = self.env.get(receiver.id, TaintValue.clean())
+                self.env[receiver.id] = old.union(TaintValue(stored))
+            return TaintValue(stored)
+        if call.func.attr in LOAD_ATTRS:
+            return TaintValue(self._eval(receiver).all_roots())
+        return TaintValue.clean()
 
     # ------------------------------------------------------------------
     def _bind_args(

@@ -203,7 +203,61 @@ def _user_hash_params(
     )
     a = (base >> np.uint64(33)).astype(np.int64) % (_HASH_PRIME - 1) + 1
     b = _splitmix64(base).astype(np.int64) % _HASH_PRIME
-    return a, b
+    return a.astype(np.uint32), b.astype(np.uint32)
+
+
+def _hash_buckets(values: np.ndarray, a: np.ndarray, b: np.ndarray, g: int) -> np.ndarray:
+    """``((a·v + b) mod P) mod g`` as int64, without a hardware divide.
+
+    ``values`` are int64 categories below ``P``; ``a`` and ``b`` are the
+    users' ``uint32`` coefficients, both below ``P``.  Then ``x = a·v +
+    b <= (P - 1)·2**31 < 2**62``, and the Mersenne fold ``(x & P) + (x
+    >> 31)`` (``2**31 ≡ 1 mod P``) is congruent to ``x`` and at most
+    ``P + (P - 1)``: it fits a ``uint32``, and one conditional subtract,
+    ``min(s, s - P)`` with the unsigned wrap of ``s - P`` when ``s <
+    P``, leaves ``x mod P``.  The bucket is then ``s - (s // g)·g``, the
+    multiply-shift form the decode sweep uses.
+    """
+    x = a * values  # uint32 · int64 -> int64
+    x += b
+    s = (x >> 31).astype(np.uint32)
+    x &= _HASH_PRIME
+    s += x.astype(np.uint32)
+    prime = np.uint32(_HASH_PRIME)
+    np.minimum(s, s - prime, out=s)
+    return _bucket(s, np.uint32(g), out=np.empty_like(s)).astype(np.int64)
+
+
+def _bucket(x: np.ndarray, g: np.uint32, out: np.ndarray) -> np.ndarray:
+    """``x mod g`` for ``uint32`` ``x`` as ``x - (x // g)·g`` into ``out``.
+
+    ``(x // g)·g <= x`` cannot wrap, and NumPy's scalar-divisor
+    ``floor_divide`` is a multiply-shift where ``remainder`` is a
+    hardware divide per element.
+    """
+    np.floor_divide(x, g, out=out)
+    np.multiply(out, g, out=out)
+    return np.subtract(x, out, out=out)
+
+
+def _krr_offsets(u: np.ndarray, t_keep: int, span: int) -> np.ndarray:
+    """Additive k-RR offsets on ``Z_(span+1)`` from URNG codes ``u``.
+
+    Codes ``1..t_keep`` keep (offset 0); the remaining ``span·c_other``
+    codes split into ``span`` equal blocks, one per nonzero offset:
+    ``1 + (u - t_keep - 1) mod span``, with the ``mod`` taken as ``r -
+    (r // span)·span`` (floor division, so equal to ``%`` for every
+    ``r``, negative ones included).  The kept codes are zeroed by a
+    multiply with the ``u > t_keep`` mask: on a random mask that is
+    several times faster than ``np.where``.
+    """
+    r = u - (t_keep + 1)
+    q = r // span
+    q *= span
+    r -= q
+    r += 1
+    r *= u > t_keep
+    return r
 
 
 # ---------------------------------------------------------------------
@@ -249,33 +303,40 @@ class _CodeThresholdOracle(CategoricalMechanism):
         )
 
 
-class KaryRandomizedResponse(_CodeThresholdOracle):
+class _KaryChannelOracle(_CodeThresholdOracle):
+    """Shared k-ary RR channel on ``Z_g``: thresholds, offsets, exact ε.
+
+    k-RR runs it over the categories (``g = d``), OLH over the hash
+    buckets.
+    """
+
+    def _calibrate(self, g: int) -> None:
+        self.t_keep, self.c_other = calibrate_krr_thresholds(self.epsilon, g, self.bits)
+        #: Nonzero offset count ``g - 1`` (the modular split width).
+        self.c_other_span = g - 1
+
+    def _draw_offsets(self, n: int) -> np.ndarray:
+        """Additive Z_g offsets: 0 with keep prob, else exactly uniform."""
+        u = self.source.uniform_codes(n, self.bits)
+        return _krr_offsets(u, self.t_keep, self.c_other_span)
+
+    def exact_epsilon(self) -> float:
+        return math.log(self.t_keep / self.c_other)
+
+
+class KaryRandomizedResponse(_KaryChannelOracle):
     """Generalized (k-ary) randomized response as a frequency oracle."""
 
     name = "k-RR"
 
     def __init__(self, n_categories, epsilon, **kwargs):
         super().__init__(n_categories, epsilon, **kwargs)
-        self.t_keep, self.c_other = calibrate_krr_thresholds(
-            self.epsilon, self.n_categories, self.bits
-        )
+        self._calibrate(self.n_categories)
 
     # -- client stages --------------------------------------------------
     def encode(self, values: np.ndarray, user_offset: int = 0) -> np.ndarray:
         """Identity encoding: the category index itself."""
         return check_categories(values, self.n_categories)
-
-    def _draw_offsets(self, n: int) -> np.ndarray:
-        """Additive Z_g offsets: 0 with keep prob, else exactly uniform."""
-        u = self.source.uniform_codes(n, self.bits)
-        # Codes 1..t_keep keep; the remaining (g-1)*c_other codes split
-        # into g-1 equal blocks, one per nonzero offset.
-        return np.where(u <= self.t_keep, 0, 1 + (u - self.t_keep - 1) % self.c_other_span)
-
-    @property
-    def c_other_span(self) -> int:
-        """Nonzero offset count ``g - 1`` (the modular split width)."""
-        return self.n_categories - 1
 
     def perturb_request(self, encoded, user_offset: int = 0) -> ReleaseRequest:
         return self._request(encoded, self._draw_offsets, modulus=self.n_categories)
@@ -292,9 +353,6 @@ class KaryRandomizedResponse(_CodeThresholdOracle):
     @property
     def report_bits(self) -> int:
         return max(1, int(math.ceil(math.log2(self.n_categories))))
-
-    def exact_epsilon(self) -> float:
-        return math.log(self.t_keep / self.c_other)
 
 
 class OptimizedUnaryEncoding(_CodeThresholdOracle):
@@ -362,7 +420,7 @@ class OptimizedUnaryEncoding(_CodeThresholdOracle):
         return math.log((total - self.t_zero) / self.t_zero)
 
 
-class OptimizedLocalHashing(_CodeThresholdOracle):
+class OptimizedLocalHashing(_KaryChannelOracle):
     """OLH: per-user public hash into g buckets, then k-ary RR on Z_g."""
 
     name = "OLH"
@@ -385,30 +443,64 @@ class OptimizedLocalHashing(_CodeThresholdOracle):
         **kwargs,
     ):
         super().__init__(n_categories, epsilon, **kwargs)
+        if self.n_categories > _HASH_PRIME:
+            raise ConfigurationError(f"OLH hashes at most {_HASH_PRIME} categories")
         self.g = optimal_hash_range(self.epsilon) if g is None else int(g)
         if self.g < 2:
             raise ConfigurationError("hash range g must be >= 2")
         self.hash_seed = int(hash_seed)
-        self.t_keep, self.c_other = calibrate_krr_thresholds(
-            self.epsilon, self.g, self.bits
-        )
+        self._calibrate(self.g)
+        self._users: Optional[range] = None
+        self._columns: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- hashing --------------------------------------------------------
+    def bind_users(self, users: range) -> None:
+        """Hash the global users in ``users`` once, for every later call.
+
+        The ``(a, b)`` columns of the whole range are computed on the
+        first :meth:`encode` or support count whose users all fall
+        inside it, and every such call after that gathers from them
+        instead of rehashing.  A shard binds its device range, so its
+        epochs' encodes and its decode sweep share one hash pass.
+        Results are the same as unbound: only the work moves.
+        """
+        self._users, self._columns = users, None
+
+    def _user_hashes(self, indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``uint32`` ``(a, b)`` coefficients of global users ``indices``."""
+        users = self._users
+        if (
+            users is None
+            or not indices.size
+            or indices.min() < users.start
+            or indices.max() >= users.stop
+        ):
+            return _user_hash_params(self.hash_seed, indices)
+        if self._columns is None:
+            self._columns = _user_hash_params(
+                self.hash_seed, np.arange(users.start, users.stop, dtype=np.int64)
+            )
+        local = indices - users.start
+        a, b = self._columns
+        return a[local], b[local]
+
     def hash_values(self, values: np.ndarray, user_indices: np.ndarray) -> np.ndarray:
-        """``h_i(v)`` for aligned arrays of values and global user indices."""
-        a, b = _user_hash_params(self.hash_seed, user_indices)
-        return ((a * np.asarray(values, dtype=np.int64) + b) % _HASH_PRIME) % self.g
+        """``h_i(v)`` for aligned arrays of values and global user indices.
+
+        Values must be categories in ``0..n_categories-1``.
+        """
+        values = np.asarray(values, dtype=np.int64)
+        if values.size and (values.min() < 0 or values.max() >= self.n_categories):
+            raise ConfigurationError(f"categories must be in 0..{self.n_categories - 1}")
+        a, b = self._user_hashes(np.asarray(user_indices, dtype=np.int64))
+        return _hash_buckets(values, a, b, self.g)
 
     # -- client stages --------------------------------------------------
     def encode(self, values: np.ndarray, user_offset: int = 0) -> np.ndarray:
         """Per-user hashed bucket ``h_i(v_i)``, shape ``(n,)``."""
         values = check_categories(values, self.n_categories)
-        idx = _resolve_user_indices(values.size, user_offset)
-        return self.hash_values(values, idx)
-
-    def _draw_offsets(self, n: int) -> np.ndarray:
-        u = self.source.uniform_codes(n, self.bits)
-        return np.where(u <= self.t_keep, 0, 1 + (u - self.t_keep - 1) % (self.g - 1))
+        a, b = self._user_hashes(_resolve_user_indices(values.size, user_offset))
+        return _hash_buckets(values, a, b, self.g)
 
     def perturb_request(self, encoded, user_offset: int = 0) -> ReleaseRequest:
         encoded = np.asarray(encoded, dtype=np.int64)
@@ -454,17 +546,14 @@ class OptimizedLocalHashing(_CodeThresholdOracle):
         as a ``uint32`` column: ``x += a`` then ``x = min(x, x - P)``.
         Since ``x, a < P < 2**31`` the sum never wraps, and the unsigned
         wrap of ``x - P`` when ``x < P`` makes ``min`` the conditional
-        subtract.  The bucket ``x mod g`` is then ``x - (x // g)·g``:
-        ``(x // g)·g <= x < P`` cannot wrap either, and NumPy's
-        scalar-divisor ``floor_divide`` is a multiply-shift where
-        ``remainder`` is a hardware divide per element.  With several
-        epochs the reports are held as ``np.min_scalar_type(g)``, and the
-        bucket is cast to that dtype and compared against every epoch's
-        row in one broadcast ``equal``.  So each (user, candidate) pair
-        costs an add, a conditional subtract, a floor-divide, a multiply,
-        a subtract and a cast, plus one narrow compare per epoch.  The
-        counts are exact on every NumPy version; only the speed depends
-        on it.
+        subtract.  The bucket ``x mod g`` is then :func:`_bucket`'s
+        ``x - (x // g)·g``.  With several epochs the reports are held as
+        ``np.min_scalar_type(g)``, and the bucket is cast to that dtype
+        and compared against every epoch's row in one broadcast
+        ``equal``.  So each (user, candidate) pair costs an add, a
+        conditional subtract, a floor-divide, a multiply, a subtract and
+        a cast, plus one narrow compare per epoch.  The counts are exact
+        on every NumPy version; only the speed depends on it.
         """
         n_epochs, n = reports.shape
         indices = _resolve_user_indices(n, user_offset)
@@ -481,11 +570,11 @@ class OptimizedLocalHashing(_CodeThresholdOracle):
         single = n_epochs == 1
         dtype = np.dtype(np.uint32) if single else np.min_scalar_type(self.g)
         reports = reports.astype(dtype, copy=False)
+        all_a, all_b = self._user_hashes(indices)
         prime, g = np.uint32(_HASH_PRIME), np.uint32(self.g)
         for start in range(0, n, self._SUPPORT_BLOCK):
             stop = min(start + self._SUPPORT_BLOCK, n)
-            a, b = _user_hash_params(self.hash_seed, indices[start:stop])
-            a, x = a.astype(np.uint32), b.astype(np.uint32)
+            a, x = all_a[start:stop], all_b[start:stop].copy()
             y = np.ascontiguousarray(reports[:, start:stop])
             tmp = np.empty_like(x)
             hit = np.empty(y.shape, dtype=bool)
@@ -500,9 +589,7 @@ class OptimizedLocalHashing(_CodeThresholdOracle):
                     np.add(x, a, out=x)
                     np.subtract(x, prime, out=tmp)
                     np.minimum(x, tmp, out=x)
-                np.floor_divide(x, g, out=tmp)
-                np.multiply(tmp, g, out=tmp)
-                np.subtract(x, tmp, out=tmp)
+                _bucket(x, g, out=tmp)
                 if bucket is not tmp:
                     bucket[...] = tmp
                 np.equal(y, bucket, out=hit)
@@ -519,9 +606,6 @@ class OptimizedLocalHashing(_CodeThresholdOracle):
     @property
     def report_bits(self) -> int:
         return max(1, int(math.ceil(math.log2(self.g))))
-
-    def exact_epsilon(self) -> float:
-        return math.log(self.t_keep / self.c_other)
 
 
 # ---------------------------------------------------------------------

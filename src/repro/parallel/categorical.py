@@ -46,10 +46,22 @@ __all__ = ["CategoricalKernel", "CategoricalFleetResult", "run_fleet_categorical
 class CategoricalKernel:
     """Shard kernel of a categorical fleet: support counts per epoch.
 
-    Output: ``counts``, an ``(n_shards, n_epochs, n_categories)`` matrix;
-    each shard fills its own ``(n_epochs, n_categories)`` rows — k-RR
-    and OUE in each epoch's ``step``, OLH in ``close_shard``, which
-    decodes every epoch of the shard in one hash sweep.
+    Outputs, each ``(n_shards, n_epochs, n_categories)`` int64, of which
+    each shard fills its own ``(n_epochs, n_categories)`` rows:
+
+    ``counts``
+        Support counts: k-RR and OUE in each epoch's ``step``, OLH in
+        ``close_shard``, which decodes every epoch of the shard in one
+        hash sweep.
+    ``truth``
+        The per-epoch category counts of the shard's reporting devices'
+        true values, which ``finish`` adds up into the fleet's true
+        frequencies without gathering the truth matrix again.
+
+    An OLH shard binds its device range in ``open_shard`` (:meth:`~repro.
+    mechanisms.OptimizedLocalHashing.bind_users`): its users are hashed
+    once, and every epoch's encode and the decode sweep gather from
+    those columns.
     """
 
     oracle: str
@@ -63,10 +75,14 @@ class CategoricalKernel:
 
     def allocate(self, arena: ShmArena, plan: ShardPlan, counts: np.ndarray):
         shape = (counts.shape[1], self.n_categories)
-        ref = arena.allocate((plan.n_shards,) + shape, np.int64)
         size = shape[0] * shape[1]
-        return {"counts": ref}, [
-            {"counts": ref.sub(s * size, shape)} for s in range(plan.n_shards)
+        refs = {
+            name: arena.allocate((plan.n_shards,) + shape, np.int64)
+            for name in ("counts", "truth")
+        }
+        return refs, [
+            {name: ref.sub(s * size, shape) for name, ref in refs.items()}
+            for s in range(plan.n_shards)
         ]
 
     def build(self, seed_seq, pipeline):
@@ -79,7 +95,12 @@ class CategoricalKernel:
             **self.kwargs,
         )
 
+    def open_shard(self, oracle, devices):
+        if self.oracle == "olh":
+            oracle.bind_users(devices)
+
     def step(self, oracle, out, epoch, idx, start, rows, cursor, channel):
+        out["truth"][epoch] = np.bincount(rows, minlength=self.n_categories)
         # Global device indices: the per-user public randomness key.
         users = start + idx
         reports = oracle.report(rows, channel=channel, user_offset=users)
@@ -130,9 +151,19 @@ class CategoricalKernel:
         )
 
     def finish(self, server, out, reporting, loss):
+        """The per-epoch true frequencies over the reporting devices.
+
+        The shards' truth counts are exact integers, added up in shard
+        order, so the frequencies are the same for any worker count.
+        """
         # Composition bound, in bulk: report counts per device are fixed
         # by the coordinator-drawn masks.
         server.record_report_counts(reporting.sum(axis=0), loss)
+        truth = out["truth"].sum(axis=0)
+        # (A per-row count_nonzero is ~8x faster than a sum along axis 1.)
+        return [
+            row / max(np.count_nonzero(mask), 1) for row, mask in zip(truth, reporting)
+        ]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -189,11 +220,13 @@ def run_fleet_categorical(
     true_values = np.asarray(true_values)
     if not np.issubdtype(true_values.dtype, np.integer):
         raise ConfigurationError("categorical fleet values must be integers")
-    true_values = true_values.astype(np.int64)
     if true_values.size and (
         true_values.min() < 0 or true_values.max() >= n_categories
     ):
         raise ConfigurationError(f"categories must be in 0..{n_categories - 1}")
+    # In range, so the narrowest unsigned type holds every category: the
+    # truth block the shards read is 8x smaller than int64 at d = 256.
+    true_values = true_values.astype(np.min_scalar_type(n_categories - 1), copy=False)
     kernel = CategoricalKernel(
         oracle=oracle,
         n_categories=int(n_categories),
@@ -206,7 +239,6 @@ def run_fleet_categorical(
         source_seed=source_seed, pipeline=pipeline, workers=workers,
         shards=shards, execution_plan=execution_plan,
     )
-    reporting = run.reporting
     return CategoricalFleetResult(
         server=server,
         oracle=run.reference,
@@ -214,11 +246,7 @@ def run_fleet_categorical(
             server.frequency_estimates(e, run.reference)
             for e in server.categorical_epochs
         ],
-        true_frequencies=[
-            np.bincount(true_values[epoch, reporting[epoch]], minlength=n_categories)
-            / max(int(reporting[epoch].sum()), 1)
-            for epoch in range(reporting.shape[0])
-        ],
+        true_frequencies=run.collected,
         counters=run.counters,
         shard_plan=run.plan,
     )

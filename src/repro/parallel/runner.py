@@ -16,6 +16,12 @@ and arena cleanup — and delegates what differs to a small picklable
 ``build(seed_seq, pipeline)`` / ``step(...)``
     Worker side: the shard's arm on its audited stream, and one epoch's
     release written into the shard's output regions.
+``open_shard(arm, devices)``
+    Worker side, once after ``build``, with ``devices`` the ``range`` of
+    the shard's global device indices: whatever the arm can prepare for
+    the whole shard (the categorical kernel binds an OLH arm to the
+    range, so each device is hashed once for every epoch's encode and
+    the decode sweep; the numeric kernel has nothing to do).
 ``close_shard(arm, out, start, steps)``
     Worker side, once after the shard's last epoch: whatever the kernel
     deferred across epochs, with ``steps`` the values ``step`` returned
@@ -35,7 +41,10 @@ reference arm, and every shard's ``build`` gets that threshold
 (``threshold=``).  Its ``step`` also writes the epoch's sum of true
 values into the shard's row of a small ``(n_shards, n_epochs)`` region,
 which ``finish`` turns into the true means; and its per-device budget
-and cache columns exist only with a device budget.
+and cache columns exist only with a device budget.  The categorical
+kernel's ``step`` likewise writes the epoch's category counts of its
+reporting devices' true values into an ``(n_shards, n_epochs, d)``
+region, which ``finish`` turns into the true frequencies.
 
 The contract:
 
@@ -431,6 +440,9 @@ class NumericKernel:
             out["n_fresh"][idx] += ~hits
             out["n_cached"][idx] += hits
         out["values"][cursor : cursor + idx.size] = outcome.values
+
+    def open_shard(self, mechanism, devices):
+        pass
 
     def close_shard(self, mechanism, out, start, steps):
         pass

@@ -113,7 +113,9 @@ def run_shard(task: ShardTask) -> ShardResult:
     consume no noise stream.  ``cursor`` counts the reports this shard
     has written so far; kernels with a flat per-report output region
     write the epoch's reports at that offset, and the coordinator
-    derives the same offsets from the same masks when it folds.  After
+    derives the same offsets from the same masks when it folds.  Before
+    the first epoch the kernel's ``open_shard`` gets the shard's device
+    range, for what the arm can prepare once per shard.  After
     the last epoch the kernel's ``close_shard`` gets what each ``step``
     returned, in epoch order, and finishes whatever it deferred.
     """
@@ -123,6 +125,7 @@ def run_shard(task: ShardTask) -> ShardResult:
     counter = CounterSink()
     ring = RingBufferSink(capacity=max(truth.shape[0] + 4, 16))
     arm = task.kernel.build(task.seed_seq, ReleasePipeline(sinks=[counter, ring]))
+    task.kernel.open_shard(arm, range(task.start, task.start + truth.shape[1]))
     cursor = 0
     steps = []
     for epoch in range(truth.shape[0]):

@@ -215,7 +215,12 @@ class ReleasePipeline:
         elif request.guard == "none":
             k_y = self._noised(request, codes)
             if request.modulus is not None:
-                np.mod(k_y, request.modulus, out=k_y)
+                # ``k_y mod m`` as ``k_y - (k_y // m)·m``: floor division
+                # gives np.mod's result for negative codes too, and a
+                # scalar divisor makes it a multiply-shift, not a divide.
+                q = k_y // request.modulus
+                q *= request.modulus
+                k_y -= q
         elif request.guard == "threshold":
             # Fully fused threshold pass on the codebook-gather path:
             # draw_add folds sign + add into the gather buffer and the

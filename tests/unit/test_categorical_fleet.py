@@ -9,7 +9,9 @@ from repro.mechanisms import SensorSpec, make_oracle
 from repro.parallel import (
     CategoricalKernel, plan_shards, run_fleet_categorical, run_fleet_sharded,
 )
+from repro.mechanisms import oracles
 from repro.parallel.runner import draw_reporting
+from repro.parallel.shm import ShmArena
 from repro.rng import SplitStreamSource
 from repro.rng.urng import shard_seed_sequences
 from repro.runtime import CounterSink, JsonlSink, ReleasePipeline
@@ -144,6 +146,149 @@ class TestOlhShardDecode:
         with pytest.raises(ConfigurationError, match="OLH reports"):
             kernel.close_shard(oracle, out, 100, steps)
         np.testing.assert_array_equal(out["counts"], marker)
+
+
+class TestHashOnce:
+    """An OLH shard hashes its users once: every epoch's encode and the
+    decode sweep gather from the same ``(a, b)`` columns."""
+
+    N_CATEGORIES = 6
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        params = oracles._user_hash_params
+
+        def counting(hash_seed, user_indices):
+            seen.append(np.asarray(user_indices).copy())
+            return params(hash_seed, user_indices)
+
+        monkeypatch.setattr(oracles, "_user_hash_params", counting)
+        return seen
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3, 0.9])
+    def test_one_hash_per_shard_that_reported(self, calls, dropout):
+        truth = np.random.default_rng(4).integers(0, self.N_CATEGORIES, size=(3, 16))
+        shards = 8
+        run_fleet_categorical(
+            truth, self.N_CATEGORIES, 2.0, oracle="olh", dropout=dropout,
+            rng=np.random.default_rng(7), source_seed=3, shards=shards,
+            workers=1, pipeline=ReleasePipeline(sinks=[]),
+        )
+        reporting = draw_reporting(truth, dropout, np.random.default_rng(7))
+        plan = plan_shards(truth.shape[1], shards)
+        reported = [
+            (start, stop) for start, stop in plan.slices
+            if reporting[:, start:stop].any()
+        ]
+        if dropout == 0.9:
+            assert len(reported) < plan.n_shards  # a silent shard hashes nothing
+        # One call per shard that reported, over its whole device range.
+        assert [(c[0], c[-1] + 1) for c in calls] == reported
+
+    @pytest.mark.parametrize("oracle", ["krr", "oue"])
+    def test_other_oracles_hash_nothing(self, calls, oracle):
+        truth = np.random.default_rng(4).integers(0, self.N_CATEGORIES, size=(3, 40))
+        _run(truth, workers=1, oracle=oracle, dropout=0.2)
+        assert calls == []
+
+    def test_shared_columns_encode_like_the_public_call(self, calls):
+        kernel = CategoricalKernel("olh", 300, 2.0, {})
+        bound, unbound = kernel.reference(), kernel.reference()
+        kernel.open_shard(bound, range(1000, 1500))
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            users = 1000 + np.flatnonzero(rng.random(500) < 0.7)
+            values = rng.integers(0, 300, size=users.size)
+            np.testing.assert_array_equal(
+                bound.encode(values, user_offset=users),
+                unbound.encode(values, user_offset=users),
+            )
+            reports = unbound.report(values, user_offset=users)
+            np.testing.assert_array_equal(
+                bound.support_counts(reports, user_offset=users),
+                unbound.support_counts(reports, user_offset=users),
+            )
+        # The bound oracle hashed its range once; users outside it (here
+        # partly outside) are hashed directly, with the same result.
+        assert sum(c.size == 500 for c in calls) == 1
+        outside = np.array([999, 1000, 1499, 1500])
+        np.testing.assert_array_equal(
+            bound.encode(np.arange(4), user_offset=outside),
+            unbound.encode(np.arange(4), user_offset=outside),
+        )
+
+
+class TestShardCountedTruth:
+    """``true_frequencies`` comes from per-shard category counts; it must
+    equal the per-epoch gather over the reporting devices."""
+
+    N_CATEGORIES, SHARDS = 9, 8
+
+    @pytest.fixture(scope="class")
+    def cat_truth(self):
+        return np.random.default_rng(17).integers(0, self.N_CATEGORIES, size=(4, 120))
+
+    def _result(self, truth, oracle="olh", workers=1, dropout=0.3):
+        return run_fleet_categorical(
+            truth, self.N_CATEGORIES, 2.0, oracle=oracle, dropout=dropout,
+            rng=np.random.default_rng(6), source_seed=5, shards=self.SHARDS,
+            workers=workers, pipeline=ReleasePipeline(sinks=[]),
+        )
+
+    @pytest.mark.parametrize("oracle", ["krr", "oue", "olh"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3, 0.97])
+    def test_equals_the_per_epoch_gather(self, cat_truth, oracle, workers, dropout):
+        result = self._result(cat_truth, oracle, workers, dropout)
+        reporting = draw_reporting(cat_truth, dropout, np.random.default_rng(6))
+        if dropout == 0.97:
+            plan = plan_shards(cat_truth.shape[1], self.SHARDS)
+            assert any(
+                not reporting[e, start:stop].any()
+                for e in range(cat_truth.shape[0])
+                for start, stop in plan.slices
+            )
+        assert len(result.true_frequencies) == cat_truth.shape[0]
+        for epoch, got in enumerate(result.true_frequencies):
+            mask = reporting[epoch]
+            expected = np.bincount(
+                cat_truth[epoch, mask], minlength=self.N_CATEGORIES
+            ) / max(int(mask.sum()), 1)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64])
+    def test_truth_dtype_does_not_matter(self, cat_truth, dtype):
+        reference = self._result(cat_truth)
+        result = self._result(cat_truth.astype(dtype))
+        for got, expected in zip(result.true_frequencies, reference.true_frequencies):
+            np.testing.assert_array_equal(got, expected)
+        for e in reference.server.categorical_epochs:
+            np.testing.assert_array_equal(
+                result.estimates[e].frequencies, reference.estimates[e].frequencies
+            )
+
+    @pytest.mark.parametrize(
+        "bad,dtype", [(-1, np.int32), (-1, np.int64), (9, np.uint64), (9, np.uint8)]
+    )
+    def test_out_of_range_raises_before_any_block(self, cat_truth, monkeypatch, bad, dtype):
+        created = []
+        create = ShmArena._create
+
+        def recording(arena, nbytes):
+            block = create(arena, nbytes)
+            created.append(block.name)
+            return block
+
+        monkeypatch.setattr(ShmArena, "_create", recording)
+        truth = cat_truth.astype(dtype)
+        truth[2, 50] = bad
+        with pytest.raises(ConfigurationError, match="categories must be in"):
+            self._result(truth)
+        assert created == []
+        self._result(cat_truth.astype(dtype))
+        assert created  # the patch does see a run's blocks
 
 
 class TestAccuracyAndEstimates:

@@ -171,6 +171,63 @@ class TestDpl006:
         result = run_tree(tmp_path, files, rules=["DPL006"])
         assert result.findings == []
 
+    #: A shared-memory store in the shape of ``ShmArena``: ``pack``
+    #: copies arrays in and returns refs, ``view`` reads a block back.
+    #: Nothing in its method summaries links a view to what was packed.
+    ARENA = {
+        "parallel/__init__.py": "",
+        "parallel/store.py": """
+            class Arena:
+                def __init__(self):
+                    self.blocks = []
+
+                def pack(self, arrays):
+                    self.blocks.extend(arrays)
+                    return list(range(len(arrays)))
+
+                def view(self, ref):
+                    return self.blocks[ref]
+            """,
+        "aggregation/__init__.py": "",
+    }
+
+    def test_taint_follows_pack_then_view_into_print(self, tmp_path):
+        files = {
+            **self.ARENA,
+            "aggregation/report.py": """
+                from parallel.store import Arena
+
+                def summarize(kernel, out):
+                    return kernel.finish(out)
+
+                def report(kernel, true_values):
+                    arena = Arena()
+                    refs = arena.pack([true_values[:, 0:4], true_values[:, 4:8]])
+                    out = {"counts": arena.view(refs[0])}
+                    print(summarize(kernel, out))
+                """,
+        }
+        result = run_tree(tmp_path, files, rules=["DPL006"])
+        assert [f.rule_id for f in result.findings] == ["DPL006"]
+        assert "print" in result.findings[0].message
+
+    def test_clean_store_view_not_flagged(self, tmp_path):
+        files = {
+            **self.ARENA,
+            "aggregation/report.py": """
+                from parallel.store import Arena
+
+                def report(true_values, masks):
+                    arena = Arena()
+                    arena.pack([true_values])
+                    other = Arena()
+                    refs = other.pack([masks])
+                    print(other.view(refs[0]))
+                """,
+        }
+        result = run_tree(tmp_path, files, rules=["DPL006"])
+        assert result.findings == []
+
 
 # ----------------------------------------------------------------------
 # DPL007 — nondeterministic seed material

@@ -13,13 +13,17 @@ from repro.mechanisms import (
     make_oracle,
 )
 from repro.mechanisms.oracles import (
+    _HASH_PRIME,
+    _hash_buckets,
+    _krr_offsets,
+    _user_hash_params,
     calibrate_krr_thresholds,
     calibrate_oue_threshold,
     optimal_hash_range,
 )
 from repro.queries import estimate_frequencies, frequency_variance
 from repro.rng import SplitStreamSource
-from repro.runtime import ReleasePipeline
+from repro.runtime import ReleasePipeline, ReleaseRequest
 
 
 # ---------------------------------------------------------------------
@@ -180,6 +184,67 @@ class TestOlhUserIndexing:
         for reports in (np.array([1, 2]), np.array([], dtype=np.int64)):
             with pytest.raises(ConfigurationError):
                 o.support_counts(reports, user_offset=np.array([0, 1, 2]))
+
+
+# ---------------------------------------------------------------------
+# Divide-free arithmetic: exactly the ``%`` forms it replaces
+# ---------------------------------------------------------------------
+class TestDivideFreeForms:
+    @pytest.mark.parametrize("span", [1, 2, 7, 255, 2**16 - 2])
+    def test_offsets_equal_the_mod_form_for_every_code(self, span):
+        u = np.arange(1, 2**16 + 1, dtype=np.int64)
+        for t_keep in (1, span, 2**15, 2**16 - span):
+            reference = np.where(u <= t_keep, 0, 1 + (u - t_keep - 1) % span)
+            np.testing.assert_array_equal(_krr_offsets(u, t_keep, span), reference)
+
+    @pytest.mark.parametrize("g", [2, 3, 8, 255, 256, 300])
+    @pytest.mark.parametrize("n_categories", [2, 1000, 2**20])
+    def test_encode_hash_equals_the_mod_form_at_edge_coefficients(
+        self, g, n_categories
+    ):
+        values = np.arange(n_categories, dtype=np.int64)
+        for a in (1, _HASH_PRIME - 1):
+            for b in (1, _HASH_PRIME - 1):
+                reference = ((a * values + b) % _HASH_PRIME) % g
+                got = _hash_buckets(
+                    values,
+                    np.full(n_categories, a, dtype=np.uint32),
+                    np.full(n_categories, b, dtype=np.uint32),
+                    g,
+                )
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, reference)
+
+    def test_hash_values_equal_the_mod_form_for_random_users(self):
+        o = OptimizedLocalHashing(2**20, 2.0, g=300, source=SplitStreamSource(5))
+        rng = np.random.default_rng(3)
+        values = rng.integers(0, 2**20, size=50_000)
+        users = rng.integers(0, 2**40, size=50_000)
+        a, b = _user_hash_params(o.hash_seed, users)
+        a, b = a.astype(np.int64), b.astype(np.int64)
+        reference = ((a * values + b) % _HASH_PRIME) % 300
+        np.testing.assert_array_equal(o.hash_values(values, users), reference)
+        np.testing.assert_array_equal(o.encode(values, user_offset=users), reference)
+
+    def test_olh_rejects_a_domain_beyond_the_hash_prime(self):
+        with pytest.raises(ConfigurationError):
+            OptimizedLocalHashing(_HASH_PRIME + 1, 2.0)
+
+    @pytest.mark.parametrize("modulus", [2, 3, 8, 255, 256, 300])
+    def test_pipeline_modulus_equals_np_mod_on_negative_sums(self, modulus):
+        codes = np.arange(-3 * modulus, 3 * modulus, dtype=np.int64)
+        offsets = np.resize(np.array([-2 * modulus - 1, -1, 0, 1, modulus + 5]), codes.size)
+        request = ReleaseRequest(
+            mechanism="mod-probe",
+            epsilon=1.0,
+            claimed_loss=1.0,
+            codes=codes,
+            draw=lambda n: offsets[:n],
+            modulus=modulus,
+        )
+        out = ReleasePipeline(sinks=[]).release(request)
+        np.testing.assert_array_equal(out.values, np.mod(codes + offsets, modulus))
+        assert (codes + offsets < 0).any()
 
 
 # ---------------------------------------------------------------------
