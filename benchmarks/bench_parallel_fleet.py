@@ -8,9 +8,10 @@ run on the one shared-memory transport.
 
 Before timing anything it verifies the headline invariant on a small
 fleet: a run sharded across W workers is bit-identical to the same plan
-at ``workers=1``, a streaming run folds the same values as a retaining
-one, and a ``shards=1`` run is bit-identical to the per-device scalar
-reference loop (``run_fleet(batched=False)``).  Every one of those runs
+at ``workers=1``, a streaming run's shard moments equal a fold of a
+retaining run's values shard by shard, bit for bit, and a ``shards=1``
+run is bit-identical to the per-device scalar reference loop
+(``run_fleet(batched=False)``).  Every one of those runs
 must also hold the same disclosure ledger: the same tracked-device count
 and the same bound for every device, whether it was charged per report
 id, per ``Report`` object or as one dense array add.
@@ -46,7 +47,7 @@ import time
 
 import numpy as np
 
-from repro.aggregation import fleet_device_id, run_fleet
+from repro.aggregation import AggregationServer, fleet_device_id, run_fleet
 from repro.mechanisms import SensorSpec
 from repro.parallel import (
     plan_execution, plan_shards, run_fleet_categorical, run_fleet_sharded,
@@ -126,15 +127,22 @@ def _identity_check(workers: int) -> bool:
         truth, SENSOR, EPSILON, rng=audited_generator(1), shards=8,
         workers=workers, streaming=True, with_devices=False, **common,
     )
+    # The streaming shards ship moment rows; folding the retaining run's
+    # values shard by shard, in shard order, must give the same moments.
+    index = {fleet_device_id(i): i for i in range(n_devices)}
+    stops = [stop for _, stop in plan_shards(n_devices, 8).slices]
+    replay = AggregationServer(streaming=True)
     for epoch in one.server.epochs:
         values = one.server.values(epoch)
         if not np.array_equal(values, many.server.values(epoch)):
             return False
-        if streamed.server.summarize(epoch).n_reports != values.size:
-            return False
-        if not np.isclose(
-            streamed.server.summarize(epoch).mean, values.mean(), rtol=1e-12
-        ):
+        shard = np.searchsorted(
+            stops, [index[r.device_id] for r in one.server.reports(epoch)],
+            side="right",
+        )
+        for s in np.unique(shard):
+            replay.submit_array(epoch, values[shard == s], 0.0)
+        if streamed.server.moments(epoch) != replay.moments(epoch):
             return False
     if _ledger(many.server, n_devices) != ledger:
         return False

@@ -25,7 +25,12 @@ Two retention modes:
 Both modes accept *batched* submissions (:meth:`submit_array`) — one
 NumPy array per (epoch, shard) instead of one ``Report`` object per
 device — which is what lets the sharded fleet runner feed a 50k-device
-epoch without materializing 50k Python objects.
+epoch without materializing 50k Python objects.  A streaming server also
+accepts a batch already reduced to its moments (:meth:`submit_moments`,
+the numeric analogue of the categorical :meth:`submit_counts`): the
+fleet's shard workers run :func:`batch_moments` on their own batch, so
+only an O(1) row per (epoch, shard) reaches the server, and it folds to
+the same moments, bit for bit, as the values would.
 
 Beyond the naive query answers, the server offers the noise-aware
 estimators of :mod:`repro.queries.estimators` when told the mechanism's
@@ -40,6 +45,7 @@ import math
 import threading
 from typing import (
     Callable,
+    Collection,
     Dict,
     List,
     Mapping,
@@ -57,7 +63,7 @@ from ..queries.frequency import FrequencyEstimate, estimate_from_counts
 from .ledger import DisclosureLedger, check_claimed_loss
 from .protocol import Report
 
-__all__ = ["AggregationServer", "EpochSummary", "IngestHandle"]
+__all__ = ["AggregationServer", "EpochSummary", "IngestHandle", "batch_moments"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,13 +85,44 @@ class EpochSummary:
     variance_debiased: Optional[float]
 
 
+def batch_moments(
+    values: np.ndarray, thresholds: Collection[float]
+) -> Tuple[float, ...]:
+    """One batch's moments: ``(n, mean, m2, min, max, count_above...)``.
+
+    The reduction half of the streaming fold, one count per threshold in
+    ``thresholds`` order.  A shard worker can run it on its own batch and
+    ship the row instead of the values (post-processing of privatized
+    reports, like a shard's support counts);
+    :meth:`_EpochMoments.merge` then folds the row exactly as
+    :meth:`_EpochMoments.fold` folds the values.  An empty batch gives
+    the merge's identity.
+    """
+    k = int(values.size)
+    if k == 0:
+        return (0, 0.0, 0.0, math.inf, -math.inf) + (0,) * len(thresholds)
+    mean = float(values.mean())
+    row = (
+        k,
+        mean,
+        float(np.square(values - mean).sum()),
+        float(values.min()),
+        float(values.max()),
+    )
+    if thresholds:
+        row += tuple([int(np.count_nonzero(values > t)) for t in thresholds])
+    return row
+
+
 class _EpochMoments:
     """Running moments of one epoch — O(1) state regardless of reports.
 
     Mean/variance use Chan's parallel update, so folding shard batches
     in shard order is deterministic: a fleet sharded across W workers
     folds the *same* per-shard batches in the *same* order for every W,
-    hence identical moments bit-for-bit.
+    hence identical moments bit-for-bit.  ``fold(values)`` is
+    ``merge(batch_moments(values, thresholds))``, so a batch reduced
+    elsewhere merges to the same state.
     """
 
     __slots__ = ("n", "mean", "m2", "lo", "hi", "count_above")
@@ -99,20 +136,24 @@ class _EpochMoments:
         self.count_above: Dict[float, int] = {float(t): 0 for t in thresholds}
 
     def fold(self, values: np.ndarray) -> None:
-        k = int(values.size)
+        self.merge(batch_moments(values, self.count_above))
+
+    def merge(self, stats: Sequence[float]) -> None:
+        """Fold in one batch's :func:`batch_moments` (Chan's update)."""
+        k = int(stats[0])
         if k == 0:
             return
-        batch_mean = float(values.mean())
-        batch_m2 = float(np.square(values - batch_mean).sum())
+        batch_mean = float(stats[1])
         n = self.n + k
         delta = batch_mean - self.mean
         self.mean += delta * (k / n)
-        self.m2 += batch_m2 + delta * delta * (self.n * k / n)
+        self.m2 += float(stats[2]) + delta * delta * (self.n * k / n)
         self.n = n
-        self.lo = min(self.lo, float(values.min()))
-        self.hi = max(self.hi, float(values.max()))
-        for t in self.count_above:
-            self.count_above[t] += int(np.count_nonzero(values > t))
+        self.lo = min(self.lo, float(stats[3]))
+        self.hi = max(self.hi, float(stats[4]))
+        if self.count_above:
+            for t, count in zip(self.count_above, stats[5:]):
+                self.count_above[t] += int(count)
 
     def snapshot(self) -> Dict[str, object]:
         return {
@@ -241,9 +282,10 @@ class AggregationServer:
         #: λ of the devices' Laplace noise, if known; enables debiasing.
         self.noise_scale = noise_scale
         self.streaming = bool(streaming)
-        #: Thresholds whose count-above queries the streaming fold keeps.
+        #: Thresholds whose count-above queries the streaming fold keeps,
+        #: in registration order, duplicates dropped.
         self.count_thresholds: Tuple[float, ...] = tuple(
-            float(t) for t in count_thresholds
+            dict.fromkeys(float(t) for t in count_thresholds)
         )
         #: Retain mode: per-epoch submission-ordered list of ``Report``
         #: objects and ``_ReportBatch`` columns.
@@ -283,10 +325,11 @@ class AggregationServer:
     ) -> None:
         """Accept one epoch batch as an array — no per-report objects.
 
-        This is the sharded-fleet fast path: one call per (epoch, shard)
-        with the shard's privatized values.  In retain mode
-        ``device_ids`` is required (reports must stay materializable and
-        the disclosure bound per-device exact).  In streaming mode ids
+        This is the retaining sharded fleet's fast path: one call per
+        (epoch, shard) with the shard's privatized values (a streaming
+        fleet ships moments instead, :meth:`submit_moments`).  In retain
+        mode ``device_ids`` is required (reports must stay
+        materializable and the disclosure bound per-device exact).  In streaming mode ids
         may be omitted; the caller then records the composition bound in
         bulk via :meth:`record_report_counts` (the fleet runner knows
         every device's report count up front from the dropout masks).
@@ -326,6 +369,56 @@ class AggregationServer:
                 claimed_loss=claimed_loss,
             )
         )
+
+    def submit_moments(
+        self, epoch: int, stats: Sequence[float], claimed_loss: float
+    ) -> None:
+        """Accept one epoch batch already reduced to its moments.
+
+        The numeric analogue of :meth:`submit_counts`: the shard worker
+        reduces its privatized batch with :func:`batch_moments` (one
+        count per threshold of :attr:`count_thresholds`, in order) and
+        ships only that row, which folds into the epoch exactly as
+        :meth:`submit_array` of the batch would, bit for bit.  Streaming
+        mode only: a retaining server keeps every report.  Ids are never
+        taken; the caller records the composition bound in bulk via
+        :meth:`record_report_counts`.
+
+        Fails closed, before anything is folded: a negative or NaN
+        loss, a row of the wrong length, a non-integer or negative
+        ``n`` or count, a count above ``n``, and on a nonempty batch a
+        NaN mean, ``m2 < 0`` or ``min > max`` raise
+        :class:`~repro.errors.ConfigurationError`.
+        """
+        claimed_loss = check_claimed_loss(claimed_loss)
+        if not self.streaming:
+            raise ConfigurationError(
+                "submit_moments needs a streaming server; a retaining server "
+                "keeps every report (submit_array)"
+            )
+        row = [float(x) for x in stats]
+        width = 5 + len(self.count_thresholds)
+        if len(row) != width:
+            raise ConfigurationError(
+                f"moment row has {len(row)} fields, expected {width} "
+                f"(n, mean, m2, min, max, one count per registered threshold)"
+            )
+        n, mean, m2, lo, hi, *above = row
+        for count in (n, *above):
+            if not (count.is_integer() and count >= 0.0):
+                raise ConfigurationError(
+                    f"moment counts must be nonnegative integers, got {count!r}"
+                )
+            if count > n:
+                raise ConfigurationError(
+                    f"count above a threshold ({count!r}) exceeds n ({n!r})"
+                )
+        if n > 0 and (math.isnan(mean) or not m2 >= 0.0 or not lo <= hi):
+            raise ConfigurationError(
+                f"inconsistent moments: mean={mean!r}, m2={m2!r}, "
+                f"min={lo!r}, max={hi!r}"
+            )
+        self._epoch_moments(epoch).merge(row)
 
     def submit_counts(
         self,

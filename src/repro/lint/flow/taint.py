@@ -22,8 +22,8 @@ sets; :meth:`TaintAnalysis.trace` then resolves symbolic roots back
 through recorded call edges to concrete sources, producing the
 ``FlowStep`` witness chain attached to findings.
 
-Shared stores carry taint: ``arena.pack(xs)``/``arena.share(x)`` taint
-the receiver with what they copy in, and ``arena.view(ref)`` reads that
+Shared stores carry taint: ``arena.pack(xs)``/``arena.packing(xs)``/
+``arena.share(x)`` taint the receiver with what they copy in, and ``arena.view(ref)`` reads that
 taint back out, so a truth matrix shipped to shard workers through a
 :class:`~repro.parallel.shm.ShmArena` still taints the results the
 coordinator reads from the arena.
@@ -68,11 +68,12 @@ _MAX_TRACE_DEPTH = 25
 SANITIZER_ATTRS = ("privatize", "read_private", "charge_and_emit")
 #: Seam calls sanitizing only when they bind an ``accounting=`` policy.
 ACCOUNTED_SEAM_ATTRS = ("release",)
-#: Storage writes: ``arena.pack(arrays)`` / ``arena.share(array)`` copy
+#: Storage writes: ``arena.pack(arrays)`` / ``arena.share(array)`` /
+#: ``arena.packing(arrays)`` (the same copy, on a helper thread) copy
 #: their arguments into the receiver's shared-memory blocks, so the
 #: receiver holds that taint afterwards (and so do the returned refs,
 #: which address the copied data).
-STORE_ATTRS = frozenset({"pack", "share"})
+STORE_ATTRS = frozenset({"pack", "packing", "share"})
 #: Storage reads: ``arena.view(ref)`` is an array over the receiver's
 #: blocks, so it carries whatever was stored in them.
 LOAD_ATTRS = frozenset({"view"})

@@ -36,6 +36,16 @@ and arena cleanup — and delegates what differs to a small picklable
 :class:`~repro.parallel.categorical.CategoricalKernel` (behind
 :func:`~repro.parallel.categorical.run_fleet_categorical`) are the two.
 
+Each kernel's outputs are what its server keeps, reduced in the shard.
+The numeric kernel on a streaming server writes one
+:func:`~repro.aggregation.server.batch_moments` row per (shard, epoch)
+into an ``(n_shards, n_epochs, 5 + T)`` region (T registered count
+thresholds), which ``fold`` hands to ``submit_moments``; on a retaining
+server, which keeps every report, it writes the flat per-report
+``values`` region that ``fold`` hands to ``submit_array``.  The
+categorical kernel writes O(d) support counts per (shard, epoch) for
+``submit_counts``.
+
 The numeric kernel's guarded arm is calibrated once per call, on the
 reference arm, and every shard's ``build`` gets that threshold
 (``threshold=``).  Its ``step`` also writes the epoch's sum of true
@@ -45,6 +55,14 @@ and cache columns exist only with a device budget.  The categorical
 kernel's ``step`` likewise writes the epoch's category counts of its
 reporting devices' true values into an ``(n_shards, n_epochs, d)``
 region, which ``finish`` turns into the true frequencies.
+
+The coordinator validates the truth matrix's shape and ``dropout``
+before any shared-memory block exists.  It then creates the truth block
+and copies every shard's slice into it on one helper thread
+(:meth:`~repro.parallel.shm.ShmArena.packing`) while the calling thread
+draws the masks, packs them and allocates the outputs: both sides are
+NumPy calls that release the GIL.  The helper is joined before the
+shards run, so no thread is alive when a pool forks.
 
 The contract:
 
@@ -81,14 +99,14 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import functools
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..aggregation.device import Device
 from ..aggregation.fleet import FleetResult
 from ..aggregation.ledger import fleet_device_id
-from ..aggregation.server import AggregationServer
+from ..aggregation.server import AggregationServer, batch_moments
 from ..errors import BudgetExhaustedError, ConfigurationError
 from ..mechanisms import SensorSpec, make_mechanism
 from ..rng.codebook import backend_fingerprint, codebook_cache
@@ -167,6 +185,17 @@ def reject_shared_sources(kernel) -> None:
             )
 
 
+def _check_fleet(true_values: np.ndarray, dropout: float) -> None:
+    """Refuse a truth matrix that is not ``(n_epochs, n_devices >= 1)``
+    or a ``dropout`` outside ``[0, 1)``."""
+    if true_values.ndim != 2:
+        raise ConfigurationError("true_values must be (n_epochs, n_devices)")
+    if true_values.shape[1] < 1:
+        raise ConfigurationError("n_devices must be >= 1")
+    if not 0.0 <= dropout < 1.0:
+        raise ConfigurationError("dropout must be in [0, 1)")
+
+
 def draw_reporting(
     true_values: np.ndarray, dropout: float, rng: Optional[np.random.Generator]
 ) -> np.ndarray:
@@ -177,13 +206,8 @@ def draw_reporting(
     epoch), so a given ``rng`` seed yields the same reporting sets on
     every plan and on the scalar reference loop.
     """
-    if true_values.ndim != 2:
-        raise ConfigurationError("true_values must be (n_epochs, n_devices)")
+    _check_fleet(true_values, dropout)
     n_epochs, n_devices = true_values.shape
-    if n_devices < 1:
-        raise ConfigurationError("n_devices must be >= 1")
-    if not 0.0 <= dropout < 1.0:
-        raise ConfigurationError("dropout must be in [0, 1)")
     # dplint: allow[DPL001] -- dropout/straggler simulation randomness only;
     # release noise comes from the fleet's audited sources.
     rng = rng or np.random.default_rng()
@@ -202,8 +226,6 @@ class ShardedRun(NamedTuple):
     plan: ShardPlan
     #: The coordinator's reference arm (never released).
     reference: object
-    #: Coordinator-drawn reporting masks, ``(n_epochs, n_devices)`` bool.
-    reporting: np.ndarray
     #: Shard counters merged in shard order.
     counters: CounterSink
     #: Whatever the kernel's ``finish`` returned.
@@ -242,33 +264,43 @@ def run_sharded(
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
     reject_shared_sources(kernel)
-    reporting = draw_reporting(true_values, dropout, rng)
+    _check_fleet(true_values, dropout)  # before any shm block exists
     n_epochs, n_devices = true_values.shape
     plan = plan_shards(n_devices, shards)
     reference = kernel.reference()
     loss = reference.claimed_loss_bound
-
-    # counts[s, e]: reports of shard s in epoch e.  Output layouts are
-    # fully determined by these, so no size metadata rides back; the
-    # cursor is where each (shard, epoch) cell starts in a flat
-    # shard-major report region.
-    counts = np.stack(
-        [reporting[:, start:stop].sum(axis=1) for start, stop in plan.slices]
-    ).astype(np.int64)
-    cursor = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
-
     seqs = shard_seed_sequences(source_seed, plan.n_shards)
+
     arena = ShmArena()
     out: Dict[str, np.ndarray] = {}
     try:
         # One block per array kind, every shard's slice packed inside.
-        truth_refs = arena.pack(
+        # The truth is copied in on a helper thread while this thread
+        # draws the masks (both release the GIL) and lays out the rest;
+        # the ``with`` joins the helper, so no thread is alive when a
+        # pool forks below.
+        with arena.packing(
             [true_values[:, start:stop] for start, stop in plan.slices]
-        )
-        reporting_refs = arena.pack(
-            [reporting[:, start:stop] for start, stop in plan.slices]
-        )
-        out_refs, shard_out_refs = kernel.allocate(arena, plan, counts)
+        ) as truth_refs:
+            reporting = draw_reporting(true_values, dropout, rng)
+            # counts[s, e]: reports of shard s in epoch e.  Output
+            # layouts are fully determined by these, so no size metadata
+            # rides back.  (A per-row count_nonzero is ~3x faster than a
+            # sum along axis 1.)
+            counts = np.array(
+                [
+                    [np.count_nonzero(mask[start:stop]) for mask in reporting]
+                    for start, stop in plan.slices
+                ],
+                dtype=np.int64,
+            )
+            reporting_refs = arena.pack(
+                [reporting[:, start:stop] for start, stop in plan.slices]
+            )
+            out_refs, shard_out_refs = kernel.allocate(arena, plan, counts)
+        # Where each (shard, epoch) cell starts in a flat shard-major
+        # report region.
+        cursor = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
         tasks = [
             ShardTask(
                 kernel=kernel,
@@ -321,7 +353,7 @@ def run_sharded(
     counters = functools.reduce(
         CounterSink.merge, (r.counter for r in results), CounterSink()
     )
-    return ShardedRun(plan, reference, reporting, counters, collected)
+    return ShardedRun(plan, reference, counters, collected)
 
 
 #: Per-device state a budgeted numeric shard writes back: (dtype,
@@ -337,11 +369,18 @@ _DEVICE_STATE = {
 class NumericKernel:
     """Shard kernel of a numeric fleet: one scalar release per report.
 
-    Outputs:
+    Outputs — each kernel ships exactly what its server keeps:
 
-    ``values``
+    ``moments`` (streaming server)
+        ``(n_shards, n_epochs, 5 + T)`` float64: each shard's
+        :func:`~repro.aggregation.server.batch_moments` row per epoch,
+        ``(n, mean, m2, min, max)`` plus one count per registered
+        threshold (``count_thresholds``, T of them), which ``fold``
+        hands to ``submit_moments``.  No per-report region exists.
+    ``values`` (retaining server)
         The flat privatized-value region (epochs in order within each
-        shard, shards in order).
+        shard, shards in order), which ``fold`` hands to
+        ``submit_array`` with the reports' device ids.
     ``sums``
         ``(n_shards, n_epochs)`` float64: each shard's sum of its
         reporting devices' true values per epoch, from which ``finish``
@@ -355,7 +394,9 @@ class NumericKernel:
 
     ``threshold`` pins the guarded arms' threshold: the coordinator
     calibrates it once on its reference arm and every shard's arm is
-    built on that value instead of recalibrating.
+    built on that value instead of recalibrating.  ``streaming`` and
+    ``count_thresholds`` are the server's, so the shards reduce what
+    it would reduce.
     """
 
     arm: str
@@ -365,6 +406,8 @@ class NumericKernel:
     kwargs: Dict[str, object]
     with_devices: bool = True
     threshold: Optional[float] = None
+    streaming: bool = False
+    count_thresholds: Tuple[float, ...] = ()
     forbidden = ("source", "rng", "pipeline")
 
     @property
@@ -389,21 +432,37 @@ class NumericKernel:
         if self.device_budget is not None:
             columns = dict(_DEVICE_STATE)
             columns["remaining"] = (np.float64, float(self.device_budget))
-        totals = counts.sum(axis=1)
         n_epochs = counts.shape[1]
+        if self.streaming:
+            # One moment row per (shard, epoch): all a streaming server keeps.
+            width = 5 + len(self.count_thresholds)
+            report_name = "moments"
+            reports = arena.allocate((plan.n_shards, n_epochs, width), np.float64)
+            shard_reports = [
+                reports.sub(s * n_epochs * width, (n_epochs, width))
+                for s in range(plan.n_shards)
+            ]
+        else:
+            totals = counts.sum(axis=1)
+            bases = np.cumsum(totals) - totals
+            report_name = "values"
+            reports = arena.allocate((max(int(totals.sum()), 1),), np.float64)
+            shard_reports = [
+                reports.sub(int(base), (int(total),))
+                for base, total in zip(bases, totals)
+            ]
         refs = {
-            "values": arena.allocate((max(int(totals.sum()), 1),), np.float64),
+            report_name: reports,
             "sums": arena.allocate((plan.n_shards, n_epochs), np.float64),
         }
         for name, (dtype, initial) in columns.items():
             refs[name] = arena.allocate((plan.n_devices,), dtype)
             if initial:  # fresh blocks are already zero pages
                 arena.view(refs[name])[...] = initial
-        bases = np.cumsum(totals) - totals
         shard_refs = []
         for s, (start, stop) in enumerate(plan.slices):
             shard = {
-                "values": refs["values"].sub(int(bases[s]), (int(totals[s]),)),
+                report_name: shard_reports[s],
                 "sums": refs["sums"].sub(s * n_epochs, (n_epochs,)),
             }
             shard.update(
@@ -439,7 +498,12 @@ class NumericKernel:
             hits = outcome.cache_hits
             out["n_fresh"][idx] += ~hits
             out["n_cached"][idx] += hits
-        out["values"][cursor : cursor + idx.size] = outcome.values
+        if self.streaming:
+            # The same float64 batch the server would read back and fold.
+            values = np.ascontiguousarray(outcome.values, dtype=np.float64)
+            out["moments"][epoch] = batch_moments(values, self.count_thresholds)
+        else:
+            out["values"][cursor : cursor + idx.size] = outcome.values
 
     def open_shard(self, mechanism, devices):
         pass
@@ -448,20 +512,18 @@ class NumericKernel:
         pass
 
     def fold(self, server, out, epoch, shard, reports, mask, start, loss):
-        # Donated: streaming moments consume the view immediately, retain
-        # mode copies it before storing.
-        values = out["values"][reports]
-        if server.streaming:
-            server.submit_array(epoch, values, loss, donate=True)
-        else:
-            idx = start + np.flatnonzero(mask)
-            server.submit_array(
-                epoch,
-                values,
-                loss,
-                device_ids=[fleet_device_id(i) for i in idx],
-                donate=True,
-            )
+        if self.streaming:
+            server.submit_moments(epoch, out["moments"][shard, epoch], loss)
+            return
+        # Donated: retain mode copies the view before storing it.
+        idx = start + np.flatnonzero(mask)
+        server.submit_array(
+            epoch,
+            out["values"][reports],
+            loss,
+            device_ids=[fleet_device_id(i) for i in idx],
+            donate=True,
+        )
 
     def finish(self, server, out, reporting, loss):
         """``(true_means, device state or None)``.
@@ -536,15 +598,19 @@ def run_fleet_sharded(
         kwargs=dict(mechanism_kwargs),
         with_devices=with_devices,
     )
-    # The call's one threshold calibration: every shard's arm is built on
-    # the reference arm's value (arms without a threshold leave it None).
-    kernel = dataclasses.replace(
-        kernel, threshold=getattr(kernel.reference(), "threshold", None)
-    )
     server = AggregationServer(
         noise_scale=kernel.noise_scale,
         streaming=streaming,
         count_thresholds=count_thresholds,
+    )
+    # The call's one threshold calibration: every shard's arm is built on
+    # the reference arm's value (arms without a threshold leave it None).
+    # The shards reduce what the server keeps.
+    kernel = dataclasses.replace(
+        kernel,
+        threshold=getattr(kernel.reference(), "threshold", None),
+        streaming=server.streaming,
+        count_thresholds=server.count_thresholds,
     )
     run = run_sharded(
         kernel, true_values, server, dropout=dropout, rng=rng,

@@ -18,6 +18,9 @@ Two pieces:
 
 :class:`ShmArena`
     The owner of the blocks and the single place that unlinks them.
+    ``pack`` copies arrays into one block; ``packing`` does the same
+    copy on a helper thread behind a ``with`` body (the coordinator
+    draws the dropout masks while the truth is copied in).
     The coordinator creates an arena per run inside ``try/finally`` (so
     a worker crash — including ``BrokenProcessPool`` — still unlinks
     every block) and a :func:`weakref.finalize` backstop covers paths
@@ -43,11 +46,13 @@ seed material; they are transport addresses only.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
+import threading
 import weakref
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -126,6 +131,13 @@ def attach_array(ref: ShmArrayRef) -> np.ndarray:
     )
 
 
+def _copy_into(views: Sequence[np.ndarray], arrays: Sequence[np.ndarray]) -> None:
+    # Each (possibly strided) array is copied once, straight into its
+    # place in the block: no contiguous temporary.
+    for view, array in zip(views, arrays):
+        view[...] = array
+
+
 def _unlink_blocks(blocks: List[shared_memory.SharedMemory], owner_pid: int) -> None:
     """Finalizer body: close+unlink every block — in the owner only.
 
@@ -196,23 +208,58 @@ class ShmArena:
         single segment: one block for every shard's truth slice, one for
         every reporting slice, instead of blocks × shards.
         """
-        # Each (possibly strided) array is copied once, straight into its
-        # place in the block: no contiguous temporary.
         arrays = [np.asarray(a) for a in arrays]
+        refs = self._layout(arrays)
+        _copy_into([self.view(ref) for ref in refs], arrays)
+        return refs
+
+    @contextlib.contextmanager
+    def packing(self, arrays: Sequence[np.ndarray]) -> Iterator[List[ShmArrayRef]]:
+        """:meth:`pack`, with the copy running behind the ``with`` body.
+
+        The block and its refs are made here, on the calling thread; one
+        helper thread copies the arrays in while the body runs (a NumPy
+        copy releases the GIL, so the body's own NumPy work overlaps
+        it).  The exit joins the helper — also when the body raises —
+        and re-raises a failed copy, so no thread outlives the block:
+        the caller may fork, read the block or close the arena after
+        the ``with``, never inside it.
+        """
+        arrays = [np.asarray(a) for a in arrays]
+        refs = self._layout(arrays)
+        views = [self.view(ref) for ref in refs]
+        failed: List[BaseException] = []
+
+        def copy() -> None:
+            try:
+                _copy_into(views, arrays)
+            except BaseException as exc:  # re-raised on the calling thread
+                failed.append(exc)
+            finally:
+                views.clear()  # drop the block's exports with the thread
+
+        helper = threading.Thread(target=copy, name="shm-pack")
+        helper.start()
+        try:
+            yield refs
+        finally:
+            helper.join()
+        if failed:
+            raise failed[0]
+
+    def _layout(self, arrays: Sequence[np.ndarray]) -> List[ShmArrayRef]:
+        """One block sized for ``arrays``, one aligned ref per array;
+        nothing is copied (the block is zero pages)."""
         offsets: List[int] = []
         total = 0
         for a in arrays:
             offsets.append(total)
             total += _aligned(max(a.nbytes, 1))
         block = self._create(max(total, 1))
-        refs: List[ShmArrayRef] = []
-        for a, off in zip(arrays, offsets):
-            ref = ShmArrayRef(
-                name=block.name, shape=a.shape, dtype=a.dtype.str, offset=off
-            )
-            self.view(ref)[...] = a
-            refs.append(ref)
-        return refs
+        return [
+            ShmArrayRef(name=block.name, shape=a.shape, dtype=a.dtype.str, offset=off)
+            for a, off in zip(arrays, offsets)
+        ]
 
     # -- access --------------------------------------------------------
     def view(self, ref: ShmArrayRef) -> np.ndarray:

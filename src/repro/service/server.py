@@ -53,6 +53,7 @@ reject, so a fold failure is an *internal* error — counted, traced with
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import dataclasses
 import struct
 import threading
@@ -732,8 +733,7 @@ class ServiceHandle:
             future.result(timeout=timeout)
             self._grace_tick(timeout)
         finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=timeout)
+            self._halt(timeout)
 
     def _grace_tick(self, timeout: float) -> None:
         # One extra loop turn so transport connection_lost callbacks run
@@ -760,6 +760,19 @@ class ServiceHandle:
         try:
             future.result(timeout=timeout)
         finally:
+            self._halt(timeout)
+
+    def _halt(self, timeout: float) -> None:
+        # Cancel and await what is still pending (connection handlers
+        # parked on a read) before the loop stops: a task left pending
+        # on a closed loop is destroyed at GC with an asyncio error.
+        try:
+            asyncio.run_coroutine_threadsafe(
+                _cancel_pending(), self._loop
+            ).result(timeout=timeout)
+        except concurrent.futures.TimeoutError:
+            pass  # a handler ignoring cancellation; stop the loop anyway
+        finally:
             self._loop.call_soon_threadsafe(self._loop.stop)
             self._thread.join(timeout=timeout)
 
@@ -768,6 +781,15 @@ class ServiceHandle:
 
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
+
+
+async def _cancel_pending() -> None:
+    """Cancel every other task of the running loop and await them all."""
+    current = asyncio.current_task()
+    pending = [task for task in asyncio.all_tasks() if task is not current]
+    for task in pending:
+        task.cancel()
+    await asyncio.gather(*pending, return_exceptions=True)
 
 
 def serve_in_thread(

@@ -211,6 +211,25 @@ class TestDpl006:
         assert [f.rule_id for f in result.findings] == ["DPL006"]
         assert "print" in result.findings[0].message
 
+    def test_taint_follows_packing_then_view_into_print(self, tmp_path):
+        # ``packing`` is ``pack`` with the copy behind a ``with`` body;
+        # what is read back from the arena afterwards still carries it.
+        files = {
+            **self.ARENA,
+            "aggregation/report.py": """
+                from parallel.store import Arena
+
+                def report(true_values, masks):
+                    arena = Arena()
+                    with arena.packing([true_values[:, 0:4]]):
+                        refs = arena.pack([masks])
+                    print(arena.view(refs[0]))
+                """,
+        }
+        result = run_tree(tmp_path, files, rules=["DPL006"])
+        assert [f.rule_id for f in result.findings] == ["DPL006"]
+        assert "print" in result.findings[0].message
+
     def test_clean_store_view_not_flagged(self, tmp_path):
         files = {
             **self.ARENA,

@@ -16,7 +16,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.aggregation import fleet_device_id
+from repro.aggregation import AggregationServer, fleet_device_id
 from repro.aggregation.fleet import run_fleet
 from repro.errors import ConfigurationError
 from repro.mechanisms import SensorSpec
@@ -234,6 +234,24 @@ class TestStreamingRuns:
             assert summary.n_reports == ref.size
             assert summary.mean == pytest.approx(float(ref.mean()), rel=1e-12)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("thresholds", [(), (2.0, 5.5)])
+    def test_shard_moments_equal_a_fold_of_the_values(self, workers, thresholds):
+        # The streaming run's shards ship moment rows; folding the same
+        # shard batches' values (a retaining run keeps them, one batch
+        # per shard in shard order) must give the same state bit for bit.
+        kwargs = dict(dropout=0.25, shards=4, count_thresholds=thresholds)
+        st = run_sharded(workers, streaming=True, with_devices=False, **kwargs)
+        rt = run_sharded(workers, **kwargs)
+        replay = AggregationServer(streaming=True, count_thresholds=thresholds)
+        for epoch in rt.server.epochs:
+            for batch in rt.server._epochs[epoch]:
+                replay.submit_array(epoch, batch.values, batch.claimed_loss)
+        assert st.server.epochs == replay.epochs == rt.server.epochs
+        for epoch in replay.epochs:
+            got, want = st.server.moments(epoch), replay.moments(epoch)
+            assert repr(got) == repr(want)
+
     def test_streaming_retains_no_reports(self):
         result = run_sharded(2, streaming=True, with_devices=False)
         assert result.server.n_retained_reports == 0
@@ -324,6 +342,38 @@ class TestDeviceColumns:
             assert dev_a.n_cached == dev_b.n_cached == 0
             assert dev_a._cache.code is dev_b._cache.code is None
             assert dev_a.remaining_budget is dev_b.remaining_budget is None
+
+
+    @pytest.mark.parametrize(
+        "streaming,thresholds,expected",
+        [
+            (False, (), ["sums", "values"]),
+            (True, (), ["moments", "sums"]),
+            (True, (2.0, 5.5, 2.0), ["moments", "sums"]),
+        ],
+    )
+    def test_each_kernel_ships_what_its_server_keeps(
+        self, monkeypatch, streaming, thresholds, expected
+    ):
+        allocated = []
+        allocate = NumericKernel.allocate
+
+        def recording(kernel, arena, plan, counts):
+            refs, shard_refs = allocate(kernel, arena, plan, counts)
+            allocated.append({name: ref.shape for name, ref in refs.items()})
+            return refs, shard_refs
+
+        monkeypatch.setattr(NumericKernel, "allocate", recording)
+        run_sharded(
+            2, t=truth(), dropout=0.25, streaming=streaming,
+            count_thresholds=thresholds, with_devices=False,
+        )
+        [shapes] = allocated
+        assert sorted(shapes) == expected
+        if streaming:
+            # One moment row per (shard, epoch); a repeated threshold is
+            # registered, and counted, once.
+            assert shapes["moments"] == (4, 3, 5 + len(set(thresholds)))
 
 
 class TestCalibrateOnce:

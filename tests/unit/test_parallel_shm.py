@@ -12,10 +12,12 @@ arena's own mapping instead of mapping the block a second time.
 """
 
 import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
 
@@ -91,6 +93,41 @@ class TestArenaBasics:
             for ref, original in zip(refs, slices):
                 assert arena.view(ref).flags.c_contiguous
                 assert arena.view(ref).tobytes() == np.ascontiguousarray(original).tobytes()
+
+    def test_packing_copies_behind_the_body_and_joins(self):
+        matrix = np.random.default_rng(2).standard_normal((8, 3_000))
+        slices = [matrix[:, start : start + 1_000] for start in range(0, 3_000, 1_000)]
+        threads = threading.active_count()
+        with ShmArena() as arena:
+            with arena.packing(slices) as refs:
+                assert len({r.name for r in refs}) == 1
+                # The body runs with the copy behind it.
+                assert threading.active_count() <= threads + 1
+                other = arena.pack([np.arange(4)])
+            assert threading.active_count() == threads
+            for ref, original in zip(refs, slices):
+                assert arena.view(ref).tobytes() == np.ascontiguousarray(original).tobytes()
+            np.testing.assert_array_equal(arena.view(other[0]), np.arange(4))
+
+    def test_packing_joins_when_the_body_raises(self):
+        threads = threading.active_count()
+        with ShmArena() as arena:
+            with pytest.raises(KeyError):
+                with arena.packing([np.ones((4, 100))]):
+                    raise KeyError("body")
+            assert threading.active_count() == threads
+
+    def test_packing_reraises_a_failed_copy(self, monkeypatch):
+        def failing(views, arrays):
+            raise MemoryError("copy")
+
+        monkeypatch.setattr(shm_module, "_copy_into", failing)
+        threads = threading.active_count()
+        with ShmArena() as arena:
+            with pytest.raises(MemoryError):
+                with arena.packing([np.ones(8)]):
+                    pass
+            assert threading.active_count() == threads
 
     def test_sub_ref_addresses_a_slice(self):
         with ShmArena() as arena:
@@ -208,6 +245,59 @@ class TestRunnerCleanup:
         with pytest.raises(BrokenProcessPool):
             run_fleet_sharded(truth, SENSOR, 0.5, workers=2, **_fleet_kwargs())
         assert not _leaked(before)
+
+
+class TestRunnerPackOverlap:
+    """The truth is packed on a helper thread while the masks are drawn:
+    bad inputs raise before any block exists, and no helper thread is
+    alive after the call or when a pool forks."""
+
+    @pytest.mark.parametrize(
+        "truth,dropout",
+        [
+            pytest.param(np.ones((3, 40)), 1.0, id="dropout-one"),
+            pytest.param(np.ones((3, 40)), -0.1, id="dropout-negative"),
+            pytest.param(np.ones((3, 40)), float("nan"), id="dropout-nan"),
+            pytest.param(np.ones(40), 0.0, id="one-dimensional"),
+            pytest.param(np.ones((3, 0)), 0.0, id="no-devices"),
+        ],
+    )
+    def test_bad_inputs_raise_before_any_block(self, monkeypatch, truth, dropout):
+        created = []
+        create = ShmArena._create
+
+        def recording(arena, nbytes):
+            created.append(nbytes)
+            return create(arena, nbytes)
+
+        monkeypatch.setattr(ShmArena, "_create", recording)
+        threads = threading.active_count()
+        with pytest.raises(ConfigurationError):
+            run_fleet_sharded(truth, SENSOR, 0.5, dropout=dropout, **_fleet_kwargs())
+        assert created == []
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_helper_thread_outlives_the_pack(self, monkeypatch, workers):
+        from repro.parallel import runner as runner_module
+
+        seen = []
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                seen.append(threading.active_count())
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(
+            runner_module.concurrent.futures, "ProcessPoolExecutor", Recording
+        )
+        threads = threading.active_count()
+        truth = np.random.default_rng(0).uniform(1.0, 7.0, size=(3, 40))
+        run_fleet_sharded(
+            truth, SENSOR, 0.5, workers=workers, dropout=0.2, **_fleet_kwargs()
+        )
+        assert seen == ([threads] if workers > 1 else [])
+        assert threading.active_count() == threads
 
 
 def _exit_hard(task):  # pragma: no cover - runs (briefly) in the worker

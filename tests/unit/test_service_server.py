@@ -7,7 +7,10 @@ the kill-the-server-mid-batch atomicity contract (a batch folds whole
 or not at all — never partially).
 """
 
+import asyncio
+import gc
 import json
+import logging
 import threading
 import time
 
@@ -571,6 +574,26 @@ class TestKillMidBatch:
         # Whole batches only: 0, 1, 2 or 3 folds — never a partial one.
         assert count % batch == 0
         assert 0 <= count <= 3 * batch
+
+    @pytest.mark.parametrize("how", ["kill", "stop"])
+    def test_shutdown_leaves_no_pending_task(self, caplog, how):
+        aggregation = AggregationServer(streaming=True)
+        handle = serve_in_thread(aggregation)
+        client = IngestClient(*handle.address)
+        try:
+            # The connection's handler now waits for the next line.
+            client.submit(0, ["a"], [1.0], 1.0)
+        finally:
+            getattr(handle, how)()
+        loop = handle._loop
+        try:
+            assert asyncio.all_tasks(loop) == set()
+        finally:
+            client.close()
+        del handle, loop
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            gc.collect()
+        assert "Task was destroyed" not in caplog.text
 
 
 class TestRunLoad:
