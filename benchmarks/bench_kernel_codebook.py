@@ -5,8 +5,9 @@ times the resampling arm at 1M draws under the hardware (CORDIC) log
 datapath with the codebook kernel against the live per-draw datapath,
 asserts the ≥3× floor on the median speedup, and times raw
 ``sample_codes`` for both log back-ends plus the batched-vs-scalar fleet
-epoch.  Every row is timed by the method in ``_kernel_results.py``
-(alternating repeats, median and quartiles, host block); the results
+epoch (budgeted, 10% dropout), whose median speedup must be ≥5×.  Every
+row is timed by the method in ``_kernel_results.py`` (alternating
+repeats, median and quartiles, host block); the results
 land in ``BENCH_kernels.json`` at the repo root so future PRs can track
 regressions, and the human-readable table goes to
 ``benchmarks/results/`` like every other bench.
@@ -31,6 +32,10 @@ MIN_SPEEDUP = 3.0
 
 FLEET_DEVICES = 2_000
 FLEET_EPOCHS = 3
+FLEET_BUDGET = 2.5
+FLEET_DROPOUT = 0.1
+#: Floor on the batched fleet's median speedup over the scalar loop.
+MIN_FLEET_SPEEDUP = 5.0
 
 
 def bench_kernel_resampling_arm(benchmark):
@@ -152,12 +157,20 @@ def bench_kernel_sample_codes(benchmark):
 
 
 def bench_kernel_fleet_paths(benchmark):
-    """Fleet epoch timings under the codebook kernel, batched vs scalar."""
+    """Fleet epoch timings under the codebook kernel, batched vs scalar.
+
+    Budgeted, with 10% dropout: the batched path charges every device's
+    budget in one array pass per epoch, the scalar loop per report.  Both
+    share one seed, so the reports must match bit for bit, and the
+    batched path must be ≥5× faster in the median.
+    """
     truth = np.random.default_rng(5).uniform(
         2.0, 8.0, size=(FLEET_EPOCHS, FLEET_DEVICES)
     )
     kwargs = dict(
         epsilon=EPSILON,
+        device_budget=FLEET_BUDGET,
+        dropout=FLEET_DROPOUT,
         source_seed=7,
         input_bits=13,
         output_bits=18,
@@ -189,6 +202,9 @@ def bench_kernel_fleet_paths(benchmark):
             row,
             devices=FLEET_DEVICES,
             epochs=FLEET_EPOCHS,
+            device_budget=FLEET_BUDGET,
+            dropout=FLEET_DROPOUT,
+            min_speedup=MIN_FLEET_SPEEDUP,
             bit_identical=identical,
             cache_stats=codebook_cache().stats(),
         ),
@@ -198,11 +214,17 @@ def bench_kernel_fleet_paths(benchmark):
         "\n".join(
             [
                 f"fleet {FLEET_DEVICES} devices x {FLEET_EPOCHS} epochs, "
+                f"budget {FLEET_BUDGET}, {FLEET_DROPOUT:.0%} dropout, "
                 f"codebook kernel, median of {row['repeats']}",
                 f"batched : {row['batched_s']['median']:.3f} s",
                 f"scalar  : {row['scalar_s']['median']:.3f} s",
+                f"speedup : {row['speedup']['median']:.1f}x "
+                f"(floor {MIN_FLEET_SPEEDUP:.0f}x)",
                 "outputs : " + ("bit-identical" if identical else "MISMATCH"),
             ]
         ),
     )
     assert identical
+    assert row["speedup"]["median"] >= MIN_FLEET_SPEEDUP, (
+        f"batched path only {row['speedup']['median']:.1f}x faster"
+    )

@@ -6,12 +6,13 @@ per-draw datapath — the compute-bound regime where extra cores matter —
 and reports, per size, the single-process time and the pool time.  Both
 run on the one shared-memory transport.
 
-Before timing anything it verifies the headline invariant on a small
-fleet: a run sharded across W workers is bit-identical to the same plan
-at ``workers=1``, a streaming run's shard moments equal a fold of a
-retaining run's values shard by shard, bit for bit, and a ``shards=1``
-run is bit-identical to the per-device scalar reference loop
-(``run_fleet(batched=False)``).  Every one of those runs
+Before timing anything it verifies the headline invariant: a run
+sharded across W workers is bit-identical to the same plan at
+``workers=1``, and a streaming run's shard moments equal a fold of a
+retaining run's values shard by shard, bit for bit (24,000 devices in 8
+shards, thousands of reports per shard-epoch); and on the first 96 of
+those devices a ``shards=1`` run is bit-identical to the per-device
+scalar reference loop (``run_fleet(batched=False)``).  Every one of those runs
 must also hold the same disclosure ledger: the same tracked-device count
 and the same bound for every device, whether it was charged per report
 id, per ``Report`` object or as one dense array add.
@@ -52,6 +53,7 @@ from repro.mechanisms import SensorSpec
 from repro.parallel import (
     plan_execution, plan_shards, run_fleet_categorical, run_fleet_sharded,
 )
+from repro.parallel.runner import draw_reporting
 from repro.rng import CordicLn, audited_generator
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -76,6 +78,12 @@ OLH_SIZE = (200_000, 8)
 QUICK_OLH_SIZE = (20_000, 4)
 OLH_CATEGORIES = 256
 OLH_DROPOUT = 0.1
+#: The identity check's ``(epochs, devices)`` over 8 shards: about 2,550
+#: reports per shard-epoch, enough that a change in the order a shard
+#: reduces its batch moves the merged moments of some epochs.  The scalar
+#: loop runs on the first ``SCALAR_DEVICES`` devices.
+IDENTITY_SIZE = (6, 24_000)
+SCALAR_DEVICES = 96
 
 
 def _host():
@@ -106,9 +114,13 @@ def _identity_check(workers: int) -> bool:
     """Bit-identity: W workers ≡ 1 worker, streaming ≡ retaining, and
     shards=1 ≡ the scalar reference loop.  The disclosure ledgers must
     agree too, across all of those, including the streaming run, whose
-    bound is charged as one dense array add instead of per report id."""
-    truth = audited_generator(SEED).uniform(5.0, 45.0, size=(4, 96))
-    n_devices = truth.shape[1]
+    bound is charged as one dense array add instead of per report id.
+
+    The sharded runs hold thousands of reports per shard-epoch, so the
+    streaming check sees the order in which a shard reduces its batch;
+    the scalar loop, one release per report, runs on a small fleet."""
+    epochs, n_devices = IDENTITY_SIZE
+    truth = audited_generator(SEED).uniform(5.0, 45.0, size=(epochs, n_devices))
     common = dict(
         arm="thresholding",
         source_seed=SEED,
@@ -116,12 +128,13 @@ def _identity_check(workers: int) -> bool:
         device_budget=60.0,
     )
     one = run_fleet_sharded(
-        truth, SENSOR, EPSILON, rng=audited_generator(1), shards=8, workers=1, **common
+        truth, SENSOR, EPSILON, rng=audited_generator(1), shards=8, workers=1,
+        with_devices=False, **common,
     )
     ledger = _ledger(one.server, n_devices)
     many = run_fleet_sharded(
         truth, SENSOR, EPSILON, rng=audited_generator(1), shards=8,
-        workers=workers, **common,
+        workers=workers, with_devices=False, **common,
     )
     streamed = run_fleet_sharded(
         truth, SENSOR, EPSILON, rng=audited_generator(1), shards=8,
@@ -129,19 +142,19 @@ def _identity_check(workers: int) -> bool:
     )
     # The streaming shards ship moment rows; folding the retaining run's
     # values shard by shard, in shard order, must give the same moments.
-    index = {fleet_device_id(i): i for i in range(n_devices)}
-    stops = [stop for _, stop in plan_shards(n_devices, 8).slices]
+    # An epoch's retained values are its shards' batches in shard order,
+    # each as long as the shard's reporting set.
+    reporting = draw_reporting(truth, common["dropout"], audited_generator(1))
+    slices = plan_shards(n_devices, 8).slices
     replay = AggregationServer(streaming=True)
     for epoch in one.server.epochs:
         values = one.server.values(epoch)
         if not np.array_equal(values, many.server.values(epoch)):
             return False
-        shard = np.searchsorted(
-            stops, [index[r.device_id] for r in one.server.reports(epoch)],
-            side="right",
-        )
-        for s in np.unique(shard):
-            replay.submit_array(epoch, values[shard == s], 0.0)
+        sizes = [np.count_nonzero(reporting[epoch, a:b]) for a, b in slices]
+        for batch in np.split(values, np.cumsum(sizes)[:-1]):
+            if batch.size:
+                replay.submit_array(epoch, batch, 0.0)
         if streamed.server.moments(epoch) != replay.moments(epoch):
             return False
     if _ledger(many.server, n_devices) != ledger:
@@ -149,20 +162,20 @@ def _identity_check(workers: int) -> bool:
     if _ledger(streamed.server, n_devices) != ledger:
         return False
 
+    small = truth[:, :SCALAR_DEVICES]
     scalar = run_fleet(
-        truth, SENSOR, EPSILON, rng=audited_generator(1), batched=False, **common
+        small, SENSOR, EPSILON, rng=audited_generator(1), batched=False, **common
     )
     bridge = run_fleet_sharded(
-        truth, SENSOR, EPSILON, rng=audited_generator(1), shards=1, workers=1, **common
+        small, SENSOR, EPSILON, rng=audited_generator(1), shards=1, workers=1, **common
     )
     for epoch in scalar.server.epochs:
         if not np.array_equal(
             scalar.server.values(epoch), bridge.server.values(epoch)
         ):
             return False
-    return (
-        _ledger(scalar.server, n_devices) == ledger
-        and _ledger(bridge.server, n_devices) == ledger
+    return _ledger(scalar.server, SCALAR_DEVICES) == _ledger(
+        bridge.server, SCALAR_DEVICES
     )
 
 

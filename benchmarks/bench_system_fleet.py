@@ -7,8 +7,6 @@ prediction ``2λ/√(πN)``.  The theory line is the deployment-sizing tool
 guards, grids, budgets and all — actually sits on it.
 """
 
-import time
-
 import numpy as np
 
 from repro.analysis import predicted_mean_mae, render_series
@@ -21,12 +19,6 @@ SENSOR = SensorSpec(0.0, 10.0)
 EPSILON = 0.5
 FLEET_SIZES = (100, 300, 1000, 3000)
 EPOCHS = 6
-
-# Batched-vs-scalar comparison (one pipeline release per epoch vs one
-# per device per epoch).
-SPEEDUP_DEVICES = 10_000
-SPEEDUP_EPOCHS = 3
-MIN_SPEEDUP = 5.0
 
 
 def bench_system_fleet_vs_theory(benchmark):
@@ -78,62 +70,3 @@ def bench_system_fleet_vs_theory(benchmark):
     )
     record_experiment("system_fleet_vs_theory", text)
     assert ok
-
-
-def bench_fleet_batched_speedup(benchmark):
-    """Batched epochs must be bit-identical to the scalar loop and >= 5x faster.
-
-    Both paths share one :class:`~repro.rng.urng.SplitStreamSource` seed,
-    so the per-device reports — not just the aggregates — must match
-    exactly; the batched path privatizes each 10k-device epoch as a
-    single array release.
-    """
-    truth = np.random.default_rng(17).uniform(
-        2.0, 8.0, size=(SPEEDUP_EPOCHS, SPEEDUP_DEVICES)
-    )
-    kwargs = dict(
-        epsilon=EPSILON,
-        device_budget=2.5,
-        dropout=0.1,
-        source_seed=7,
-        input_bits=13,
-        output_bits=18,
-        delta=10 / 64,
-    )
-
-    def run():
-        t0 = time.perf_counter()
-        batched = run_fleet(
-            truth, SENSOR, rng=np.random.default_rng(4), batched=True, **kwargs
-        )
-        t_batched = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        scalar = run_fleet(
-            truth, SENSOR, rng=np.random.default_rng(4), batched=False, **kwargs
-        )
-        t_scalar = time.perf_counter() - t0
-        return batched, scalar, t_batched, t_scalar
-
-    batched, scalar, t_batched, t_scalar = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-
-    identical = all(
-        np.array_equal(batched.server.values(e), scalar.server.values(e))
-        for e in batched.server.epochs
-    )
-    speedup = t_scalar / t_batched
-    text = "\n".join(
-        [
-            f"fleet: {SPEEDUP_DEVICES} devices x {SPEEDUP_EPOCHS} epochs, "
-            f"eps={EPSILON}, budgeted, 10% dropout",
-            f"scalar loop : {t_scalar:.3f} s",
-            f"batched     : {t_batched:.3f} s",
-            f"speedup     : {speedup:.1f}x (floor {MIN_SPEEDUP:.0f}x)",
-            "outputs     : "
-            + ("bit-identical" if identical else "MISMATCH"),
-        ]
-    )
-    record_experiment("fleet_batched_speedup", text)
-    assert identical
-    assert speedup >= MIN_SPEEDUP, f"batched path only {speedup:.1f}x faster"

@@ -19,8 +19,9 @@ With a ``source_seed`` the two are **bit-identical** for single-draw
 guards (thresholding / baseline / rr): a split-stream PCG64 fills a
 size-n batch element-by-element exactly like n sequential size-1 draws.
 Resampling's redraw interleaving differs between the paths, so its
-outputs agree only in distribution.  ``benchmarks/bench_system_fleet.py``
-asserts the equality and the >= 5x batched speedup at 10k devices.
+outputs agree only in distribution.
+``benchmarks/bench_kernel_codebook.py::bench_kernel_fleet_paths`` asserts
+the equality and the >= 5x median batched speedup on a budgeted fleet.
 """
 
 from __future__ import annotations

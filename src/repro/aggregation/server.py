@@ -601,8 +601,13 @@ class AggregationServer:
                 variance=variance,
                 variance_debiased=debiased,
             )
-        reports = self.reports(epoch)
         vals = self.values(epoch)
+        device_ids = set()
+        for item in self._epochs[epoch]:
+            if isinstance(item, Report):
+                device_ids.add(item.device_id)
+            else:
+                device_ids.update(item.device_ids)
         debiased = (
             debiased_variance(vals, self.noise_scale)
             if self.noise_scale is not None and vals.size > 1
@@ -611,7 +616,7 @@ class AggregationServer:
         return EpochSummary(
             epoch=epoch,
             n_reports=int(vals.size),
-            n_devices=len({r.device_id for r in reports}),
+            n_devices=len(device_ids),
             mean=float(vals.mean()),
             median=float(np.median(vals)),
             variance=float(vals.var()),

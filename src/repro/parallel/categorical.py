@@ -37,7 +37,6 @@ from ..runtime import CounterSink, ReleasePipeline
 from .planner import ExecutionPlan
 from .runner import run_sharded
 from .sharding import ShardPlan
-from .shm import ShmArena
 
 __all__ = ["CategoricalKernel", "CategoricalFleetResult", "run_fleet_categorical"]
 
@@ -46,17 +45,12 @@ __all__ = ["CategoricalKernel", "CategoricalFleetResult", "run_fleet_categorical
 class CategoricalKernel:
     """Shard kernel of a categorical fleet: support counts per epoch.
 
-    Outputs, each ``(n_shards, n_epochs, n_categories)`` int64, of which
-    each shard fills its own ``(n_epochs, n_categories)`` rows:
-
-    ``counts``
-        Support counts: k-RR and OUE in each epoch's ``step``, OLH in
-        ``close_shard``, which decodes every epoch of the shard in one
-        hash sweep.
-    ``truth``
-        The per-epoch category counts of the shard's reporting devices'
-        true values, which ``finish`` adds up into the fleet's true
-        frequencies without gathering the truth matrix again.
+    Rows: each shard's O(d) support counts per epoch, for
+    ``submit_counts`` — k-RR and OUE in each epoch's ``step``, OLH in
+    ``close_shard``, which decodes every epoch of the shard in one hash
+    sweep.  Truth rows: the epoch's category counts of the shard's
+    reporting devices' true values, which the coordinator adds up into
+    the fleet's true frequencies.
 
     An OLH shard binds its device range in ``open_shard`` (:meth:`~repro.
     mechanisms.OptimizedLocalHashing.bind_users`): its users are hashed
@@ -69,21 +63,18 @@ class CategoricalKernel:
     epsilon: float
     kwargs: Dict[str, object]
     forbidden = ("source", "pipeline")
+    columns = {}  # no per-device columns
+    with_devices = False
 
     def reference(self):
         return make_oracle(self.oracle, self.n_categories, self.epsilon, **self.kwargs)
 
-    def allocate(self, arena: ShmArena, plan: ShardPlan, counts: np.ndarray):
-        shape = (counts.shape[1], self.n_categories)
-        size = shape[0] * shape[1]
-        refs = {
-            name: arena.allocate((plan.n_shards,) + shape, np.int64)
-            for name in ("counts", "truth")
-        }
-        return refs, [
-            {name: ref.sub(s * size, shape) for name, ref in refs.items()}
-            for s in range(plan.n_shards)
-        ]
+    def row(self, width):
+        return (self.n_categories,), np.int64
+
+    @property
+    def truth_row(self):
+        return (self.n_categories,), np.int64
 
     def build(self, seed_seq, pipeline):
         return make_oracle(
@@ -99,7 +90,7 @@ class CategoricalKernel:
         if self.oracle == "olh":
             oracle.bind_users(devices)
 
-    def step(self, oracle, out, epoch, idx, start, rows, cursor, channel):
+    def step(self, oracle, out, epoch, idx, start, rows, channel):
         out["truth"][epoch] = np.bincount(rows, minlength=self.n_categories)
         # Global device indices: the per-user public randomness key.
         users = start + idx
@@ -110,7 +101,7 @@ class CategoricalKernel:
             return epoch, idx, reports
         # k-RR and OUE decode by a bincount or a column sum, which
         # nothing shares across epochs.
-        out["counts"][epoch] = oracle.support_counts(reports, user_offset=users)
+        out["rows"][epoch] = oracle.support_counts(reports, user_offset=users)
         return None
 
     def close_shard(self, oracle, out, start, steps):
@@ -135,35 +126,14 @@ class CategoricalKernel:
                 raise ConfigurationError(f"OLH reports must be in 0..{oracle.g - 1}")
             row[column[idx]] = reports
         epochs = [epoch for epoch, _, _ in steps]
-        out["counts"][epochs] = oracle.support_counts_epochs(
+        out["rows"][epochs] = oracle.support_counts_epochs(
             buckets, user_offset=start + users
         )
 
-    def fold(self, server, out, epoch, shard, reports, mask, start, loss):
+    def submit(self, server, epoch, row, n, loss, start, mask):
         # The count fold is additive and consumes the vector immediately
         # — donation is zero-copy.
-        server.submit_counts(
-            epoch,
-            out["counts"][shard, epoch],
-            reports.stop - reports.start,
-            loss,
-            donate=True,
-        )
-
-    def finish(self, server, out, reporting, loss):
-        """The per-epoch true frequencies over the reporting devices.
-
-        The shards' truth counts are exact integers, added up in shard
-        order, so the frequencies are the same for any worker count.
-        """
-        # Composition bound, in bulk: report counts per device are fixed
-        # by the coordinator-drawn masks.
-        server.record_report_counts(reporting.sum(axis=0), loss)
-        truth = out["truth"].sum(axis=0)
-        # (A per-row count_nonzero is ~8x faster than a sum along axis 1.)
-        return [
-            row / max(np.count_nonzero(mask), 1) for row, mask in zip(truth, reporting)
-        ]
+        server.submit_counts(epoch, row, n, loss, donate=True)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -246,7 +216,7 @@ def run_fleet_categorical(
             server.frequency_estimates(e, run.reference)
             for e in server.categorical_epochs
         ],
-        true_frequencies=run.collected,
+        true_frequencies=list(run.truth),
         counters=run.counters,
         shard_plan=run.plan,
     )

@@ -3,19 +3,25 @@
 :func:`run_sharded` is the one shard coordinator.  It owns every step a
 sharded fleet run shares — input validation, the execution-plan
 override, the dropout masks, the per-shard seed sequences, packing truth
-and masks into one :class:`~repro.parallel.shm.ShmArena`, the pool map
-(or inline run), the shard-ordered fold, trace adoption, counter merge
-and arena cleanup — and delegates what differs to a small picklable
-*shard kernel*:
+and masks into one :class:`~repro.parallel.shm.ShmArena`, the output
+layout, the pool map (or inline run), the shard-ordered fold, the run's
+finish, trace adoption, counter merge and arena cleanup — and delegates
+what differs to a small picklable *shard kernel*:
 
 ``reference()``
     The coordinator's reference arm: validates the configuration once,
     supplies the loss bound; never released, so it consumes no noise.
-``allocate(arena, plan, counts)``
-    The run's output regions: whole-run refs plus each shard's share.
-``build(seed_seq, pipeline)`` / ``step(...)``
+``row(width)`` / ``truth_row``
+    ``(shape, dtype)`` of what a shard ``width`` devices wide writes per
+    epoch: the row its server folds, and its reporting devices' truth
+    reduced to what the run's truth summary needs.
+``columns`` / ``with_devices``
+    Per-device ``{name: (dtype, initial value)}`` columns the shards
+    update, and whether the run hands the per-device columns back.
+``build(seed_seq, pipeline)`` / ``step(arm, out, epoch, idx, start, rows, channel)``
     Worker side: the shard's arm on its audited stream, and one epoch's
-    release written into the shard's output regions.
+    release written into row ``epoch`` of the shard's ``rows`` and
+    ``truth`` regions.
 ``open_shard(arm, devices)``
     Worker side, once after ``build``, with ``devices`` the ``range`` of
     the shard's global device indices: whatever the arm can prepare for
@@ -28,33 +34,25 @@ and arena cleanup — and delegates what differs to a small picklable
     in epoch order (the categorical kernel decodes every OLH epoch of
     the shard in one hash sweep here; the numeric kernel has nothing
     to do).
-``fold(...)`` / ``finish(...)``
-    Coordinator side: one (epoch, shard) cell into the server, then the
-    run's bulk bookkeeping.
+``submit(server, epoch, row, n, loss, start, mask)``
+    Coordinator side: one (epoch, shard) row of ``n`` reports into the
+    server (``mask`` is the shard's reporting row, ``start`` its first
+    device).
 
 :class:`NumericKernel` (here, behind :func:`run_fleet_sharded`) and
 :class:`~repro.parallel.categorical.CategoricalKernel` (behind
 :func:`~repro.parallel.categorical.run_fleet_categorical`) are the two.
 
-Each kernel's outputs are what its server keeps, reduced in the shard.
-The numeric kernel on a streaming server writes one
-:func:`~repro.aggregation.server.batch_moments` row per (shard, epoch)
-into an ``(n_shards, n_epochs, 5 + T)`` region (T registered count
-thresholds), which ``fold`` hands to ``submit_moments``; on a retaining
-server, which keeps every report, it writes the flat per-report
-``values`` region that ``fold`` hands to ``submit_array``.  The
-categorical kernel writes O(d) support counts per (shard, epoch) for
-``submit_counts``.
-
-The numeric kernel's guarded arm is calibrated once per call, on the
-reference arm, and every shard's ``build`` gets that threshold
-(``threshold=``).  Its ``step`` also writes the epoch's sum of true
-values into the shard's row of a small ``(n_shards, n_epochs)`` region,
-which ``finish`` turns into the true means; and its per-device budget
-and cache columns exist only with a device budget.  The categorical
-kernel's ``step`` likewise writes the epoch's category counts of its
-reporting devices' true values into an ``(n_shards, n_epochs, d)``
-region, which ``finish`` turns into the true frequencies.
+The output layout comes from the plan alone (:func:`allocate_outputs`):
+per shard, ``(n_epochs,) + row`` and ``(n_epochs,) + truth_row``
+regions, an ``(n_epochs,)`` report count ``n``, and one entry per
+device of ``report_counts`` and of each kernel column.
+:func:`~repro.parallel.worker.run_shard` writes ``n`` and
+``report_counts``.  The coordinator then folds each nonempty (epoch,
+shard) row in shard order through the kernel's ``submit``, divides the
+summed truth rows by each epoch's report count (the true means or
+frequencies), and charges a streaming server's composition bound with
+one ``record_report_counts`` call over ``report_counts``.
 
 The coordinator validates the truth matrix's shape and ``dropout``
 before any shared-memory block exists.  It then creates the truth block
@@ -99,6 +97,8 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import functools
+import itertools
+import math
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -125,7 +125,9 @@ from .worker import (
     run_shard,
 )
 
-__all__ = ["NumericKernel", "ShardedRun", "run_sharded", "run_fleet_sharded"]
+__all__ = [
+    "NumericKernel", "ShardedRun", "allocate_outputs", "run_sharded", "run_fleet_sharded",
+]
 
 
 def _shippable(fingerprint) -> bool:
@@ -228,8 +230,83 @@ class ShardedRun(NamedTuple):
     reference: object
     #: Shard counters merged in shard order.
     counters: CounterSink
-    #: Whatever the kernel's ``finish`` returned.
-    collected: object
+    #: Per epoch, the shards' truth rows summed in shard order and
+    #: divided by the epoch's report count: the same for any worker count.
+    truth: np.ndarray
+    #: With ``kernel.with_devices``, ``report_counts`` and the kernel's
+    #: per-device columns, in device order; else ``None``.
+    columns: Optional[Dict[str, np.ndarray]]
+
+
+def _shard_regions(arena: ShmArena, plan: ShardPlan, shape, dtype, initial=0):
+    """One block holding every shard's ``shape(width)`` region, in shard
+    order: the block's flat ref and each shard's ref into it."""
+    shapes = [shape(stop - start) for start, stop in plan.slices]
+    sizes = [math.prod(s) for s in shapes]
+    block = arena.allocate((sum(sizes),), dtype)
+    if initial:  # fresh blocks are already zero pages
+        arena.view(block)[...] = initial
+    offsets = itertools.accumulate(sizes, initial=0)
+    return block, [block.sub(offset, s) for offset, s in zip(offsets, shapes)]
+
+
+def allocate_outputs(kernel, arena: ShmArena, plan: ShardPlan, n_epochs: int):
+    """A run's output regions, laid out from the plan alone: per name,
+    the whole-run block ref and every shard's share of it."""
+    row_dtype = kernel.row(1)[1]
+    truth_shape, truth_dtype = kernel.truth_row
+
+    def per_device(width):
+        return (width,)
+
+    layout = {
+        "rows": (lambda width: (n_epochs, *kernel.row(width)[0]), row_dtype, 0),
+        "truth": (lambda width: (n_epochs, *truth_shape), truth_dtype, 0),
+        "n": (lambda width: (n_epochs,), np.int64, 0),
+        "report_counts": (per_device, np.int64, 0),
+        **{
+            name: (per_device, dtype, initial)
+            for name, (dtype, initial) in kernel.columns.items()
+        },
+    }
+    blocks, shard_refs = {}, [{} for _ in plan.slices]
+    for name, (shape, dtype, initial) in layout.items():
+        blocks[name], refs = _shard_regions(arena, plan, shape, dtype, initial)
+        for shard, ref in zip(shard_refs, refs):
+            shard[name] = ref
+    return blocks, shard_refs
+
+
+def _fold(kernel, server, arena, plan, blocks, shard_refs, reporting, loss):
+    """Fold every nonempty (epoch, shard) row in shard order, then the
+    run's truth summary and per-device columns (copied out of the arena)."""
+    n_epochs = reporting.shape[0]
+    rows = [arena.view(refs["rows"]) for refs in shard_refs]
+    n = arena.view(blocks["n"]).reshape(plan.n_shards, n_epochs)
+    for epoch in range(n_epochs):
+        for s, (start, stop) in enumerate(plan.slices):
+            if n[s, epoch]:
+                # dplint: allow[DPL006] -- a row is the shard's privatized
+                # release; the arena also holds the truth, which never
+                # reaches the server, and the mask is the reporting set.
+                kernel.submit(
+                    server, epoch, rows[s][epoch], int(n[s, epoch]), loss,
+                    start, reporting[epoch, start:stop],
+                )
+    truth_shape = kernel.truth_row[0]
+    totals = arena.view(blocks["truth"]).reshape(
+        (plan.n_shards, n_epochs, *truth_shape)
+    ).sum(axis=0)
+    truth = totals / n.sum(axis=0).reshape((n_epochs,) + (1,) * len(truth_shape))
+    report_counts = arena.view(blocks["report_counts"])
+    if server.streaming:
+        # The composition bound, in bulk: every report claims the same
+        # per-release loss.
+        server.record_report_counts(report_counts, loss)
+    if not kernel.with_devices:
+        return truth, None
+    names = ("report_counts", *kernel.columns)
+    return truth, {name: arena.view(blocks[name]).copy() for name in names}
 
 
 def run_sharded(
@@ -272,7 +349,6 @@ def run_sharded(
     seqs = shard_seed_sequences(source_seed, plan.n_shards)
 
     arena = ShmArena()
-    out: Dict[str, np.ndarray] = {}
     try:
         # One block per array kind, every shard's slice packed inside.
         # The truth is copied in on a helper thread while this thread
@@ -283,24 +359,10 @@ def run_sharded(
             [true_values[:, start:stop] for start, stop in plan.slices]
         ) as truth_refs:
             reporting = draw_reporting(true_values, dropout, rng)
-            # counts[s, e]: reports of shard s in epoch e.  Output
-            # layouts are fully determined by these, so no size metadata
-            # rides back.  (A per-row count_nonzero is ~3x faster than a
-            # sum along axis 1.)
-            counts = np.array(
-                [
-                    [np.count_nonzero(mask[start:stop]) for mask in reporting]
-                    for start, stop in plan.slices
-                ],
-                dtype=np.int64,
-            )
             reporting_refs = arena.pack(
                 [reporting[:, start:stop] for start, stop in plan.slices]
             )
-            out_refs, shard_out_refs = kernel.allocate(arena, plan, counts)
-        # Where each (shard, epoch) cell starts in a flat shard-major
-        # report region.
-        cursor = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
+            blocks, shard_refs = allocate_outputs(kernel, arena, plan, n_epochs)
         tasks = [
             ShardTask(
                 kernel=kernel,
@@ -310,7 +372,7 @@ def run_sharded(
                 seed_seq=seqs[s],
                 truth=truth_refs[s],
                 reporting=reporting_refs[s],
-                outputs=shard_out_refs[s],
+                outputs=shard_refs[s],
             )
             for s, (start, _) in enumerate(plan.slices)
         ]
@@ -325,24 +387,11 @@ def run_sharded(
                 # map() yields in shard order, so a failing shard surfaces
                 # deterministically (lowest shard index first).
                 results = list(pool.map(run_shard, tasks))
-
-        # ---- fold, in shard order -------------------------------------
-        out.update((name, arena.view(ref)) for name, ref in out_refs.items())
-        for epoch in range(n_epochs):
-            for s, (start, stop) in enumerate(plan.slices):
-                lo = int(cursor[s, epoch])
-                hi = lo + int(counts[s, epoch])
-                if lo == hi:
-                    continue
-                kernel.fold(
-                    server, out, epoch, s, slice(lo, hi),
-                    reporting[epoch, start:stop], start, loss,
-                )
-        collected = kernel.finish(server, out, reporting, loss)
+        # Every view of the arena dies with _fold's frame, before close().
+        truth, columns = _fold(
+            kernel, server, arena, plan, blocks, shard_refs, reporting, loss
+        )
     finally:
-        # Drop the views before close() so every mapping can actually
-        # unmap (unlink succeeds regardless).
-        out.clear()
         arena.close()
 
     target_pipeline = pipeline if pipeline is not None else default_pipeline()
@@ -353,11 +402,11 @@ def run_sharded(
     counters = functools.reduce(
         CounterSink.merge, (r.counter for r in results), CounterSink()
     )
-    return ShardedRun(plan, reference, counters, collected)
+    return ShardedRun(plan, reference, counters, truth, columns)
 
 
 #: Per-device state a budgeted numeric shard writes back: (dtype,
-#: initial value).  An unbudgeted run keeps none of it (see ``finish``).
+#: initial value).  An unbudgeted run keeps none of it.
 _DEVICE_STATE = {
     "n_fresh": (np.int64, 0),
     "n_cached": (np.int64, 0),
@@ -369,28 +418,24 @@ _DEVICE_STATE = {
 class NumericKernel:
     """Shard kernel of a numeric fleet: one scalar release per report.
 
-    Outputs — each kernel ships exactly what its server keeps:
+    Rows — each kernel ships exactly what its server keeps:
 
-    ``moments`` (streaming server)
-        ``(n_shards, n_epochs, 5 + T)`` float64: each shard's
-        :func:`~repro.aggregation.server.batch_moments` row per epoch,
-        ``(n, mean, m2, min, max)`` plus one count per registered
-        threshold (``count_thresholds``, T of them), which ``fold``
-        hands to ``submit_moments``.  No per-report region exists.
-    ``values`` (retaining server)
-        The flat privatized-value region (epochs in order within each
-        shard, shards in order), which ``fold`` hands to
-        ``submit_array`` with the reports' device ids.
-    ``sums``
-        ``(n_shards, n_epochs)`` float64: each shard's sum of its
-        reporting devices' true values per epoch, from which ``finish``
-        derives the fleet's true means without gathering the truth
-        matrix again.
-    ``remaining``, ``n_fresh``, ``n_cached``, ``cached_codes``
-        Per-device budget and cache columns, allocated only with a
-        ``device_budget``.  Without one, every release is uncharged, so
-        no report is a cache replay and ``finish`` derives the same
-        state from the reporting masks.
+    streaming server
+        Each shard's :func:`~repro.aggregation.server.batch_moments`
+        row per epoch, ``(n, mean, m2, min, max)`` plus one count per
+        registered threshold (``count_thresholds``, T of them), for
+        ``submit_moments``.  No per-report region exists.
+    retaining server
+        A row as wide as the shard, the epoch's privatized values in its
+        first ``n`` slots, for ``submit_array`` with the reports'
+        device ids.
+
+    The truth row is the epoch's sum of the shard's reporting devices'
+    true values.  The per-device budget and cache columns
+    (``remaining``, ``n_fresh``, ``n_cached``, ``cached_codes``) exist
+    only with a ``device_budget``.  Without one, every release is
+    uncharged, so no report is a cache replay and every report counted
+    in ``report_counts`` is fresh.
 
     ``threshold`` pins the guarded arms' threshold: the coordinator
     calibrates it once on its reference arm and every shard's arm is
@@ -409,6 +454,7 @@ class NumericKernel:
     streaming: bool = False
     count_thresholds: Tuple[float, ...] = ()
     forbidden = ("source", "rng", "pipeline")
+    truth_row = ((), np.float64)
 
     @property
     def noise_scale(self) -> Optional[float]:
@@ -427,49 +473,16 @@ class NumericKernel:
     def reference(self):
         return self._make()
 
-    def allocate(self, arena: ShmArena, plan: ShardPlan, counts: np.ndarray):
-        columns = {}
-        if self.device_budget is not None:
-            columns = dict(_DEVICE_STATE)
-            columns["remaining"] = (np.float64, float(self.device_budget))
-        n_epochs = counts.shape[1]
+    def row(self, width):
         if self.streaming:
-            # One moment row per (shard, epoch): all a streaming server keeps.
-            width = 5 + len(self.count_thresholds)
-            report_name = "moments"
-            reports = arena.allocate((plan.n_shards, n_epochs, width), np.float64)
-            shard_reports = [
-                reports.sub(s * n_epochs * width, (n_epochs, width))
-                for s in range(plan.n_shards)
-            ]
-        else:
-            totals = counts.sum(axis=1)
-            bases = np.cumsum(totals) - totals
-            report_name = "values"
-            reports = arena.allocate((max(int(totals.sum()), 1),), np.float64)
-            shard_reports = [
-                reports.sub(int(base), (int(total),))
-                for base, total in zip(bases, totals)
-            ]
-        refs = {
-            report_name: reports,
-            "sums": arena.allocate((plan.n_shards, n_epochs), np.float64),
-        }
-        for name, (dtype, initial) in columns.items():
-            refs[name] = arena.allocate((plan.n_devices,), dtype)
-            if initial:  # fresh blocks are already zero pages
-                arena.view(refs[name])[...] = initial
-        shard_refs = []
-        for s, (start, stop) in enumerate(plan.slices):
-            shard = {
-                report_name: shard_reports[s],
-                "sums": refs["sums"].sub(s * n_epochs, (n_epochs,)),
-            }
-            shard.update(
-                (name, refs[name].sub(start, (stop - start,))) for name in columns
-            )
-            shard_refs.append(shard)
-        return refs, shard_refs
+            return (5 + len(self.count_thresholds),), np.float64
+        return (width,), np.float64
+
+    @property
+    def columns(self):
+        if self.device_budget is None:
+            return {}
+        return {"remaining": (np.float64, float(self.device_budget)), **_DEVICE_STATE}
 
     def build(self, seed_seq, pipeline):
         if self.arm != "ideal":
@@ -480,8 +493,8 @@ class NumericKernel:
             mechanism.rng.kernel  # resolve the codebook before the epoch loop
         return mechanism
 
-    def step(self, mechanism, out, epoch, idx, start, rows, cursor, channel):
-        out["sums"][epoch] = rows.sum()
+    def step(self, mechanism, out, epoch, idx, start, rows, channel):
+        out["truth"][epoch] = rows.sum()
         if self.device_budget is None:
             outcome = mechanism.release(rows, channel=channel)
         else:
@@ -501,9 +514,9 @@ class NumericKernel:
         if self.streaming:
             # The same float64 batch the server would read back and fold.
             values = np.ascontiguousarray(outcome.values, dtype=np.float64)
-            out["moments"][epoch] = batch_moments(values, self.count_thresholds)
+            out["rows"][epoch] = batch_moments(values, self.count_thresholds)
         else:
-            out["values"][cursor : cursor + idx.size] = outcome.values
+            out["rows"][epoch, : idx.size] = outcome.values
 
     def open_shard(self, mechanism, devices):
         pass
@@ -511,47 +524,19 @@ class NumericKernel:
     def close_shard(self, mechanism, out, start, steps):
         pass
 
-    def fold(self, server, out, epoch, shard, reports, mask, start, loss):
+    def submit(self, server, epoch, row, n, loss, start, mask):
         if self.streaming:
-            server.submit_moments(epoch, out["moments"][shard, epoch], loss)
+            server.submit_moments(epoch, row, loss)
             return
         # Donated: retain mode copies the view before storing it.
         idx = start + np.flatnonzero(mask)
         server.submit_array(
             epoch,
-            out["values"][reports],
+            row[:n],
             loss,
             device_ids=[fleet_device_id(i) for i in idx],
             donate=True,
         )
-
-    def finish(self, server, out, reporting, loss):
-        """``(true_means, device state or None)``.
-
-        The true means sum the shards' partial sums in shard order, so
-        they are the same for any worker count; on a multi-shard plan
-        the float order differs from one mean over the epoch's reports
-        in the last bits.
-        """
-        # Shards are rows, summed top to bottom.  (A per-row
-        # count_nonzero is ~8x faster than a sum along axis 1.)
-        n_reports = np.array([np.count_nonzero(mask) for mask in reporting])
-        true_means = (out["sums"].sum(axis=0) / n_reports).tolist()
-        report_counts = reporting.sum(axis=0)
-        if server.streaming:
-            # The composition bound, recorded in bulk: every report claims
-            # the same per-release loss, and the report count per device is
-            # fixed by the coordinator-drawn masks.
-            server.record_report_counts(report_counts, loss)
-        if not self.with_devices:
-            return true_means, None
-        if self.device_budget is None:
-            # Uncharged releases are never cache replays: every report is
-            # fresh, none is cached and no code is kept.
-            return true_means, {"n_fresh": report_counts}
-        return true_means, {
-            name: out[name].copy() for name in (*_DEVICE_STATE, "remaining")
-        }
 
 
 def run_fleet_sharded(
@@ -617,13 +602,14 @@ def run_fleet_sharded(
         source_seed=source_seed, pipeline=pipeline, workers=workers,
         shards=shards, execution_plan=execution_plan,
     )
-    true_means, state = run.collected
-
+    state = run.columns
     devices: List[Device] = []
     if with_devices:
+        # Unbudgeted releases are never cache replays: every report is fresh.
+        n_fresh = state.get("n_fresh", state["report_counts"])
         for i in range(run.plan.n_devices):
             dev = Device(fleet_device_id(i), run.reference, budget=device_budget)
-            dev.n_fresh = int(state["n_fresh"][i])
+            dev.n_fresh = int(n_fresh[i])
             if device_budget is not None:
                 dev.n_cached = int(state["n_cached"][i])
                 dev._accountant._spent = float(device_budget) - float(
@@ -636,7 +622,7 @@ def run_fleet_sharded(
     return FleetResult(
         server=server,
         devices=devices,
-        true_means=true_means,
+        true_means=run.truth.tolist(),
         estimated_means=[server.summarize(e).mean for e in server.epochs],
         counters=run.counters,
         shard_plan=run.plan,

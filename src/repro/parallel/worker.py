@@ -82,7 +82,8 @@ class ShardTask:
     reporting: ShmArrayRef
     """Coordinator-drawn reporting masks, same shape, bool."""
     outputs: Dict[str, ShmArrayRef]
-    """This shard's output regions, named by the kernel."""
+    """This shard's output regions (``rows``, ``truth``, ``n``,
+    ``report_counts`` and the kernel's columns), laid out from the plan."""
 
 
 @dataclasses.dataclass
@@ -107,17 +108,17 @@ def _shard_channel(epoch: int, shard_index: int, n_shards: int) -> str:
 def run_shard(task: ShardTask) -> ShardResult:
     """Privatize one shard's device slice across all epochs.
 
-    One pipeline release per (epoch, shard) through the kernel's arm.
-    Shard-epochs with no reporting device are skipped outright —
-    deterministically, since the masks are fixed inputs — so they
-    consume no noise stream.  ``cursor`` counts the reports this shard
-    has written so far; kernels with a flat per-report output region
-    write the epoch's reports at that offset, and the coordinator
-    derives the same offsets from the same masks when it folds.  Before
-    the first epoch the kernel's ``open_shard`` gets the shard's device
-    range, for what the arm can prepare once per shard.  After
-    the last epoch the kernel's ``close_shard`` gets what each ``step``
-    returned, in epoch order, and finishes whatever it deferred.
+    One pipeline release per (epoch, shard) through the kernel's arm,
+    written into row ``epoch`` of the shard's output regions (see
+    :func:`~repro.parallel.runner.allocate_outputs`).  Shard-epochs with
+    no reporting device are skipped outright — deterministically, since
+    the masks are fixed inputs — so they consume no noise stream and
+    leave their report count ``n`` at zero.  Before the first epoch the
+    kernel's ``open_shard`` gets the shard's device range, for what the
+    arm can prepare once per shard.  After the last epoch the kernel's
+    ``close_shard`` gets what each ``step`` returned, in epoch order,
+    and finishes whatever it deferred; then each device's report count
+    goes into ``report_counts``.
     """
     truth = task.truth.attach()
     reporting = task.reporting.attach()
@@ -126,12 +127,12 @@ def run_shard(task: ShardTask) -> ShardResult:
     ring = RingBufferSink(capacity=max(truth.shape[0] + 4, 16))
     arm = task.kernel.build(task.seed_seq, ReleasePipeline(sinks=[counter, ring]))
     task.kernel.open_shard(arm, range(task.start, task.start + truth.shape[1]))
-    cursor = 0
     steps = []
     for epoch in range(truth.shape[0]):
         idx = np.flatnonzero(reporting[epoch])
         if idx.size == 0:
             continue
+        out["n"][epoch] = idx.size
         steps.append(task.kernel.step(
             arm,
             out,
@@ -139,9 +140,8 @@ def run_shard(task: ShardTask) -> ShardResult:
             idx,
             task.start,
             truth[epoch, idx],
-            cursor,
             _shard_channel(epoch, task.shard_index, task.n_shards),
         ))
-        cursor += idx.size
     task.kernel.close_shard(arm, out, task.start, steps)
+    reporting.sum(axis=0, out=out["report_counts"])
     return ShardResult(events=ring.events, counter=counter)

@@ -135,7 +135,7 @@ class TestOlhShardDecode:
         oracle = kernel.reference()
         assert oracle.g == 8  # 256 + 3 would wrap onto bucket 3 in uint8
         marker = np.full((3, 16), -7, dtype=np.int64)
-        out = {"counts": marker.copy()}
+        out = {"rows": marker.copy()}
         steps = []
         for epoch in range(3):
             idx = np.arange(epoch, 10, dtype=np.int64)
@@ -145,7 +145,7 @@ class TestOlhShardDecode:
             steps.append((epoch, idx, reports))
         with pytest.raises(ConfigurationError, match="OLH reports"):
             kernel.close_shard(oracle, out, 100, steps)
-        np.testing.assert_array_equal(out["counts"], marker)
+        np.testing.assert_array_equal(out["rows"], marker)
 
 
 class TestHashOnce:

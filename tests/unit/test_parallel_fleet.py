@@ -21,6 +21,7 @@ from repro.aggregation.fleet import run_fleet
 from repro.errors import ConfigurationError
 from repro.mechanisms import SensorSpec
 from repro.parallel import DEFAULT_SHARDS, NumericKernel, plan_shards, run_fleet_sharded
+from repro.parallel import runner
 from repro.parallel.runner import draw_reporting
 from repro.rng import CordicLn
 from repro.runtime import CounterSink, ReleasePipeline, RingBufferSink
@@ -319,19 +320,31 @@ class TestTrueMeans:
 
 
 class TestDeviceColumns:
-    def test_unbudgeted_run_keeps_no_device_columns(self, monkeypatch):
-        allocated = []
-        allocate = NumericKernel.allocate
+    """The generic output layout (``runner.allocate_outputs``), recorded
+    per run: whole-run block names and every shard's region shape."""
 
-        def recording(kernel, arena, plan, counts):
-            refs, shard_refs = allocate(kernel, arena, plan, counts)
-            allocated.append(sorted(refs))
-            return refs, shard_refs
+    GENERIC = ["n", "report_counts", "rows", "truth"]
 
-        monkeypatch.setattr(NumericKernel, "allocate", recording)
+    @pytest.fixture
+    def layouts(self, monkeypatch):
+        seen = []
+        allocate = runner.allocate_outputs
+
+        def recording(kernel, arena, plan, n_epochs):
+            blocks, shard_refs = allocate(kernel, arena, plan, n_epochs)
+            seen.append(
+                (sorted(blocks), [{k: r.shape for k, r in s.items()} for s in shard_refs])
+            )
+            return blocks, shard_refs
+
+        monkeypatch.setattr(runner, "allocate_outputs", recording)
+        return seen
+
+    def test_unbudgeted_run_keeps_no_device_columns(self, layouts):
         t = truth()
         sharded = run_sharded(2, t=t, dropout=0.25)
-        assert allocated == [["sums", "values"]]
+        [(names, _)] = layouts
+        assert names == self.GENERIC
         scalar = run_fleet(
             t, SENSOR, EPS, rng=np.random.default_rng(9), dropout=0.25,
             source_seed=SEED, batched=False,
@@ -343,37 +356,39 @@ class TestDeviceColumns:
             assert dev_a._cache.code is dev_b._cache.code is None
             assert dev_a.remaining_budget is dev_b.remaining_budget is None
 
+    def test_budgeted_run_adds_its_columns(self, layouts):
+        run_sharded(2, t=truth(), dropout=0.25, device_budget=40.0)
+        [(names, shards)] = layouts
+        columns = ["cached_codes", "n_cached", "n_fresh", "remaining"]
+        assert names == sorted(self.GENERIC + columns)
+        widths = [stop - start for start, stop in plan_shards(48, 4).slices]
+        for shard, width in zip(shards, widths):
+            for name in ("report_counts", *columns):
+                assert shard[name] == (width,)
 
     @pytest.mark.parametrize(
-        "streaming,thresholds,expected",
-        [
-            (False, (), ["sums", "values"]),
-            (True, (), ["moments", "sums"]),
-            (True, (2.0, 5.5, 2.0), ["moments", "sums"]),
-        ],
+        "streaming,thresholds", [(False, ()), (True, ()), (True, (2.0, 5.5, 2.0))]
     )
     def test_each_kernel_ships_what_its_server_keeps(
-        self, monkeypatch, streaming, thresholds, expected
+        self, layouts, streaming, thresholds
     ):
-        allocated = []
-        allocate = NumericKernel.allocate
-
-        def recording(kernel, arena, plan, counts):
-            refs, shard_refs = allocate(kernel, arena, plan, counts)
-            allocated.append({name: ref.shape for name, ref in refs.items()})
-            return refs, shard_refs
-
-        monkeypatch.setattr(NumericKernel, "allocate", recording)
         run_sharded(
             2, t=truth(), dropout=0.25, streaming=streaming,
             count_thresholds=thresholds, with_devices=False,
         )
-        [shapes] = allocated
-        assert sorted(shapes) == expected
-        if streaming:
-            # One moment row per (shard, epoch); a repeated threshold is
-            # registered, and counted, once.
-            assert shapes["moments"] == (4, 3, 5 + len(set(thresholds)))
+        [(names, shards)] = layouts
+        assert names == self.GENERIC
+        widths = [stop - start for start, stop in plan_shards(48, 4).slices]
+        for shard, width in zip(shards, widths):
+            assert shard["n"] == (3,)
+            assert shard["truth"] == (3,)
+            if streaming:
+                # One moment row per (shard, epoch), no per-report region;
+                # a repeated threshold is registered, and counted, once.
+                assert shard["rows"] == (3, 5 + len(set(thresholds)))
+            else:
+                # Retaining: the truth block's shape, whatever the dropout.
+                assert shard["rows"] == (3, width)
 
 
 class TestCalibrateOnce:
@@ -417,3 +432,99 @@ class TestCalibrateOnce:
         result = run_sharded(workers, arm=arm, shards=shards)
         assert len(calls) == 1
         assert result.devices[0]._mechanism.window == reference.window
+
+
+class TestShardWrittenCounts:
+    """The shards count the reports: per (shard, epoch) ``n`` and per
+    device ``report_counts``.  Everything the coordinator derives from
+    those counts must equal what the masks say, bit for bit."""
+
+    SHARDS = 4
+
+    @pytest.fixture
+    def folded(self, monkeypatch):
+        from repro.parallel import CategoricalKernel
+
+        seen = []
+        for cls in (NumericKernel, CategoricalKernel):
+            submit = cls.submit
+
+            def record(kernel, server, epoch, row, n, loss, start, mask, _submit=submit):
+                seen.append((epoch, start, n, np.array(row)))
+                return _submit(kernel, server, epoch, row, n, loss, start, mask)
+
+            monkeypatch.setattr(cls, "submit", record)
+        return seen
+
+    @staticmethod
+    def _fleet(dropout, categorical):
+        # 0.97 on a tiny fleet: most shard-epochs are empty and some
+        # epochs take the all-straggler fallback.
+        n_devices = 48 if dropout == 0.0 else 12
+        rng = np.random.default_rng(5)
+        if categorical:
+            return rng.integers(0, 5, size=(4, n_devices))
+        return rng.uniform(0.5, 7.5, size=(4, n_devices))
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.97])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("categorical", [False, True], ids=["numeric", "categorical"])
+    def test_counts_match_the_masks(self, folded, categorical, workers, dropout):
+        from repro.parallel import run_fleet_categorical
+
+        t = self._fleet(dropout, categorical)
+        common = dict(
+            dropout=dropout, rng=np.random.default_rng(9), source_seed=SEED,
+            workers=workers, shards=self.SHARDS,
+        )
+        if categorical:
+            result = run_fleet_categorical(t, 5, 2.0, oracle="krr", **common)
+            loss = result.oracle.claimed_loss_bound
+        else:
+            result = run_fleet_sharded(t, SENSOR, EPS, streaming=True, **common)
+            loss = result.devices[0]._mechanism.claimed_loss_bound
+        reporting = draw_reporting(t, dropout, np.random.default_rng(9))
+        plan = plan_shards(t.shape[1], self.SHARDS)
+
+        # Ledger totals: one bulk charge of the shard-written counts.
+        expected = reporting.sum(axis=0) * loss
+        totals = [
+            result.server.worst_case_disclosure(fleet_device_id(i))
+            for i in range(t.shape[1])
+        ]
+        assert totals == expected.tolist()
+
+        # One fold per nonempty (epoch, shard) cell, n = its mask count.
+        cells = [
+            (epoch, start, int(np.count_nonzero(reporting[epoch, start:stop])))
+            for epoch in range(t.shape[0])
+            for start, stop in plan.slices
+            if reporting[epoch, start:stop].any()
+        ]
+        assert [(epoch, start, n) for epoch, start, n, _ in folded] == cells
+        if not categorical:
+            assert [row[0] for *_, row in folded] == [n for *_, n in cells]
+
+        # Truth summaries: the shards' truth rows in shard order over the
+        # masks' per-epoch counts, as the coordinator computed them
+        # before the shards counted.
+        n_reports = np.array([np.count_nonzero(mask) for mask in reporting])
+        if categorical:
+            counts = [
+                [np.bincount(t[e, start:stop][reporting[e, start:stop]], minlength=5)
+                 for e in range(t.shape[0])]
+                for start, stop in plan.slices
+            ]
+            parent = [
+                row / max(int(n), 1)
+                for row, n in zip(np.array(counts).sum(axis=0), n_reports)
+            ]
+            assert len(result.true_frequencies) == len(parent)
+            for got, want in zip(result.true_frequencies, parent):
+                assert got.tobytes() == want.tobytes()
+        else:
+            sums = np.array([
+                [t[e, start:stop][reporting[e, start:stop]].sum() for e in range(t.shape[0])]
+                for start, stop in plan.slices
+            ])
+            assert result.true_means == (sums.sum(axis=0) / n_reports).tolist()
