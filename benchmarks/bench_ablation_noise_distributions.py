@@ -2,21 +2,25 @@
 
 The paper argues the finite-precision failure applies to *any*
 DP-guaranteeing distribution ("Laplace, Gaussian, or staircase").  This
-ablation runs all three through the identical pipeline: exact PMF →
-naive-arm verdict → exact threshold calibration → guarded utility.
-Expected: every naive arm fails identically; every guarded arm is
-certified; the staircase (ℓ1-optimal) adds the least absolute noise,
-the (ε, δ) Gaussian the most at these parameters.
+ablation runs all three through the identical arms — each generator is
+the ``noise_rng`` of the standard baseline and thresholding arms: exact
+PMF → naive-arm verdict → exact threshold calibration → guarded utility.
+Every generator draws from its own seeded source, so the recorded MAEs
+are reproducible.  Expected: every naive arm fails identically; every
+guarded arm is certified; the staircase (ℓ1-optimal) adds the least
+absolute noise, the (ε, δ) Gaussian the most at these parameters.
 """
 
 import numpy as np
 
 from repro.analysis import render_table
-from repro.mechanisms import GuardedNoiseMechanism, SensorSpec, make_mechanism
+from repro.mechanisms import SensorSpec, make_mechanism
 from repro.rng import (
     FxpGaussianRng,
     FxpLaplaceConfig,
+    FxpLaplaceRng,
     FxpStaircaseRng,
+    SplitStreamSource,
     StaircaseParams,
     gaussian_sigma,
 )
@@ -30,9 +34,15 @@ CFG = FxpLaplaceConfig(input_bits=13, output_bits=20, delta=D / 64, lam=D / EPS)
 
 def _generators():
     return {
-        "laplace": None,  # handled by the standard arms
-        "staircase": FxpStaircaseRng(CFG, StaircaseParams(sensitivity=D, epsilon=EPS)),
-        "gaussian": FxpGaussianRng(CFG, sigma=gaussian_sigma(D, EPS, 1e-5)),
+        "laplace": FxpLaplaceRng(CFG, source=SplitStreamSource(1)),
+        "staircase": FxpStaircaseRng(
+            CFG,
+            StaircaseParams(sensitivity=D, epsilon=EPS),
+            source=SplitStreamSource(2),
+        ),
+        "gaussian": FxpGaussianRng(
+            CFG, sigma=gaussian_sigma(D, EPS, 1e-5), source=SplitStreamSource(3)
+        ),
     }
 
 
@@ -41,23 +51,8 @@ def bench_ablation_noise_distributions(benchmark):
         rows = []
         x = np.full(20000, D / 2)
         for name, gen in _generators().items():
-            if gen is None:
-                naive = make_mechanism(
-                    "baseline", SENSOR, EPS, input_bits=13, output_bits=20, delta=D / 64
-                )
-                guarded = make_mechanism(
-                    "thresholding",
-                    SENSOR,
-                    EPS,
-                    input_bits=13,
-                    output_bits=20,
-                    delta=D / 64,
-                )
-            else:
-                naive = GuardedNoiseMechanism(SENSOR, EPS, gen, mode="baseline")
-                guarded = GuardedNoiseMechanism(
-                    SENSOR, EPS, gen, mode="threshold", target_loss=2 * EPS
-                )
+            naive = make_mechanism("baseline", SENSOR, EPS, noise_rng=gen)
+            guarded = make_mechanism("thresholding", SENSOR, EPS, noise_rng=gen)
             naive_rep = naive.ldp_report(epsilon_target=1e9)
             guard_rep = guarded.ldp_report()
             mae = float(np.abs(guarded.privatize(x) - D / 2).mean())

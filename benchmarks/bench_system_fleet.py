@@ -34,6 +34,7 @@ def bench_system_fleet_vs_theory(benchmark):
                 SENSOR,
                 epsilon=EPSILON,
                 rng=np.random.default_rng(n + 1),
+                source_seed=n + 2,
                 input_bits=13,
                 output_bits=18,
                 delta=10 / 64,

@@ -56,9 +56,8 @@ def _conditional_pmfs(mech: FxpMechanismBase, x1: float, x2: float):
     if k1 == k2:
         raise ConfigurationError("the two hypotheses quantize to the same code")
     if hasattr(mech, "window"):
-        mode = "resample" if mech.name == "Resampling" else "threshold"
         return DiscreteMechanismFamily.additive(
-            mech.noise_pmf, [k1, k2], window=mech.window, mode=mode
+            mech.noise_pmf, [k1, k2], window=mech.window, mode=mech.guard
         )
     return DiscreteMechanismFamily.additive(mech.noise_pmf, [k1, k2], mode="baseline")
 

@@ -13,7 +13,7 @@ Scope: the sampling/privatization functions of ``mechanisms/`` and
 ``rng/`` modules — functions named ``sample*``, ``draw*``, ``privatize*``
 or ``noise*`` (with or without a leading underscore) plus the inverse-CDF
 datapath hooks (``magnitude_from_uniform``, ``inverse_half_cdf``,
-``inverse_magnitude_cdf``, ``inverse_cdf``, ``_ln_uniform``,
+``inverse_magnitude_cdf``, ``inverse_cdf``, ``_magnitudes``,
 ``_codes_from_uniform``).  Deliberate float models — the ideal reference
 arms and exact-log hardware models — carry ``# dplint: allow[DPL002]``
 annotations stating why the float is sound there.
@@ -37,7 +37,7 @@ _DATAPATH_HOOKS = frozenset(
         "inverse_half_cdf",
         "inverse_magnitude_cdf",
         "inverse_cdf",
-        "_ln_uniform",
+        "_magnitudes",
         "_codes_from_uniform",
     }
 )

@@ -11,7 +11,6 @@ from ..errors import ConfigurationError
 from .base import LocalMechanism, SensorSpec
 from .categorical import CategoricalMechanism
 from .fxp_baseline import FxpBaselineMechanism
-from .generic import GuardedNoiseMechanism
 from .fxp_common import DEFAULT_INPUT_BITS, DEFAULT_OUTPUT_BITS, FxpMechanismBase
 from .ideal_laplace import IdealLaplaceMechanism
 from .oracles import (
@@ -31,7 +30,6 @@ __all__ = [
     "SensorSpec",
     "CategoricalMechanism",
     "FxpBaselineMechanism",
-    "GuardedNoiseMechanism",
     "FxpMechanismBase",
     "IdealLaplaceMechanism",
     "ResamplingMechanism",
@@ -64,7 +62,10 @@ def make_mechanism(
 
     ``arm`` is one of ``"ideal"``, ``"baseline"``, ``"resampling"``,
     ``"thresholding"`` or ``"rr"``.  Extra keyword arguments are passed to
-    the mechanism constructor (bit widths, Δ, URNG source, ...).
+    the mechanism constructor (bit widths, Δ, URNG source, ...).  The
+    fixed-point arms take ``noise_rng=`` — any
+    :class:`~repro.rng.inversion.FxpInversionRng` (staircase, Gaussian,
+    geometric) in place of the default fixed-point Laplace generator.
     """
     arm = arm.lower()
     if arm == "ideal":

@@ -1,10 +1,12 @@
 """Naive fixed-point Laplace mechanism — the paper's broken baseline.
 
-This arm adds fixed-point Laplace noise with **no guard**.  Its utility is
-essentially indistinguishable from the ideal mechanism (paper Tables
-II–V, "FxP HW Baseline"), but its exact worst-case privacy loss is
+This arm adds fixed-point noise (Laplace unless ``noise_rng=`` supplies
+another generator) with **no guard**.  Its utility is essentially
+indistinguishable from the ideal mechanism (paper Tables II–V, "FxP HW
+Baseline"), but its exact worst-case privacy loss is
 infinite: outputs beyond ``x ± L`` and the zero-probability tail holes
 let an adversary rule inputs out with certainty (Sections III-A3, VI-A).
+Every other finite-entropy generator fails the same way (Section III-A4).
 """
 
 from __future__ import annotations

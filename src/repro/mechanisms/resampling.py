@@ -9,99 +9,47 @@ of occasional extra RNG cycles.
 
 The threshold is chosen either by the paper's closed form (eq. 13) or by
 exact calibration against the target loss ``n·ε`` (the default; see
-DESIGN.md §5).  :meth:`ResamplingMechanism.privatize_with_counts` exposes
-the per-sample draw counts, which is exactly the data the DP-Box latency
-evaluation (Fig. 11) needs.
+DESIGN.md §5 and :class:`~repro.mechanisms.fxp_common.GuardedFxpMechanism`).
+:meth:`ResamplingMechanism.privatize_with_counts` exposes the per-sample
+draw counts, which is exactly the data the DP-Box latency evaluation
+(Fig. 11) needs.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from ..errors import CalibrationError, ConfigurationError
-from ..privacy.loss import DiscreteMechanismFamily
-from ..privacy.thresholds import (
-    calibrate_threshold_exact,
-    paper_resampling_threshold,
-)
-from ..runtime import DEFAULT_MAX_ROUNDS, ReleaseRequest
-from .base import SensorSpec
-from .fxp_common import FxpMechanismBase
+from ..privacy.thresholds import paper_resampling_threshold
+from ..runtime import DEFAULT_MAX_ROUNDS
+from .fxp_common import GuardedFxpMechanism
 
 __all__ = ["ResamplingMechanism"]
 
-#: Hard cap on redraw rounds; with any sane threshold the acceptance
-#: probability is > 0.9, so exhausting this indicates a config bug —
-#: the pipeline raises :class:`repro.errors.ResampleExhaustedError` and
-#: emits an ``exhausted=True`` event when it happens.
-_MAX_ROUNDS = DEFAULT_MAX_ROUNDS
 
-
-class ResamplingMechanism(FxpMechanismBase):
-    """Fixed-point Laplace with redraw-until-in-window guarding."""
+class ResamplingMechanism(GuardedFxpMechanism):
+    """Fixed-point noise with redraw-until-in-window guarding."""
 
     name = "Resampling"
+    guard = "resample"
+    #: Hard cap on redraw rounds; with any sane threshold the acceptance
+    #: probability is > 0.9, so exhausting this indicates a config bug —
+    #: the pipeline raises :class:`repro.errors.ResampleExhaustedError` and
+    #: emits an ``exhausted=True`` event when it happens.
+    _max_rounds = DEFAULT_MAX_ROUNDS
 
-    def __init__(
-        self,
-        sensor: SensorSpec,
-        epsilon: float,
-        loss_multiple: float = 2.0,
-        threshold: Optional[float] = None,
-        threshold_policy: str = "exact",
-        **kwargs,
-    ):
-        super().__init__(sensor, epsilon, **kwargs)
-        if loss_multiple <= 1.0:
-            raise ConfigurationError("loss_multiple must exceed 1")
-        self.loss_multiple = loss_multiple
-        if threshold is not None:
-            self.threshold = float(threshold)
-        elif threshold_policy == "paper":
-            self.threshold = paper_resampling_threshold(
-                sensor.d, self.delta, epsilon, self.rng.config.input_bits, loss_multiple
-            )
-        elif threshold_policy == "exact":
-            hint = self._paper_hint()
-            self.threshold = calibrate_threshold_exact(
-                self.noise_pmf,
-                self.verification_codes(),
-                loss_multiple * epsilon,
-                mode="resample",
-                k_hint=hint,
-            )
-        else:
-            raise ConfigurationError(f"unknown threshold_policy {threshold_policy!r}")
-        self.k_th = self._round_threshold_code(self.threshold, self.delta)
-        #: Output window in grid codes: common to all inputs.
-        self.window = (self.k_m - self.k_th, self.k_M + self.k_th)
-
-    def _paper_hint(self) -> int:
-        try:
-            t = paper_resampling_threshold(
-                self.sensor.d,
-                self.delta,
-                self.epsilon,
-                self.rng.config.input_bits,
-                self.loss_multiple,
-            )
-            return int(round(t / self.delta))
-        except (CalibrationError, ValueError, OverflowError):
-            # The paper closed form has no positive solution (or its
-            # exp/log left the float range) for this configuration; the
-            # hint only seeds the exact search, so fall back to a
-            # neutral starting point.  Anything else — a typed config
-            # error, an interrupt — is a real bug and must propagate.
-            return 16
+    def _paper_threshold(self) -> float:
+        """Paper eq. (13)."""
+        return paper_resampling_threshold(
+            self.sensor.d,
+            self.delta,
+            self.epsilon,
+            self.rng.config.input_bits,
+            self.loss_multiple,
+        )
 
     # ------------------------------------------------------------------
-    @property
-    def claimed_loss_bound(self) -> float:
-        """Resampling guarantees ``n·ε``, not ε (paper Section III-B1)."""
-        return self.loss_multiple * self.epsilon
-
     def acceptance_probability(self, x: float) -> float:
         """Exact probability a single draw lands inside the window."""
         k_x = int(self.quantize_inputs(np.asarray([x]))[0])
@@ -112,12 +60,6 @@ class ResamplingMechanism(FxpMechanismBase):
     def expected_draws(self, x: float) -> float:
         """Expected RNG draws per output (geometric: ``1/p_accept``)."""
         return 1.0 / self.acceptance_probability(x)
-
-    # ------------------------------------------------------------------
-    def release_request(self, x: np.ndarray) -> ReleaseRequest:
-        return self._build_request(
-            x, guard="resample", window=self.window, max_rounds=_MAX_ROUNDS
-        )
 
     def privatize_with_counts(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Privatize and also return per-sample draw counts.
@@ -130,12 +72,3 @@ class ResamplingMechanism(FxpMechanismBase):
         x = np.asarray(x)
         outcome = self.release(x)
         return outcome.values, outcome.rounds.reshape(x.shape)
-
-    # ------------------------------------------------------------------
-    def _family(self) -> DiscreteMechanismFamily:
-        return DiscreteMechanismFamily.additive(
-            self.noise_pmf,
-            self.verification_codes(),
-            window=self.window,
-            mode="resample",
-        )

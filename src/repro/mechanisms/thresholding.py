@@ -7,7 +7,8 @@ always suffices, so thresholding is the energy-efficient guard; the
 boundary atoms change the output distribution, which shifts utility in a
 data-dependent way relative to resampling (Section VI-B).
 
-Threshold selection:
+Threshold selection (see
+:class:`~repro.mechanisms.fxp_common.GuardedFxpMechanism`):
 
 * ``threshold_policy="paper"`` — eq. (15), which bounds the loss ratio of
   the two *boundary atoms* by ``n·ε``.  Note (DESIGN.md §5): at low URNG
@@ -20,99 +21,34 @@ Threshold selection:
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from ..errors import CalibrationError, ConfigurationError
-from ..privacy.loss import DiscreteMechanismFamily
-from ..privacy.thresholds import (
-    calibrate_threshold_exact,
-    paper_thresholding_threshold,
-)
-from ..runtime import ReleaseRequest
-from .base import SensorSpec
-from .fxp_common import FxpMechanismBase
+from ..privacy.thresholds import paper_thresholding_threshold
+from .fxp_common import GuardedFxpMechanism
 
 __all__ = ["ThresholdingMechanism"]
 
 
-class ThresholdingMechanism(FxpMechanismBase):
-    """Fixed-point Laplace with clamp-to-window guarding."""
+class ThresholdingMechanism(GuardedFxpMechanism):
+    """Fixed-point noise with clamp-to-window guarding."""
 
     name = "Thresholding"
+    guard = "threshold"
 
-    def __init__(
-        self,
-        sensor: SensorSpec,
-        epsilon: float,
-        loss_multiple: float = 2.0,
-        threshold: Optional[float] = None,
-        threshold_policy: str = "exact",
-        **kwargs,
-    ):
-        super().__init__(sensor, epsilon, **kwargs)
-        if loss_multiple <= 1.0:
-            raise ConfigurationError("loss_multiple must exceed 1")
-        self.loss_multiple = loss_multiple
-        if threshold is not None:
-            self.threshold = float(threshold)
-        elif threshold_policy == "paper":
-            self.threshold = paper_thresholding_threshold(
-                sensor.d, self.delta, epsilon, self.rng.config.input_bits, loss_multiple
-            )
-        elif threshold_policy == "exact":
-            self.threshold = calibrate_threshold_exact(
-                self.noise_pmf,
-                self.verification_codes(),
-                loss_multiple * epsilon,
-                mode="threshold",
-                k_hint=self._paper_hint(),
-            )
-        else:
-            raise ConfigurationError(f"unknown threshold_policy {threshold_policy!r}")
-        self.k_th = self._round_threshold_code(self.threshold, self.delta)
-        #: Output window in grid codes; outputs clamp to its edges.
-        self.window = (self.k_m - self.k_th, self.k_M + self.k_th)
-
-    def _paper_hint(self) -> int:
-        try:
-            t = paper_thresholding_threshold(
-                self.sensor.d,
-                self.delta,
-                self.epsilon,
-                self.rng.config.input_bits,
-                self.loss_multiple,
-            )
-            return int(round(t / self.delta))
-        except (CalibrationError, ValueError, OverflowError):
-            # Same contract as the resampling hint: only the closed
-            # form's legitimate "no solution in float range" failures
-            # fall back to a neutral search start; foreign exceptions
-            # propagate instead of being masked.
-            return 16
+    def _paper_threshold(self) -> float:
+        """Paper eq. (15)."""
+        return paper_thresholding_threshold(
+            self.sensor.d,
+            self.delta,
+            self.epsilon,
+            self.rng.config.input_bits,
+            self.loss_multiple,
+        )
 
     # ------------------------------------------------------------------
-    @property
-    def claimed_loss_bound(self) -> float:
-        """Thresholding guarantees ``n·ε`` (paper Section III-B2)."""
-        return self.loss_multiple * self.epsilon
-
     def boundary_atom_probability(self, x: float) -> float:
         """Exact probability the output clamps (either side) for input x."""
         k_x = int(self.quantize_inputs(np.asarray([x]))[0])
         shifted = self.noise_pmf.shifted(k_x)
         lo, hi = self.window
         return float(shifted.tail_le(lo - 1) + shifted.tail_ge(hi + 1))
-
-    # ------------------------------------------------------------------
-    def release_request(self, x: np.ndarray) -> ReleaseRequest:
-        return self._build_request(x, guard="threshold", window=self.window)
-
-    def _family(self) -> DiscreteMechanismFamily:
-        return DiscreteMechanismFamily.additive(
-            self.noise_pmf,
-            self.verification_codes(),
-            window=self.window,
-            mode="threshold",
-        )

@@ -453,7 +453,9 @@ class NumericKernel:
     threshold: Optional[float] = None
     streaming: bool = False
     count_thresholds: Tuple[float, ...] = ()
-    forbidden = ("source", "rng", "pipeline")
+    #: A generator instance (``noise_rng``) carries its own source: under
+    #: a pool, its pickled copies would hand every shard the same stream.
+    forbidden = ("source", "rng", "noise_rng", "pipeline")
     truth_row = ((), np.float64)
 
     @property
@@ -583,6 +585,7 @@ def run_fleet_sharded(
         kwargs=dict(mechanism_kwargs),
         with_devices=with_devices,
     )
+    reject_shared_sources(kernel)  # before the reference arm is built
     server = AggregationServer(
         noise_scale=kernel.noise_scale,
         streaming=streaming,

@@ -89,8 +89,8 @@ class CodebookEntry:
         self.table = table
         self._counts: Optional[np.ndarray] = None
         self._signed: Optional[np.ndarray] = None
-        #: Exact signed PMF; populated lazily by ``FxpLaplaceRng.exact_pmf``
-        #: so the PMF math stays in one place (laplace_fxp).
+        #: Exact signed PMF; populated lazily by ``FxpInversionRng.exact_pmf``
+        #: so the PMF math stays in one place (inversion).
         self.pmf = None
         self._lock = threading.Lock()
 

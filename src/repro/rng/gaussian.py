@@ -103,10 +103,6 @@ class FxpGaussianRng(FxpInversionRng):
         super().__init__(config, source=source)
         self.sigma = sigma
 
-    def _u_cap(self) -> float:
-        """Largest uniform distinguishable from 1 on the datapath."""
-        return 1.0 - 2.0 ** (-(self.config.input_bits + 1))
-
     def magnitude_from_uniform(self, u: np.ndarray) -> np.ndarray:
         # dplint: allow[DPL002] -- float64 probit models the hardware's
         # rational approximation (module docstring); the quantization

@@ -115,9 +115,6 @@ class FxpGeometricRng(FxpInversionRng):
         super().__init__(config, source=source)
         self.ideal = ideal
 
-    def _u_cap(self) -> float:
-        return 1.0 - 2.0 ** (-(self.config.input_bits + 1))
-
     def magnitude_from_uniform(self, u: np.ndarray) -> np.ndarray:
         # dplint: allow[DPL002] -- u is the exactly representable m*2^-Bu
         # code scaling; the privacy analysis enumerates this datapath.

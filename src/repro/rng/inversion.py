@@ -1,30 +1,38 @@
-"""Generic fixed-point inversion-method noise generators.
+"""The fixed-point inversion-method noise generator every distribution shares.
 
 The paper's analysis (Section III-A4) applies to *any* DP-guaranteeing
 noise distribution realized on finite-precision hardware — it names
-Laplace, Gaussian, and staircase.  This module generalizes the
-fixed-point Laplace RNG's structure: a ``Bu``-bit uniform code drives a
-symmetric inverse-half-CDF, the magnitude is rounded to the ``Δ`` grid
-and saturated to ``By`` bits, and a random bit supplies the sign.
+Laplace, Gaussian, and staircase.  Every such generator has the same
+datapath: a ``Bu``-bit uniform code drives a symmetric inverse-half-CDF,
+the magnitude is rounded to the ``Δ`` grid and saturated to ``By`` bits,
+and a random bit supplies the sign.
 
-Concrete distributions subclass :class:`FxpInversionRng` by providing the
-magnitude transform; the exact output PMF is obtained by enumerating the
-full code alphabet through the *actual* datapath, so the analyzer in
-:mod:`repro.privacy.loss` treats these generators identically to Laplace.
+:class:`FxpInversionRng` owns that datapath once: sampling (plain and
+fused with the input add), the exact output PMF obtained by enumerating
+the full code alphabet through the *actual* datapath with one signed
+fold, and the kernel report.  A concrete distribution supplies only its
+magnitude transform — :meth:`~FxpInversionRng.magnitude_from_uniform`
+on real uniforms, or :meth:`~FxpInversionRng._magnitudes` on the integer
+codes themselves (the Laplace log backends) — so the analyzer in
+:mod:`repro.privacy.loss` and the guarded arms in
+:mod:`repro.mechanisms` treat every generator identically.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .laplace_fxp import FxpLaplaceConfig
 from .pmf import DiscretePMF
 from .urng import NumpySource, UniformCodeSource
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .codebook import CodebookEntry
+    from .laplace_fxp import FxpLaplaceConfig
 
 __all__ = ["FxpInversionRng"]
 
@@ -32,33 +40,70 @@ __all__ = ["FxpInversionRng"]
 class FxpInversionRng(abc.ABC):
     """Fixed-point sampler: uniform code → magnitude → grid → signed.
 
-    Reuses :class:`FxpLaplaceConfig` for the bit-width/grid bookkeeping
-    (``lam`` is interpreted by each subclass as its primary scale).
+    Reuses :class:`~repro.rng.laplace_fxp.FxpLaplaceConfig` for the
+    bit-width/grid bookkeeping (``lam`` is interpreted by each subclass as
+    its primary scale, or ignored).
+
+    The sampling kernel is the live datapath unless a subclass supplies a
+    precomputed ``m → k`` table through :meth:`_resolve_codebook`; both
+    consume the uniform source identically (``n`` codes, then ``n`` sign
+    bits), so the output stream never depends on the kernel.
     """
 
     def __init__(
         self,
-        config: FxpLaplaceConfig,
+        config: "FxpLaplaceConfig",
         source: Optional[UniformCodeSource] = None,
     ):
         self.config = config
         self.source = source if source is not None else NumpySource()
+        #: Instance-local PMF, used whenever no shared table carries it.
         self._pmf_cache: Optional[DiscretePMF] = None
 
     # ------------------------------------------------------------------
-    @abc.abstractmethod
+    # Distribution hooks
+    # ------------------------------------------------------------------
     def magnitude_from_uniform(self, u: np.ndarray) -> np.ndarray:
         """Inverse half-CDF: uniforms in (0, 1] → nonnegative magnitudes.
 
-        Must be finite for every representable ``u`` (the all-ones code
+        Must be finite for every representable ``u`` (the extreme code
         maps to the distribution's largest representable magnitude, which
-        is what bounds the support — the first failure cause).
+        is what bounds the support — the first failure cause).  A subclass
+        whose datapath works on the integer codes overrides
+        :meth:`_magnitudes` instead.
         """
+        raise NotImplementedError
 
     @property
     @abc.abstractmethod
     def max_magnitude_real(self) -> float:
-        """Largest magnitude before rounding (at the smallest code)."""
+        """Largest magnitude before rounding (at the extreme code)."""
+
+    def _magnitudes(self, m: np.ndarray) -> np.ndarray:
+        """Real magnitudes for URNG codes ``m`` (``1 .. 2**Bu``)."""
+        # dplint: allow[DPL002] -- u = m*2^-Bu is the paper's exact code
+        # scaling (Section III-A2); float64 represents it losslessly for
+        # Bu <= 40, so no finite-precision semantics are introduced.
+        u = m.astype(float) * 2.0 ** (-self.config.input_bits)
+        magnitude = self.magnitude_from_uniform(u)
+        if np.any(~np.isfinite(magnitude)) or np.any(magnitude < 0):
+            raise ConfigurationError("magnitude transform must be finite and >= 0")
+        return magnitude
+
+    def _resolve_codebook(self) -> Optional["CodebookEntry"]:
+        """A precomputed ``m → k`` table, or ``None`` for the live datapath."""
+        return None
+
+    def _u_cap(self) -> float:
+        """Largest uniform the datapath can distinguish from 1.
+
+        The hardware computes ``log(1-u)`` on ``Bu+1`` fractional bits; a
+        ``1-u`` smaller than one LSB is indistinguishable from it, which
+        is exactly the finite-precision effect that bounds the support of
+        every transform increasing in ``u`` (the analogue of Laplace's
+        ``L = λ·Bu·ln2``).
+        """
+        return 1.0 - 2.0 ** (-(self.config.input_bits + 1))
 
     # ------------------------------------------------------------------
     @property
@@ -67,45 +112,93 @@ class FxpInversionRng(abc.ABC):
         unsat = int(math.floor(self.max_magnitude_real / self.config.delta + 0.5))
         return min(unsat, self.config.max_code)
 
+    @property
+    def kernel(self) -> str:
+        """The sampling kernel actually in use: ``codebook`` or ``live``."""
+        return "codebook" if self._resolve_codebook() is not None else "live"
+
     def _codes_from_uniform(self, m: np.ndarray) -> np.ndarray:
-        # dplint: allow[DPL002] -- u = m*2^-Bu is the paper's exact code
-        # scaling (Section III-A2); float64 represents it losslessly for
-        # Bu <= 40, so no finite-precision semantics are introduced.
-        u = m.astype(float) * 2.0 ** (-self.config.input_bits)
-        magnitude = self.magnitude_from_uniform(u)
-        if np.any(~np.isfinite(magnitude)) or np.any(magnitude < 0):
-            raise ConfigurationError("magnitude transform must be finite and >= 0")
-        k = np.floor(magnitude / self.config.delta + 0.5).astype(np.int64)
+        """Magnitude codes (nonnegative ints) for URNG codes ``m``."""
+        k = np.floor(self._magnitudes(m) / self.config.delta + 0.5).astype(np.int64)
         return np.minimum(k, self.config.max_code)
 
     # ------------------------------------------------------------------
+    # Sampling
+    # ------------------------------------------------------------------
     def sample_codes(self, n: int) -> np.ndarray:
-        """Draw ``n`` signed output codes."""
+        """Draw ``n`` signed output codes ``k`` (noise value is ``k·Δ``)."""
         m = self.source.uniform_codes(n, self.config.input_bits)
-        k = self._codes_from_uniform(m)
-        sign = 1 - 2 * self.source.random_bits(n)
+        entry = self._resolve_codebook()
+        # Codebook gather and live datapath agree bit-for-bit: the table
+        # *is* the live datapath, evaluated once over the whole alphabet.
+        k = entry.gather(m) if entry is not None else self._codes_from_uniform(m)
+        sign = 1 - 2 * self.source.random_bits(n)  # ±1
         return sign * k
+
+    def sample_codes_add(self, codes: np.ndarray) -> np.ndarray:
+        """Fused ``codes + sample_codes(len(codes))`` — same stream, fewer passes.
+
+        The unfused draw-then-add spends three elementwise round-trips on
+        the sign alone (``2*b``, ``1 - …``, ``sign*k``) plus a fourth for
+        the add.  On the codebook path the sign multiply folds into the
+        lookup itself: a doubled ``[+k…, -k…]`` table indexed by
+        ``(sign_bit << Bu) | (m - 1)`` yields the *signed* code in one
+        gather (see :meth:`CodebookEntry.gather_signed_add`), leaving a
+        single in-place add for the input codes.  The live datapath keeps
+        the arithmetic form ``codes + k - 2·b·k`` with in-place updates.
+
+        Source consumption is *identical* to :meth:`sample_codes` (``n``
+        uniform codes, then ``n`` sign bits), so the result is
+        bit-identical to ``codes + sample_codes(n)`` for any source/seed;
+        the guard-fusion property tests pin that against the scalar
+        reference.
+
+        ``codes`` must be integer grid codes (every fixed-point arm's
+        quantizer emits ``int64``); the fused buffer is ``int64``.
+        """
+        codes = np.asarray(codes)
+        n = codes.shape[0]
+        m = self.source.uniform_codes(n, self.config.input_bits)
+        entry = self._resolve_codebook()
+        sign_bits = self.source.random_bits(n)
+        if entry is not None:
+            return entry.gather_signed_add(m, sign_bits, codes)
+        k = self._codes_from_uniform(m)  # fresh int64 — safe to mutate
+        signed_twice = k * sign_bits
+        k += codes
+        k -= signed_twice
+        k -= signed_twice
+        return k
 
     def sample(self, n: int) -> np.ndarray:
         """Draw ``n`` noise values in real units."""
         return self.sample_codes(n) * self.config.delta
 
+    # ------------------------------------------------------------------
+    # Exact distribution
+    # ------------------------------------------------------------------
     def exact_pmf(self) -> DiscretePMF:
-        """Exact signed PMF by enumerating the full code alphabet."""
-        if self._pmf_cache is not None:
-            return self._pmf_cache
-        bu = self.config.input_bits
-        m = np.arange(1, (1 << bu) + 1, dtype=np.int64)
-        k = self._codes_from_uniform(m)
-        top = int(k.max())
-        mag_counts = np.bincount(k, minlength=top + 1)
-        denom = 2 * (1 << bu)
+        """Exact signed PMF by sweeping every URNG code through the datapath."""
+        entry = self._resolve_codebook()
+        if entry is not None:
+            # Shared process-wide: the PMF lives on the table entry, so
+            # every generator/mechanism with this table computes it once.
+            if entry.pmf is None:
+                entry.pmf = self._signed_from_magnitude(entry.magnitude_counts())
+            return entry.pmf
+        if self._pmf_cache is None:
+            m = np.arange(1, (1 << self.config.input_bits) + 1, dtype=np.int64)
+            counts = np.bincount(self._codes_from_uniform(m), minlength=self.top_code + 1)
+            self._pmf_cache = self._signed_from_magnitude(counts)
+        return self._pmf_cache
+
+    def _signed_from_magnitude(self, mag_counts: np.ndarray) -> DiscretePMF:
+        """Fold magnitude counts into the signed PMF over ``2**(Bu+1)``."""
+        top = mag_counts.size - 1
+        denom = 2 * (1 << self.config.input_bits)
         signed = np.zeros(2 * top + 1, dtype=np.int64)
-        signed[top] = 2 * mag_counts[0]
+        signed[top] = 2 * mag_counts[0]  # both signs of zero collapse
         if top > 0:
             signed[top + 1 :] = mag_counts[1:]
             signed[:top] = mag_counts[1:][::-1]
-        self._pmf_cache = DiscretePMF.from_counts(
-            self.config.delta, -top, signed, denom
-        )
-        return self._pmf_cache
+        return DiscretePMF.from_counts(self.config.delta, -top, signed, denom)

@@ -16,6 +16,11 @@ Both are captured exactly by :meth:`FxpLaplaceRng.exact_pmf`, which either
 enumerates the full URNG alphabet (default; exact for *any* logarithm
 back-end, including CORDIC) or applies the analytic counting formula of
 paper eq. (11).
+
+Sampling, the fused input add and the enumerated PMF are the shared
+:class:`~repro.rng.inversion.FxpInversionRng` datapath; this module adds
+what is Laplace-specific: the logarithm on integer codes (exact or a
+hardware model), the codebook table, eq. (11) and the ideal bin masses.
 """
 
 from __future__ import annotations
@@ -29,9 +34,10 @@ import numpy as np
 from ..errors import ConfigurationError
 from .codebook import CodebookEntry, codebook_cache
 from .cordic import CordicLn
+from .inversion import FxpInversionRng
 from .log_approx import PiecewisePolyLn
 from .pmf import DiscretePMF
-from .urng import NumpySource, UniformCodeSource
+from .urng import UniformCodeSource
 
 __all__ = ["FxpLaplaceConfig", "FxpLaplaceRng"]
 
@@ -121,10 +127,13 @@ class FxpLaplaceConfig:
         )
 
 
-class FxpLaplaceRng:
+class FxpLaplaceRng(FxpInversionRng):
     """Sampler + exact distribution of the fixed-point Laplace RNG.
 
-    ``kernel`` selects the sampling implementation:
+    The shared :class:`~repro.rng.inversion.FxpInversionRng` datapath with
+    the logarithm evaluated on the integer URNG codes, so a hardware
+    logarithm model can stand in for the exact one.  ``kernel`` selects
+    the sampling implementation:
 
     * ``"auto"`` (default) — gather from a precomputed ``m → k`` codebook
       shared process-wide (see :mod:`repro.rng.codebook`) when the
@@ -150,39 +159,36 @@ class FxpLaplaceRng:
             raise ConfigurationError(
                 f"kernel must be 'auto', 'codebook' or 'live', got {kernel!r}"
             )
-        self.config = config
-        self.source = source if source is not None else NumpySource()
+        super().__init__(config, source=source)
         #: ``None`` means an exact float64 logarithm; otherwise a hardware
         #: logarithm model (CORDIC or piecewise polynomial).
         self.log_backend = log_backend
         self.kernel_mode = kernel
         self._codebook: Optional[CodebookEntry] = None
         self._codebook_resolved = False
-        #: Instance-local PMF fallback, used only when no codebook entry
-        #: exists (live kernel / over-budget alphabet).
-        self._pmf_cache: Optional[DiscretePMF] = None
+
+    @property
+    def max_magnitude_real(self) -> float:
+        """``L = λ·Bu·ln2`` (see :attr:`FxpLaplaceConfig.max_magnitude_real`)."""
+        return self.config.max_magnitude_real
 
     # ------------------------------------------------------------------
-    # Internal: logarithm of the uniform codes
+    # Magnitude hook: ``-λ·ln(m·2**-Bu)`` on the integer codes
     # ------------------------------------------------------------------
-    def _ln_uniform(self, m: np.ndarray) -> np.ndarray:
+    def _magnitudes(self, m: np.ndarray) -> np.ndarray:
         bu = self.config.input_bits
         if self.log_backend is None:
             # dplint: allow[DPL002] -- models the exact-log datapath the
             # analytic eq.-(11) counts assume; hardware backends below
             # (CordicLn / PiecewisePolyLn) run on integer codes.
-            return np.log(m.astype(float)) - bu * math.log(2.0)
-        codes = self.log_backend.ln_uniform_codes(m, bu)
-        return codes * 2.0 ** (-self.log_backend.frac_bits)
-
-    def _codes_from_uniform(self, m: np.ndarray) -> np.ndarray:
-        """Magnitude codes (nonnegative ints) for URNG codes ``m``."""
-        magnitude = -self.config.lam * self._ln_uniform(m)
-        k = np.floor(magnitude / self.config.delta + 0.5).astype(np.int64)
-        return np.minimum(k, self.config.max_code)
+            ln_u = np.log(m.astype(float)) - bu * math.log(2.0)
+        else:
+            codes = self.log_backend.ln_uniform_codes(m, bu)
+            ln_u = codes * 2.0 ** (-self.log_backend.frac_bits)
+        return -self.config.lam * ln_u
 
     # ------------------------------------------------------------------
-    # Kernel resolution (codebook vs live datapath)
+    # Codebook table (the base samples from it when present)
     # ------------------------------------------------------------------
     def _resolve_codebook(self) -> Optional[CodebookEntry]:
         """The shared codebook entry, or ``None`` for the live datapath."""
@@ -200,63 +206,6 @@ class FxpLaplaceRng:
             self._codebook_resolved = True
         return self._codebook
 
-    @property
-    def kernel(self) -> str:
-        """The sampling kernel actually in use: ``codebook`` or ``live``."""
-        return "codebook" if self._resolve_codebook() is not None else "live"
-
-    # ------------------------------------------------------------------
-    # Sampling
-    # ------------------------------------------------------------------
-    def sample_codes(self, n: int) -> np.ndarray:
-        """Draw ``n`` signed output codes ``k`` (noise value is ``k·Δ``)."""
-        m = self.source.uniform_codes(n, self.config.input_bits)
-        entry = self._resolve_codebook()
-        # Codebook gather and live datapath agree bit-for-bit: the table
-        # *is* the live datapath, evaluated once over the whole alphabet.
-        k = entry.gather(m) if entry is not None else self._codes_from_uniform(m)
-        sign = 1 - 2 * self.source.random_bits(n)  # ±1
-        return sign * k
-
-    def sample_codes_add(self, codes: np.ndarray) -> np.ndarray:
-        """Fused ``codes + sample_codes(len(codes))`` — same stream, fewer passes.
-
-        The unfused draw-then-add spends three elementwise round-trips on
-        the sign alone (``2*b``, ``1 - …``, ``sign*k``) plus a fourth for
-        the add.  On the codebook path the sign multiply folds into the
-        lookup itself: a doubled ``[+k…, -k…]`` table indexed by
-        ``(sign_bit << Bu) | (m - 1)`` yields the *signed* code in one
-        gather (see :meth:`CodebookEntry.gather_signed_add`), leaving a
-        single in-place add for the input codes.  The live datapath keeps
-        the arithmetic form ``codes + k - 2·b·k`` with in-place updates.
-
-        Source consumption is *identical* to :meth:`sample_codes` (``n``
-        uniform codes, then ``n`` sign bits), so the result is
-        bit-identical to ``codes + sample_codes(n)`` for any source/seed;
-        the guard-fusion property tests pin that against the scalar
-        reference.
-
-        ``codes`` must be integer grid codes (every fixed-point arm's
-        quantizer emits ``int64``); the fused buffer is ``int64``.
-        """
-        codes = np.asarray(codes)
-        n = codes.shape[0]
-        m = self.source.uniform_codes(n, self.config.input_bits)
-        entry = self._resolve_codebook()
-        sign_bits = self.source.random_bits(n)
-        if entry is not None:
-            return entry.gather_signed_add(m, sign_bits, codes)
-        k = self._codes_from_uniform(m)  # fresh int64 — safe to mutate
-        signed_twice = k * sign_bits
-        k += codes
-        k -= signed_twice
-        k -= signed_twice
-        return k
-
-    def sample(self, n: int) -> np.ndarray:
-        """Draw ``n`` noise values in real units."""
-        return self.sample_codes(n) * self.config.delta
-
     # ------------------------------------------------------------------
     # Exact distribution
     # ------------------------------------------------------------------
@@ -269,36 +218,15 @@ class FxpLaplaceRng:
         only).
         """
         if method == "enumerate":
-            entry = self._resolve_codebook()
-            if entry is not None:
-                # Shared process-wide: the PMF lives on the cache entry, so
-                # every RNG/mechanism with this config computes it once.
-                if entry.pmf is None:
-                    entry.pmf = self._signed_from_magnitude(
-                        entry.magnitude_counts()
-                    )
-                return entry.pmf
-            if self._pmf_cache is None:
-                self._pmf_cache = self._pmf_enumerate()
-            return self._pmf_cache
+            return super().exact_pmf()
         if method == "analytic":
             if self.log_backend is not None:
                 raise ConfigurationError(
                     "eq. (11) describes the exact-log datapath; use enumerate "
                     "for hardware log back-ends"
                 )
-            return self._pmf_analytic()
+            return self._signed_from_magnitude(self._analytic_magnitude_counts())
         raise ConfigurationError(f"unknown method {method!r}")
-
-    def _magnitude_counts(self) -> np.ndarray:
-        """Exact counts of URNG codes mapping to each magnitude code."""
-        entry = self._resolve_codebook()
-        if entry is not None:
-            return entry.magnitude_counts()
-        bu = self.config.input_bits
-        m = np.arange(1, (1 << bu) + 1, dtype=np.int64)
-        k = self._codes_from_uniform(m)
-        return np.bincount(k, minlength=self.config.top_code + 1)
 
     def _analytic_magnitude_counts(self) -> np.ndarray:
         """Counts via eq. (11): integers in ``(m2(k), m1(k)]`` per bin."""
@@ -327,23 +255,6 @@ class FxpLaplaceRng:
                 "analytic counting produced a negative bin; use enumerate"
             )
         return counts
-
-    def _signed_from_magnitude(self, mag_counts: np.ndarray) -> DiscretePMF:
-        cfg = self.config
-        top = mag_counts.size - 1
-        denom = 2 * (1 << cfg.input_bits)
-        signed = np.zeros(2 * top + 1, dtype=np.int64)
-        signed[top] = 2 * mag_counts[0]  # both signs of zero collapse
-        if top > 0:
-            signed[top + 1 :] = mag_counts[1:]
-            signed[:top] = mag_counts[1:][::-1]
-        return DiscretePMF.from_counts(cfg.delta, -top, signed, denom)
-
-    def _pmf_enumerate(self) -> DiscretePMF:
-        return self._signed_from_magnitude(self._magnitude_counts())
-
-    def _pmf_analytic(self) -> DiscretePMF:
-        return self._signed_from_magnitude(self._analytic_magnitude_counts())
 
     # ------------------------------------------------------------------
     # Ideal counterpart (for comparison plots)

@@ -130,16 +130,6 @@ class FxpStaircaseRng(FxpInversionRng):
         super().__init__(config, source=source)
         self.params = params
 
-    def _u_cap(self) -> float:
-        """Largest uniform the datapath can distinguish from 1.
-
-        The hardware computes ``log(1-u)`` on ``Bu+1`` fractional bits; a
-        ``1-u`` smaller than one LSB is indistinguishable from it, which
-        is exactly the finite-precision effect that bounds the support
-        (the staircase analogue of Laplace's ``L = λ·Bu·ln2``).
-        """
-        return 1.0 - 2.0 ** (-(self.config.input_bits + 1))
-
     def magnitude_from_uniform(self, u: np.ndarray) -> np.ndarray:
         return self.params.inverse_half_cdf(np.minimum(u, self._u_cap()))
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis import estimate_pairwise_loss
 from repro.core import ChannelConfig, GuardMode, MultiSensorDPBox, minimum_input_bits
-from repro.mechanisms import GuardedNoiseMechanism, SensorSpec
+from repro.mechanisms import SensorSpec, make_mechanism
 from repro.queries import MeanQuery, measure_utility
 from repro.rng import (
     FxpLaplaceConfig,
@@ -18,7 +18,8 @@ SENSOR = SensorSpec(0.0, D)
 
 
 class TestStaircaseThroughTheHarness:
-    """The generic mechanism must be a drop-in for the evaluation stack."""
+    """Staircase noise through a standard arm is a drop-in for the
+    evaluation stack."""
 
     @pytest.fixture(scope="class")
     def staircase_mech(self):
@@ -26,9 +27,7 @@ class TestStaircaseThroughTheHarness:
             input_bits=12, output_bits=18, delta=D / 64, lam=D / EPS
         )
         rng = FxpStaircaseRng(cfg, StaircaseParams(sensitivity=D, epsilon=EPS))
-        return GuardedNoiseMechanism(
-            SENSOR, EPS, rng, mode="threshold", target_loss=2 * EPS
-        )
+        return make_mechanism("thresholding", SENSOR, EPS, noise_rng=rng)
 
     def test_utility_harness_runs(self, staircase_mech):
         data = np.random.default_rng(0).uniform(0, D, 500)
@@ -49,9 +48,7 @@ class TestStaircaseThroughTheHarness:
         losses = []
         for _ in range(2):
             rng = FxpStaircaseRng(cfg, StaircaseParams(sensitivity=D, epsilon=EPS))
-            mech = GuardedNoiseMechanism(
-                SENSOR, EPS, rng, mode="threshold", target_loss=2 * EPS
-            )
+            mech = make_mechanism("thresholding", SENSOR, EPS, noise_rng=rng)
             losses.append(mech.ldp_report().worst_loss)
         assert losses[0] == losses[1]  # calibration is deterministic
 
@@ -105,8 +102,6 @@ class TestMultiSensorAdversary:
 
 class TestDesignSpaceConsistency:
     def test_minimum_width_point_actually_certifies(self):
-        from repro.mechanisms import make_mechanism
-
         point = minimum_input_bits(10.0, 0.25, range_frac_bits=6)
         mech = make_mechanism(
             "thresholding",

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ResampleExhaustedError
 from repro.rng.laplace_fxp import FxpLaplaceConfig, FxpLaplaceRng
+from repro.rng.staircase import FxpStaircaseRng, StaircaseParams
 from repro.rng.urng import NumpySource
 from repro.runtime import ReleasePipeline, ReleaseRequest
 
@@ -174,24 +175,28 @@ _FUSION_CONFIG = FxpLaplaceConfig(
 )
 
 
+def _fusion_rng(kind, seed):
+    """A seeded generator: Laplace on either kernel, or staircase (an
+    inversion generator inheriting the live fused add)."""
+    source = NumpySource(seed)
+    if kind == "staircase":
+        params = StaircaseParams(sensitivity=10.0, epsilon=1.0)
+        return FxpStaircaseRng(_FUSION_CONFIG, params, source=source)
+    return FxpLaplaceRng(_FUSION_CONFIG, source=source, kernel=kind)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     codes=st.lists(
         st.integers(min_value=-2000, max_value=2000), min_size=1, max_size=128
     ),
     seed=st.integers(min_value=0, max_value=2**31),
-    kernel=st.sampled_from(["codebook", "live"]),
+    kind=st.sampled_from(["codebook", "live", "staircase"]),
 )
-def test_sample_codes_add_matches_unfused(codes, seed, kernel):
+def test_sample_codes_add_matches_unfused(codes, seed, kind):
     codes = np.asarray(codes, dtype=np.int64)
-    fused_rng = FxpLaplaceRng(
-        _FUSION_CONFIG, source=NumpySource(seed), kernel=kernel
-    )
-    unfused_rng = FxpLaplaceRng(
-        _FUSION_CONFIG, source=NumpySource(seed), kernel=kernel
-    )
-    fused = fused_rng.sample_codes_add(codes)
-    expected = codes + unfused_rng.sample_codes(codes.size)
+    fused = _fusion_rng(kind, seed).sample_codes_add(codes)
+    expected = codes + _fusion_rng(kind, seed).sample_codes(codes.size)
     np.testing.assert_array_equal(fused, expected)
     assert fused.dtype == np.int64
 
@@ -200,12 +205,13 @@ def test_sample_codes_add_source_consumption_matches():
     # After a fused call and an unfused call on seed-identical sources,
     # the NEXT draws must also agree: the fused path consumed exactly n
     # uniform codes then n sign bits, nothing more or less.
-    a = FxpLaplaceRng(_FUSION_CONFIG, source=NumpySource(7), kernel="live")
-    b = FxpLaplaceRng(_FUSION_CONFIG, source=NumpySource(7), kernel="live")
-    codes = np.arange(-8, 9, dtype=np.int64)
-    a.sample_codes_add(codes)
-    codes + b.sample_codes(codes.size)
-    np.testing.assert_array_equal(a.sample_codes(32), b.sample_codes(32))
+    for kind in ("live", "staircase"):
+        a = _fusion_rng(kind, 7)
+        b = _fusion_rng(kind, 7)
+        codes = np.arange(-8, 9, dtype=np.int64)
+        a.sample_codes_add(codes)
+        codes + b.sample_codes(codes.size)
+        np.testing.assert_array_equal(a.sample_codes(32), b.sample_codes(32))
 
 
 def test_sample_codes_add_does_not_mutate_input():

@@ -209,6 +209,29 @@ class TestFleet:
                 source=SplitStreamSource(1), **KW,
             )
 
+    @pytest.mark.parametrize(
+        "batched, workers", [(True, 1), (True, 2), (False, None)]
+    )
+    def test_shared_noise_generator_refused(self, batched, workers):
+        # A generator instance carries its own source; under a pool its
+        # pickled copies would give every shard the same noise stream.
+        from repro.parallel import run_fleet_sharded
+        from repro.rng import FxpStaircaseRng, StaircaseParams
+        from repro.rng.laplace_fxp import FxpLaplaceConfig
+
+        gen = FxpStaircaseRng(
+            FxpLaplaceConfig(input_bits=12, output_bits=16, delta=8 / 64, lam=16.0),
+            StaircaseParams(sensitivity=8.0, epsilon=0.5),
+        )
+        values = np.full((2, 3), 4.0)
+        with pytest.raises(ConfigurationError, match="'noise_rng'"):
+            run_fleet(
+                values, SENSOR, 0.5, batched=batched, workers=workers, noise_rng=gen
+            )
+        if batched:
+            with pytest.raises(ConfigurationError, match="'noise_rng'"):
+                run_fleet_sharded(values, SENSOR, 0.5, workers=workers, noise_rng=gen)
+
 
 class TestTypedEpochErrors:
     def test_values_unknown_epoch_typed(self):

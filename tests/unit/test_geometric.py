@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.mechanisms import GuardedNoiseMechanism, SensorSpec
+from repro.mechanisms import SensorSpec, make_mechanism
 from repro.rng import FxpLaplaceConfig
 from repro.rng.geometric import (
     FxpGeometricRng,
@@ -111,23 +111,17 @@ class TestFxpRealization:
 class TestPrivacyStory:
     def test_naive_fxp_geometric_not_ldp(self, rng):
         """Discreteness does not save a finite-entropy implementation."""
-        mech = GuardedNoiseMechanism(
-            SensorSpec(0.0, D), EPS, rng, mode="baseline", name="geom/naive"
-        )
+        mech = make_mechanism("baseline", SensorSpec(0.0, D), EPS, noise_rng=rng)
         report = mech.ldp_report(epsilon_target=1e9)
         assert not report.is_finite
 
     def test_guarded_fxp_geometric_certified(self, rng):
-        mech = GuardedNoiseMechanism(
-            SensorSpec(0.0, D), EPS, rng, mode="threshold", target_loss=2 * EPS
-        )
+        mech = make_mechanism("thresholding", SensorSpec(0.0, D), EPS, noise_rng=rng)
         report = mech.ldp_report()
         assert report.is_finite and report.satisfied
 
     def test_guarded_loss_can_beat_laplace_guard(self, rng):
         """Geometric decay has no rounding wobble, so the guarded loss sits
         right at the pointwise ratio bound."""
-        mech = GuardedNoiseMechanism(
-            SensorSpec(0.0, D), EPS, rng, mode="threshold", target_loss=2 * EPS
-        )
+        mech = make_mechanism("thresholding", SensorSpec(0.0, D), EPS, noise_rng=rng)
         assert mech.ldp_report().worst_loss <= 2 * EPS + 1e-9

@@ -397,20 +397,20 @@ class TestCalibrateOnce:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        from repro.mechanisms import resampling, thresholding
+        # Both guarded arms calibrate in their shared base.
+        from repro.mechanisms import fxp_common
 
         parent, seen = os.getpid(), []
-        for module in (resampling, thresholding):
-            calibrate = module.calibrate_threshold_exact
+        calibrate = fxp_common.calibrate_threshold_exact
 
-            def counting(*args, _calibrate=calibrate, **kwargs):
-                # A forked pool worker inherits this patch; its count
-                # would be invisible here, so it fails the call instead.
-                assert os.getpid() == parent, "a shard recalibrated"
-                seen.append(kwargs["mode"])
-                return _calibrate(*args, **kwargs)
+        def counting(*args, **kwargs):
+            # A forked pool worker inherits this patch; its count
+            # would be invisible here, so it fails the call instead.
+            assert os.getpid() == parent, "a shard recalibrated"
+            seen.append(kwargs["mode"])
+            return calibrate(*args, **kwargs)
 
-            monkeypatch.setattr(module, "calibrate_threshold_exact", counting)
+        monkeypatch.setattr(fxp_common, "calibrate_threshold_exact", counting)
         return seen
 
     @pytest.mark.parametrize("arm", ["resampling", "thresholding"])
