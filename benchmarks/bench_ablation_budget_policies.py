@@ -12,6 +12,7 @@ import numpy as np
 from repro.analysis import render_table
 from repro.core import BudgetEngine, build_segment_table
 from repro.mechanisms import SensorSpec, make_mechanism
+from repro.rng import SplitStreamSource
 
 from conftest import record_experiment
 
@@ -24,7 +25,8 @@ REPEATS = 10
 
 def bench_ablation_budget_policies(benchmark):
     mech = make_mechanism(
-        "thresholding", SENSOR, EPSILON, input_bits=14, output_bits=18, delta=10 / 64
+        "thresholding", SENSOR, EPSILON, input_bits=14, output_bits=18, delta=10 / 64,
+        source=SplitStreamSource(8),
     )
     family = mech._family()
     table = build_segment_table(family, EPSILON, LEVELS)

@@ -22,9 +22,9 @@ sets; :meth:`TaintAnalysis.trace` then resolves symbolic roots back
 through recorded call edges to concrete sources, producing the
 ``FlowStep`` witness chain attached to findings.
 
-Shared stores carry taint: ``arena.pack(xs)``/``arena.packing(xs)``/
-``arena.share(x)`` taint the receiver with what they copy in, and ``arena.view(ref)`` reads that
-taint back out, so a truth matrix shipped to shard workers through a
+Shared stores carry taint: ``arena.hold(xs)`` taints the receiver (and
+the refs it returns) with what it holds, and ``arena.view(ref)`` reads
+that taint back out, so a truth matrix held for shard workers by a
 :class:`~repro.parallel.shm.ShmArena` still taints the results the
 coordinator reads from the arena.
 
@@ -68,12 +68,10 @@ _MAX_TRACE_DEPTH = 25
 SANITIZER_ATTRS = ("privatize", "read_private", "charge_and_emit")
 #: Seam calls sanitizing only when they bind an ``accounting=`` policy.
 ACCOUNTED_SEAM_ATTRS = ("release",)
-#: Storage writes: ``arena.pack(arrays)`` / ``arena.share(array)`` /
-#: ``arena.packing(arrays)`` (the same copy, on a helper thread) copy
-#: their arguments into the receiver's shared-memory blocks, so the
-#: receiver holds that taint afterwards (and so do the returned refs,
-#: which address the copied data).
-STORE_ATTRS = frozenset({"pack", "packing", "share"})
+#: Storage writes: ``arena.hold(arrays)`` keeps its arguments for the
+#: shards to read, so the receiver holds that taint afterwards (and so
+#: do the returned refs, which address the held data).
+STORE_ATTRS = frozenset({"hold"})
 #: Storage reads: ``arena.view(ref)`` is an array over the receiver's
 #: blocks, so it carries whatever was stored in them.
 LOAD_ATTRS = frozenset({"view"})
@@ -868,8 +866,8 @@ class _FunctionInterp:
         arg_vals: List[TaintValue],
         kw_vals: Dict[str, TaintValue],
     ) -> TaintValue:
-        """Taint through a shared store: what a ``pack``/``share`` call
-        writes taints its receiver (and the refs it returns); what a
+        """Taint through a shared store: what a ``hold`` call
+        stores taints its receiver (and the refs it returns); what a
         ``view`` reads carries the receiver's taint."""
         receiver = call.func.value
         if call.func.attr in STORE_ATTRS:

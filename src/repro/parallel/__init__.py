@@ -16,10 +16,11 @@ categorical fleet lives in a small picklable shard kernel
 
 Two layers ride on top:
 
-* the shared-memory transport (:mod:`repro.parallel.shm`) — the one
-  data plane of every run, inline or pooled: array payloads live in
-  named ``multiprocessing.shared_memory`` blocks and only block names +
-  slice metadata cross the pool pipe; and
+* the data plane (:mod:`repro.parallel.shm`), the same for every run,
+  inline or pooled: shards read their truth and mask columns in place
+  (pool workers fork after the coordinator holds them), write their
+  outputs into named ``multiprocessing.shared_memory`` blocks, and only
+  tokens, block names and slice metadata cross the pool pipe; and
 * the adaptive planner (:mod:`repro.parallel.planner`) —
   :func:`~repro.parallel.planner.plan_execution` picks serial-vs-pool
   and the worker count from host probes while the shard count (the
@@ -28,8 +29,8 @@ Two layers ride on top:
 
 from .planner import ExecutionPlan, calibrate_throughput, plan_execution
 from .sharding import DEFAULT_SHARDS, ShardPlan, clamp_workers, plan_shards
-from .shm import ShmArena, ShmArrayRef, attach_array
-from .worker import CodebookShipment, ShardResult, ShardTask, run_shard
+from .shm import HeldRef, ShmArena, ShmArrayRef, attach_array
+from .worker import ShardResult, ShardTask, run_shard
 from .runner import (
     NumericKernel,
     plan_trace_event,
@@ -50,10 +51,10 @@ __all__ = [
     "ExecutionPlan",
     "plan_execution",
     "calibrate_throughput",
+    "HeldRef",
     "ShmArena",
     "ShmArrayRef",
     "attach_array",
-    "CodebookShipment",
     "ShardTask",
     "ShardResult",
     "run_shard",

@@ -195,7 +195,7 @@ def run_fleet_categorical(
     ):
         raise ConfigurationError(f"categories must be in 0..{n_categories - 1}")
     # In range, so the narrowest unsigned type holds every category: the
-    # truth block the shards read is 8x smaller than int64 at d = 256.
+    # truth the shards read in place is 8x smaller than int64 at d = 256.
     true_values = true_values.astype(np.min_scalar_type(n_categories - 1), copy=False)
     kernel = CategoricalKernel(
         oracle=oracle,

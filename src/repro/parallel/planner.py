@@ -40,9 +40,9 @@ from .sharding import ShardPlan, clamp_workers, plan_shards
 __all__ = ["ExecutionPlan", "plan_execution", "calibrate_throughput"]
 
 #: Fixed cost a process pool must amortize before it can win: worker
-#: spawn, codebook shipping, pipe setup.  Deliberately a constant, not a
-#: measurement — it only places the cutover, and a constant keeps the
-#: planner's behaviour explainable.
+#: fork and pipe setup.  Deliberately a constant, not a measurement — it
+#: only places the cutover, and a constant keeps the planner's behaviour
+#: explainable.
 _POOL_OVERHEAD_S = 0.35
 
 #: The pool must promise at least this serial runtime before we pay the

@@ -2,10 +2,10 @@
 
 :func:`run_sharded` is the one shard coordinator.  It owns every step a
 sharded fleet run shares — input validation, the execution-plan
-override, the dropout masks, the per-shard seed sequences, packing truth
-and masks into one :class:`~repro.parallel.shm.ShmArena`, the output
-layout, the pool map (or inline run), the shard-ordered fold, the run's
-finish, trace adoption, counter merge and arena cleanup — and delegates
+override, the dropout masks, the per-shard seed sequences, holding truth
+and masks in place in one :class:`~repro.parallel.shm.ShmArena`, the
+output layout, the pool map (or inline run), the shard-ordered fold, the
+run's finish, trace adoption, counter merge and arena cleanup — and delegates
 what differs to a small picklable *shard kernel*:
 
 ``reference()``
@@ -55,12 +55,14 @@ frequencies), and charges a streaming server's composition bound with
 one ``record_report_counts`` call over ``report_counts``.
 
 The coordinator validates the truth matrix's shape and ``dropout``
-before any shared-memory block exists.  It then creates the truth block
-and copies every shard's slice into it on one helper thread
-(:meth:`~repro.parallel.shm.ShmArena.packing`) while the calling thread
-draws the masks, packs them and allocates the outputs: both sides are
-NumPy calls that release the GIL.  The helper is joined before the
-shards run, so no thread is alive when a pool forks.
+before any shared-memory block exists, then draws the masks.  Neither
+the truth nor the masks is copied: the arena *holds* both
+(:meth:`~repro.parallel.shm.ShmArena.hold`) and each shard reads its
+columns where they lie.  A pool is created with the ``fork`` start
+method after the hold, so its workers inherit the inputs — and the
+coordinator's warm codebook cache — as copy-on-write pages; an inline
+``workers=1`` run reads them in its own process.  Shared memory carries
+the outputs only.  A platform without ``fork`` runs ``workers=1`` only.
 
 The contract:
 
@@ -77,8 +79,8 @@ The contract:
   reports for single-draw arms.
 * **Coordinator-owned simulation randomness.**  Dropout masks are drawn
   here by :func:`draw_reporting` — the same call the scalar reference
-  loop makes — then shipped to the workers; workers consume only their
-  audited stream.
+  loop makes — then read in place by the workers; workers consume only
+  their audited stream.
 * **Shard-ordered merge.**  Server submissions, trace events
   (re-numbered through :meth:`~repro.runtime.ReleasePipeline.adopt`),
   counter aggregates and per-device budget state all fold in shard
@@ -99,6 +101,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import multiprocessing
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -109,7 +112,6 @@ from ..aggregation.ledger import fleet_device_id
 from ..aggregation.server import AggregationServer, batch_moments
 from ..errors import BudgetExhaustedError, ConfigurationError
 from ..mechanisms import SensorSpec, make_mechanism
-from ..rng.codebook import backend_fingerprint, codebook_cache
 from ..rng.urng import SplitStreamSource, audited_generator, shard_seed_sequences
 from ..runtime import ArrayCharge, CounterSink
 from ..runtime.events import ReleaseEvent
@@ -117,42 +119,19 @@ from ..runtime.pipeline import ReleasePipeline, default_pipeline
 from .planner import ExecutionPlan
 from .sharding import ShardPlan, plan_shards
 from .shm import ShmArena
-from .worker import (
-    CodebookShipment,
-    ShardResult,
-    ShardTask,
-    install_shipments,
-    run_shard,
-)
+from .worker import ShardResult, ShardTask, run_shard
 
 __all__ = [
     "NumericKernel", "ShardedRun", "allocate_outputs", "run_sharded", "run_fleet_sharded",
 ]
 
 
-def _shippable(fingerprint) -> bool:
-    # Identity-keyed fingerprints (unknown backends) cannot be shared
-    # across processes — the worker-side unpickled instance has a new
-    # id, so the worker rebuilds its table (deterministically) instead.
-    return not (len(fingerprint) == 3 and fingerprint[1] == "id")
-
-
-def _codebook_shipments(mechanism) -> List[CodebookShipment]:
-    """Extract the coordinator's resolved codebook for worker warm-up."""
+def _resolve_kernel(mechanism) -> None:
+    """Resolve a fixed-point arm's sampling kernel (building its codebook
+    into the process-wide cache); a no-op for arms without one."""
     rng = getattr(mechanism, "rng", None)
-    if rng is None or not hasattr(rng, "kernel"):
-        return []
-    if rng.kernel != "codebook":
-        return []
-    entry = codebook_cache().peek(rng.config, rng.log_backend)
-    fingerprint = backend_fingerprint(rng.log_backend)
-    if entry is None or not _shippable(fingerprint):
-        return []
-    return [
-        CodebookShipment(
-            config=rng.config, fingerprint=fingerprint, table=entry.table
-        )
-    ]
+    if hasattr(rng, "kernel"):
+        rng.kernel
 
 
 def plan_trace_event(execution_plan: ExecutionPlan) -> ReleaseEvent:
@@ -325,7 +304,8 @@ def run_sharded(
 
     ``true_values`` is the ``(n_epochs, n_devices)`` truth matrix, already
     in the kernel's dtype.  ``workers=1`` runs the shards inline (no
-    pool) — same results, no multiprocessing overhead.  ``shards``
+    pool) — same results, no multiprocessing overhead; ``workers > 1``
+    needs the ``fork`` start method.  ``shards``
     defaults to :data:`~repro.parallel.sharding.DEFAULT_SHARDS`, clamped
     to ``n_devices``, and is part of the reproducibility key.  An
     ``execution_plan`` (usually from
@@ -340,29 +320,30 @@ def run_sharded(
 
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
+    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        raise ConfigurationError(
+            "workers > 1 needs the 'fork' start method: pool workers read the "
+            "coordinator's inputs from the pages they inherit; use workers=1"
+        )
     reject_shared_sources(kernel)
     _check_fleet(true_values, dropout)  # before any shm block exists
     n_epochs, n_devices = true_values.shape
     plan = plan_shards(n_devices, shards)
     reference = kernel.reference()
+    # Pool workers fork from this process and inherit its codebook
+    # cache: the table is built here, once, for every shard's arm.
+    _resolve_kernel(reference)
     loss = reference.claimed_loss_bound
     seqs = shard_seed_sequences(source_seed, plan.n_shards)
+    reporting = draw_reporting(true_values, dropout, rng)
 
     arena = ShmArena()
     try:
-        # One block per array kind, every shard's slice packed inside.
-        # The truth is copied in on a helper thread while this thread
-        # draws the masks (both release the GIL) and lays out the rest;
-        # the ``with`` joins the helper, so no thread is alive when a
-        # pool forks below.
-        with arena.packing(
-            [true_values[:, start:stop] for start, stop in plan.slices]
-        ) as truth_refs:
-            reporting = draw_reporting(true_values, dropout, rng)
-            reporting_refs = arena.pack(
-                [reporting[:, start:stop] for start, stop in plan.slices]
-            )
-            blocks, shard_refs = allocate_outputs(kernel, arena, plan, n_epochs)
+        # The inputs stay where they are: each shard reads its columns
+        # of the held matrices (a pool worker through the pages it
+        # inherits at fork).  Blocks carry the outputs only.
+        truth_ref, reporting_ref = arena.hold([true_values, reporting])
+        blocks, shard_refs = allocate_outputs(kernel, arena, plan, n_epochs)
         tasks = [
             ShardTask(
                 kernel=kernel,
@@ -370,19 +351,20 @@ def run_sharded(
                 n_shards=plan.n_shards,
                 start=start,
                 seed_seq=seqs[s],
-                truth=truth_refs[s],
-                reporting=reporting_refs[s],
+                truth=truth_ref.columns(start, stop),
+                reporting=reporting_ref.columns(start, stop),
                 outputs=shard_refs[s],
             )
-            for s, (start, _) in enumerate(plan.slices)
+            for s, (start, stop) in enumerate(plan.slices)
         ]
         if workers == 1:
             results: List[ShardResult] = [run_shard(t) for t in tasks]
         else:
+            # Pinned to fork: the held inputs and the warm codebook cache
+            # reach the workers only as inherited pages.
             with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(workers, plan.n_shards),
-                initializer=install_shipments,
-                initargs=(_codebook_shipments(reference),),
+                mp_context=multiprocessing.get_context("fork"),
             ) as pool:
                 # map() yields in shard order, so a failing shard surfaces
                 # deterministically (lowest shard index first).
@@ -491,8 +473,7 @@ class NumericKernel:
             mechanism = self._make(source=SplitStreamSource(seed_seq), pipeline=pipeline)
         else:
             mechanism = self._make(rng=audited_generator(seed_seq), pipeline=pipeline)
-        if hasattr(mechanism, "rng") and hasattr(mechanism.rng, "kernel"):
-            mechanism.rng.kernel  # resolve the codebook before the epoch loop
+        _resolve_kernel(mechanism)  # before the epoch loop
         return mechanism
 
     def step(self, mechanism, out, epoch, idx, start, rows, channel):

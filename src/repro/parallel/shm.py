@@ -1,32 +1,42 @@
-"""Zero-copy shared-memory transport for the sharded fleet.
+"""Shared-memory outputs and held inputs for the sharded fleet.
 
-Every sharded run — inline (``workers=1``) or pooled — moves its arrays
-through named :class:`multiprocessing.shared_memory.SharedMemory`
-blocks: the coordinator copies each shard's input slices into blocks
-once, workers attach by name and write their outputs into
-coordinator-allocated result buffers, and only O(1) metadata (block
-names, shapes, offsets) plus the small trace artifacts cross the pool
-pipe.
+A sharded run never copies its inputs.  The coordinator *holds* the
+truth matrix and the dropout masks where they already lie — in a
+process-local table, before its pool forks — and each shard reads its
+column slice of them in place: a forked pool worker through the
+copy-on-write pages it inherited, an inline ``workers=1`` run in its own
+process.  Both take the same path.  What the shards *write* goes into
+coordinator-allocated named
+:class:`multiprocessing.shared_memory.SharedMemory` blocks; only O(1)
+metadata (tokens, block names, shapes, offsets) plus the small trace
+artifacts cross the pool pipe.
 
-Two pieces:
+Three pieces:
+
+:class:`HeldRef`
+    A picklable handle to columns of a held input — ``(token, start,
+    stop)``.  ``attach()`` returns the view ``held[token][:, start:stop]``
+    in whatever process reads it.  A held input is only visible to this
+    process and to processes forked after :meth:`ShmArena.hold`, which is
+    why the coordinator pins its pool to the ``fork`` start method.
 
 :class:`ShmArrayRef`
     A picklable ndarray handle — ``(block name, shape, dtype, byte
-    offset)``.  ``sub()`` derives views into a packed block, which is
-    how one block carries every shard's slice (or every shard's output
-    region) without one-block-per-array proliferation.
+    offset)``.  ``sub()`` derives views into a block, which is how one
+    block carries every shard's output region without
+    one-block-per-array proliferation.
 
 :class:`ShmArena`
-    The owner of the blocks and the single place that unlinks them.
-    ``pack`` copies arrays into one block; ``packing`` does the same
-    copy on a helper thread behind a ``with`` body (the coordinator
-    draws the dropout masks while the truth is copied in).
-    The coordinator creates an arena per run inside ``try/finally`` (so
-    a worker crash — including ``BrokenProcessPool`` — still unlinks
-    every block) and a :func:`weakref.finalize` backstop covers paths
-    that never reach the ``finally``.  The finalizer is pid-guarded:
-    forked pool workers inherit the arena object, and *their* interpreter
-    shutdown must never unlink blocks the coordinator still owns.
+    The owner of a run's blocks and held inputs, and the single place
+    that unlinks and drops them.  ``allocate`` creates an output block;
+    ``hold`` enters inputs in the table without a copy.  The coordinator
+    creates an arena per run inside ``try/finally`` (so a worker crash —
+    including ``BrokenProcessPool`` — still unlinks every block and
+    drops every held input) and a :func:`weakref.finalize` backstop
+    covers paths that never reach the ``finally``.  The finalizer is
+    pid-guarded: forked pool workers inherit the arena object, and
+    *their* interpreter shutdown must never unlink blocks the
+    coordinator still owns.
 
 One mapping per block per process: :func:`attach_array` in the process
 that created a block (an inline ``workers=1`` run) views the arena's own
@@ -39,32 +49,47 @@ handles open until :meth:`ShmArena.close`, and the coordinator copies
 anything it must retain past ``close()`` (retain-mode server batches —
 see ``donate=`` on :meth:`~repro.aggregation.server.AggregationServer.submit_array`).
 
-Determinism note: block *names* are chosen by the stdlib (``name=None``),
-not by this module — no randomness originates here, and names never feed
-seed material; they are transport addresses only.
+Determinism note: block *names* are chosen by the stdlib (``name=None``)
+and hold tokens by a counter, not by this module's callers — no
+randomness originates here, and neither ever feeds seed material; they
+are addresses only.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
+import itertools
 import os
-import threading
 import weakref
 from multiprocessing import shared_memory
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["ShmArrayRef", "ShmArena", "attach_array"]
+__all__ = ["HeldRef", "ShmArrayRef", "ShmArena", "attach_array"]
 
-#: Byte alignment for arrays packed into one block; 16 covers every
-#: numpy scalar dtype and keeps gathers on natural boundaries.
-_ALIGN = 16
+# Inputs held by live arenas, keyed by token.  A process forked after
+# ``hold`` inherits the table with the arrays' pages (copy-on-write:
+# the shards only read them, so nothing is copied).
+_HELD: Dict[int, np.ndarray] = {}
+_TOKENS = itertools.count()
 
 
-def _aligned(nbytes: int) -> int:
-    return (nbytes + _ALIGN - 1) & ~(_ALIGN - 1)
+@dataclasses.dataclass(frozen=True)
+class HeldRef:
+    """Picklable handle to columns ``start:stop`` of a held 2-D input."""
+
+    token: int
+    start: int = 0
+    stop: Optional[int] = None
+
+    def columns(self, start: int, stop: int) -> "HeldRef":
+        """A ref to columns ``start:stop`` of the same held input."""
+        return HeldRef(self.token, int(start), int(stop))
+
+    def attach(self) -> np.ndarray:
+        """The read-only view of the held columns in this process."""
+        return _HELD[self.token][:, self.start : self.stop]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,15 +156,11 @@ def attach_array(ref: ShmArrayRef) -> np.ndarray:
     )
 
 
-def _copy_into(views: Sequence[np.ndarray], arrays: Sequence[np.ndarray]) -> None:
-    # Each (possibly strided) array is copied once, straight into its
-    # place in the block: no contiguous temporary.
-    for view, array in zip(views, arrays):
-        view[...] = array
-
-
-def _unlink_blocks(blocks: List[shared_memory.SharedMemory], owner_pid: int) -> None:
-    """Finalizer body: close+unlink every block — in the owner only.
+def _release(
+    blocks: List[shared_memory.SharedMemory], held: List[int], owner_pid: int
+) -> None:
+    """Finalizer body: drop every held input and close+unlink every
+    block — in the owner only.
 
     Module-level (not a bound method) so :func:`weakref.finalize` holds
     no reference back to the arena, and pid-guarded so a forked worker's
@@ -147,7 +168,10 @@ def _unlink_blocks(blocks: List[shared_memory.SharedMemory], owner_pid: int) -> 
     """
     if os.getpid() != owner_pid:
         blocks.clear()
+        held.clear()
         return
+    while held:
+        _HELD.pop(held.pop(), None)
     while blocks:
         block = blocks.pop()
         _OWNED.pop(block.name, None)
@@ -162,7 +186,8 @@ def _unlink_blocks(blocks: List[shared_memory.SharedMemory], owner_pid: int) -> 
 
 
 class ShmArena:
-    """Owns a run's shared-memory blocks; guarantees they are unlinked.
+    """Owns a run's output blocks and held inputs; guarantees the blocks
+    are unlinked and the inputs dropped.
 
     Usable as a context manager; :meth:`close` is idempotent and also
     runs from a :func:`weakref.finalize` backstop if the arena is
@@ -171,9 +196,10 @@ class ShmArena:
 
     def __init__(self) -> None:
         self._blocks: List[shared_memory.SharedMemory] = []
+        self._held: List[int] = []
         self._owner_pid = os.getpid()
         self._finalizer = weakref.finalize(
-            self, _unlink_blocks, self._blocks, self._owner_pid
+            self, _release, self._blocks, self._held, self._owner_pid
         )
 
     # -- allocation ----------------------------------------------------
@@ -194,72 +220,22 @@ class ShmArena:
         block = self._create(nbytes)
         return ShmArrayRef(name=block.name, shape=shape, dtype=dt.str)
 
-    def share(self, array: np.ndarray) -> ShmArrayRef:
-        """Copy ``array`` into a new block and return its ref."""
-        array = np.ascontiguousarray(array)
-        ref = self.allocate(array.shape, array.dtype)
-        self.view(ref)[...] = array
-        return ref
+    def hold(self, arrays: Sequence[np.ndarray]) -> List[HeldRef]:
+        """Hold ``arrays`` in place until :meth:`close`: one ref each.
 
-    def pack(self, arrays: Sequence[np.ndarray]) -> List[ShmArrayRef]:
-        """Copy several arrays into ONE block; one ref per array.
-
-        This is how the coordinator ships all shards' input slices in a
-        single segment: one block for every shard's truth slice, one for
-        every reporting slice, instead of blocks × shards.
+        Nothing is copied.  Each array is entered, as a read-only view,
+        in this process's table of held inputs; a ref's ``attach`` reads
+        it here and in any process forked after this call.
         """
-        arrays = [np.asarray(a) for a in arrays]
-        refs = self._layout(arrays)
-        _copy_into([self.view(ref) for ref in refs], arrays)
+        refs = []
+        for array in arrays:
+            view = np.asarray(array).view()
+            view.flags.writeable = False
+            token = next(_TOKENS)
+            _HELD[token] = view
+            self._held.append(token)
+            refs.append(HeldRef(token))
         return refs
-
-    @contextlib.contextmanager
-    def packing(self, arrays: Sequence[np.ndarray]) -> Iterator[List[ShmArrayRef]]:
-        """:meth:`pack`, with the copy running behind the ``with`` body.
-
-        The block and its refs are made here, on the calling thread; one
-        helper thread copies the arrays in while the body runs (a NumPy
-        copy releases the GIL, so the body's own NumPy work overlaps
-        it).  The exit joins the helper — also when the body raises —
-        and re-raises a failed copy, so no thread outlives the block:
-        the caller may fork, read the block or close the arena after
-        the ``with``, never inside it.
-        """
-        arrays = [np.asarray(a) for a in arrays]
-        refs = self._layout(arrays)
-        views = [self.view(ref) for ref in refs]
-        failed: List[BaseException] = []
-
-        def copy() -> None:
-            try:
-                _copy_into(views, arrays)
-            except BaseException as exc:  # re-raised on the calling thread
-                failed.append(exc)
-            finally:
-                views.clear()  # drop the block's exports with the thread
-
-        helper = threading.Thread(target=copy, name="shm-pack")
-        helper.start()
-        try:
-            yield refs
-        finally:
-            helper.join()
-        if failed:
-            raise failed[0]
-
-    def _layout(self, arrays: Sequence[np.ndarray]) -> List[ShmArrayRef]:
-        """One block sized for ``arrays``, one aligned ref per array;
-        nothing is copied (the block is zero pages)."""
-        offsets: List[int] = []
-        total = 0
-        for a in arrays:
-            offsets.append(total)
-            total += _aligned(max(a.nbytes, 1))
-        block = self._create(max(total, 1))
-        return [
-            ShmArrayRef(name=block.name, shape=a.shape, dtype=a.dtype.str, offset=off)
-            for a, off in zip(arrays, offsets)
-        ]
 
     # -- access --------------------------------------------------------
     def view(self, ref: ShmArrayRef) -> np.ndarray:
@@ -281,11 +257,12 @@ class ShmArena:
 
     @property
     def closed(self) -> bool:
-        return not self._finalizer.alive and not self._blocks
+        return not self._finalizer.alive and not self._blocks and not self._held
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
-        """Close and unlink every owned block.  Idempotent."""
+        """Close and unlink every owned block, drop every held input.
+        Idempotent."""
         # detach() via the finalizer so close() and the GC/atexit backstop
         # share one code path (the finalizer runs at most once).
         self._finalizer()

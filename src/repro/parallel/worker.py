@@ -4,65 +4,32 @@ Everything a worker needs crosses the process boundary once, as a
 picklable :class:`ShardTask`: the shard kernel (the recipe of what to
 release and how to write it down — see :mod:`repro.parallel.runner` and
 :mod:`repro.parallel.categorical`), the spawned
-:class:`~numpy.random.SeedSequence` for the shard's audited stream, and
-shared-memory refs (:mod:`repro.parallel.shm`) to its input slices and
-output regions.  The coordinator draws all dropout randomness, so a
-worker consumes *only* its own audited stream.
+:class:`~numpy.random.SeedSequence` for the shard's audited stream, refs
+to its columns of the held inputs and shared-memory refs to its output
+regions (:mod:`repro.parallel.shm`).  The coordinator draws all dropout
+randomness, so a worker consumes *only* its own audited stream.
 
 :func:`run_shard` is a module-level function so it pickles by reference
 into a ``ProcessPoolExecutor``; it also runs inline (no pool) for
-``workers=1``, where the attach reuses the coordinator's own mappings.
-Either way the worker reads its truth and reporting slices from the
-arena and writes its outputs straight into coordinator-owned buffers;
-only block names, shapes and the small trace artifacts cross the pipe.
-
-Codebook shipping: pool workers start via :func:`install_shipments`,
-which adopts the coordinator's already-built ``m → k`` table into the
-process-wide :class:`~repro.rng.codebook.CodebookCache` — each worker
-process warms once per (config, backend) instead of re-sweeping the
-``2**Bu`` alphabet.
+``workers=1``.  Either way the worker reads its truth and reporting
+columns in place — a pool worker from the pages it inherited when the
+coordinator forked it, with the coordinator's warm codebook cache — and
+writes its outputs straight into coordinator-owned blocks; only tokens,
+block names, shapes and the small trace artifacts cross the pipe.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List
 
 import numpy as np
 
-from ..rng.codebook import codebook_cache
 from ..runtime import CounterSink, ReleasePipeline, RingBufferSink
 from ..runtime.events import ReleaseEvent
-from .shm import ShmArrayRef
+from .shm import HeldRef, ShmArrayRef
 
-__all__ = [
-    "CodebookShipment",
-    "ShardTask",
-    "ShardResult",
-    "run_shard",
-    "install_shipments",
-]
-
-
-@dataclasses.dataclass(frozen=True)
-class CodebookShipment:
-    """A pre-built codebook table shipped coordinator → worker.
-
-    The table is a deterministic function of ``(config, backend)``, so
-    adopting it is exactly as audited as rebuilding it — see
-    :meth:`repro.rng.codebook.CodebookCache.install`.
-    """
-
-    config: object  # FxpLaplaceConfig (kept untyped: no rng import cycle)
-    fingerprint: Tuple
-    table: np.ndarray
-
-
-def install_shipments(shipments: Sequence[CodebookShipment]) -> None:
-    """Pool initializer: warm this process's codebook cache."""
-    cache = codebook_cache()
-    for shipment in shipments:
-        cache.install(shipment.config, shipment.fingerprint, shipment.table)
+__all__ = ["ShardTask", "ShardResult", "run_shard"]
 
 
 @dataclasses.dataclass
@@ -77,10 +44,12 @@ class ShardTask:
     """Global device index of this shard's first device."""
     seed_seq: np.random.SeedSequence
     """Spawned sub-seed of the fleet seed; this shard's audited stream."""
-    truth: ShmArrayRef
-    """True values, shape ``(n_epochs, shard_devices)``."""
-    reporting: ShmArrayRef
-    """Coordinator-drawn reporting masks, same shape, bool."""
+    truth: HeldRef
+    """The shard's columns of the held true values,
+    ``(n_epochs, shard_devices)``."""
+    reporting: HeldRef
+    """The shard's columns of the coordinator-drawn reporting masks,
+    same shape, bool."""
     outputs: Dict[str, ShmArrayRef]
     """This shard's output regions (``rows``, ``truth``, ``n``,
     ``report_counts`` and the kernel's columns), laid out from the plan."""

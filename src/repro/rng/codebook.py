@@ -174,7 +174,6 @@ class CodebookCache:
         self.builds = 0
         self.evictions = 0
         self.budget_fallbacks = 0
-        self.installs = 0
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -245,45 +244,6 @@ class CodebookCache:
         """Return the cached entry without building (and without LRU touch)."""
         return self._entries.get((config, backend_fingerprint(log_backend)))
 
-    def install(self, config, fingerprint: Tuple, table: np.ndarray) -> CodebookEntry:
-        """Adopt a pre-built ``m → k`` table (sharded-fleet codebook shipping).
-
-        A worker process warms its cache from a table the coordinator
-        already built, instead of re-sweeping the alphabet per process —
-        the table is a deterministic function of ``(config, backend)``,
-        so adopting it is exactly as audited as building it.
-        ``fingerprint`` must be the coordinator-side
-        :func:`backend_fingerprint` of the backend the table was built
-        with.  An entry already resident under that key wins (identical
-        contents by construction).  Install ignores the table budget:
-        the coordinator only ships entries it was allowed to build.
-        """
-        if table.shape != ((1 << config.input_bits),):
-            raise ConfigurationError(
-                f"shipped table has shape {table.shape}, expected "
-                f"({1 << config.input_bits},) for Bu={config.input_bits}"
-            )
-        key = (config, tuple(fingerprint))
-        entry = CodebookEntry(
-            key=key,
-            delta=config.delta,
-            input_bits=config.input_bits,
-            top_code=config.top_code,
-            table=np.ascontiguousarray(table, dtype=self._table_dtype(config.top_code)),
-        )
-        with self._lock:
-            existing = self._entries.get(key)
-            if existing is not None:
-                self._entries.move_to_end(key)
-                return existing
-            self.installs += 1
-            self._entries[key] = entry
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-        return entry
-
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -306,7 +266,6 @@ class CodebookCache:
                 "builds": self.builds,
                 "evictions": self.evictions,
                 "budget_fallbacks": self.budget_fallbacks,
-                "installs": self.installs,
                 "bytes": sum(e.nbytes for e in self._entries.values()),
                 "max_entries": self.max_entries,
                 "table_budget_bytes": self.table_budget_bytes,
@@ -320,7 +279,6 @@ class CodebookCache:
             self.builds = 0
             self.evictions = 0
             self.budget_fallbacks = 0
-            self.installs = 0
 
 
 # ---------------------------------------------------------------------

@@ -171,18 +171,19 @@ class TestDpl006:
         result = run_tree(tmp_path, files, rules=["DPL006"])
         assert result.findings == []
 
-    #: A shared-memory store in the shape of ``ShmArena``: ``pack``
-    #: copies arrays in and returns refs, ``view`` reads a block back.
-    #: Nothing in its method summaries links a view to what was packed.
+    #: A store in the shape of ``ShmArena``: ``hold`` keeps arrays and
+    #: returns refs, ``view`` reads an output block back.  Nothing in its
+    #: method summaries links a view to what was held.
     ARENA = {
         "parallel/__init__.py": "",
         "parallel/store.py": """
             class Arena:
                 def __init__(self):
+                    self.held = []
                     self.blocks = []
 
-                def pack(self, arrays):
-                    self.blocks.extend(arrays)
+                def hold(self, arrays):
+                    self.held.extend(arrays)
                     return list(range(len(arrays)))
 
                 def view(self, ref):
@@ -191,7 +192,7 @@ class TestDpl006:
         "aggregation/__init__.py": "",
     }
 
-    def test_taint_follows_pack_then_view_into_print(self, tmp_path):
+    def test_taint_follows_hold_then_view_into_print(self, tmp_path):
         files = {
             **self.ARENA,
             "aggregation/report.py": """
@@ -200,10 +201,10 @@ class TestDpl006:
                 def summarize(kernel, out):
                     return kernel.finish(out)
 
-                def report(kernel, true_values):
+                def report(kernel, true_values, masks):
                     arena = Arena()
-                    refs = arena.pack([true_values[:, 0:4], true_values[:, 4:8]])
-                    out = {"counts": arena.view(refs[0])}
+                    arena.hold([true_values, masks])
+                    out = {"counts": arena.view(0)}
                     print(summarize(kernel, out))
                 """,
         }
@@ -211,9 +212,8 @@ class TestDpl006:
         assert [f.rule_id for f in result.findings] == ["DPL006"]
         assert "print" in result.findings[0].message
 
-    def test_taint_follows_packing_then_view_into_print(self, tmp_path):
-        # ``packing`` is ``pack`` with the copy behind a ``with`` body;
-        # what is read back from the arena afterwards still carries it.
+    def test_taint_follows_a_held_ref_into_print(self, tmp_path):
+        # A shard reads its columns through the ref ``hold`` returned.
         files = {
             **self.ARENA,
             "aggregation/report.py": """
@@ -221,9 +221,8 @@ class TestDpl006:
 
                 def report(true_values, masks):
                     arena = Arena()
-                    with arena.packing([true_values[:, 0:4]]):
-                        refs = arena.pack([masks])
-                    print(arena.view(refs[0]))
+                    truth_ref, mask_ref = arena.hold([true_values, masks])
+                    print(truth_ref.columns(0, 4).attach())
                 """,
         }
         result = run_tree(tmp_path, files, rules=["DPL006"])
@@ -238,9 +237,9 @@ class TestDpl006:
 
                 def report(true_values, masks):
                     arena = Arena()
-                    arena.pack([true_values])
+                    arena.hold([true_values])
                     other = Arena()
-                    refs = other.pack([masks])
+                    refs = other.hold([masks])
                     print(other.view(refs[0]))
                 """,
         }

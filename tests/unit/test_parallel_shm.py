@@ -3,17 +3,19 @@
 POSIX shared memory persists past process death — a crashed worker or a
 coordinator that skips its ``finally`` leaves ``/dev/shm`` segments
 behind until reboot.  These tests pin the guarantees the arena makes:
-every block is unlinked on the normal path, on the worker-crash path
-(``BrokenProcessPool``), and on the in-worker-exception path; a forked
-child's interpreter shutdown never unlinks the coordinator's blocks
-(the pid-guarded finalizer); the ref/attach plumbing round-trips
-arrays bit-exactly; and an attach in the creating process reuses the
-arena's own mapping instead of mapping the block a second time.
+every block is unlinked and every held input dropped on the normal
+path, on the worker-crash path (``BrokenProcessPool``), and on the
+in-worker-exception path; a forked child's interpreter shutdown never
+unlinks the coordinator's blocks (the pid-guarded finalizer); the
+ref/attach plumbing round-trips arrays bit-exactly; an attach in the
+creating process reuses the arena's own mapping instead of mapping the
+block a second time; and a run's inputs are read in place, never
+copied into a block.
 """
 
+import multiprocessing
 import os
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from repro.errors import ConfigurationError
 from repro.mechanisms import SensorSpec
 from repro.parallel import run_fleet_sharded
 from repro.parallel import shm as shm_module
-from repro.parallel.shm import ShmArena, ShmArrayRef, attach_array
+from repro.parallel.shm import HeldRef, ShmArena, ShmArrayRef, attach_array
 
 SENSOR = SensorSpec(0.0, 8.0)
 
@@ -46,6 +48,13 @@ def _leaked(before):
     return set(os.listdir("/dev/shm")) - before
 
 
+def _stored(arena, data):
+    """A fresh block of the arena holding a copy of ``data``."""
+    ref = arena.allocate(data.shape, data.dtype)
+    arena.view(ref)[...] = data
+    return ref
+
+
 def _shm_snapshot():
     if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
         pytest.skip("needs /dev/shm to observe leaks")
@@ -56,89 +65,20 @@ class TestArenaBasics:
     def test_share_round_trips_bit_exact(self):
         with ShmArena() as arena:
             data = np.random.default_rng(0).standard_normal((7, 13))
-            ref = arena.share(data)
+            ref = _stored(arena, data)
             np.testing.assert_array_equal(arena.view(ref), data)
             np.testing.assert_array_equal(attach_array(ref), data)
-
-    def test_pack_is_one_block_many_refs(self):
-        with ShmArena() as arena:
-            arrays = [
-                np.arange(5, dtype=np.int64),
-                np.full((3, 4), 2.5),
-                np.array([True, False, True]),
-            ]
-            refs = arena.pack(arrays)
-            assert len({r.name for r in refs}) == 1
-            assert len(arena.block_names) == 1
-            for ref, original in zip(refs, arrays):
-                np.testing.assert_array_equal(arena.view(ref), original)
-
-    def test_pack_copies_strided_slices_without_a_temporary(self):
-        # The coordinator packs column slices of an (epochs, devices)
-        # matrix: each must land bit-exact, copied once into the block.
-        # NumPy reports its buffers to tracemalloc and the block is not
-        # a tracked allocation, so a contiguous temporary of any slice
-        # would show in the peak.
-        matrix = np.random.default_rng(1).standard_normal((16, 40_000))
-        slices = [matrix[:, start : start + 10_000] for start in range(0, 40_000, 10_000)]
-        assert not slices[0].flags.c_contiguous
-        with ShmArena() as arena:
-            tracemalloc.start()
-            try:
-                refs = arena.pack(slices)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < slices[0].nbytes
-            for ref, original in zip(refs, slices):
-                assert arena.view(ref).flags.c_contiguous
-                assert arena.view(ref).tobytes() == np.ascontiguousarray(original).tobytes()
-
-    def test_packing_copies_behind_the_body_and_joins(self):
-        matrix = np.random.default_rng(2).standard_normal((8, 3_000))
-        slices = [matrix[:, start : start + 1_000] for start in range(0, 3_000, 1_000)]
-        threads = threading.active_count()
-        with ShmArena() as arena:
-            with arena.packing(slices) as refs:
-                assert len({r.name for r in refs}) == 1
-                # The body runs with the copy behind it.
-                assert threading.active_count() <= threads + 1
-                other = arena.pack([np.arange(4)])
-            assert threading.active_count() == threads
-            for ref, original in zip(refs, slices):
-                assert arena.view(ref).tobytes() == np.ascontiguousarray(original).tobytes()
-            np.testing.assert_array_equal(arena.view(other[0]), np.arange(4))
-
-    def test_packing_joins_when_the_body_raises(self):
-        threads = threading.active_count()
-        with ShmArena() as arena:
-            with pytest.raises(KeyError):
-                with arena.packing([np.ones((4, 100))]):
-                    raise KeyError("body")
-            assert threading.active_count() == threads
-
-    def test_packing_reraises_a_failed_copy(self, monkeypatch):
-        def failing(views, arrays):
-            raise MemoryError("copy")
-
-        monkeypatch.setattr(shm_module, "_copy_into", failing)
-        threads = threading.active_count()
-        with ShmArena() as arena:
-            with pytest.raises(MemoryError):
-                with arena.packing([np.ones(8)]):
-                    pass
-            assert threading.active_count() == threads
 
     def test_sub_ref_addresses_a_slice(self):
         with ShmArena() as arena:
             data = np.arange(24, dtype=np.float64)
-            ref = arena.share(data)
+            ref = _stored(arena, data)
             window = ref.sub(6, (4,))
             np.testing.assert_array_equal(arena.view(window), data[6:10])
 
     def test_close_unlinks_and_is_idempotent(self):
         arena = ShmArena()
-        ref = arena.share(np.zeros(4))
+        ref = arena.allocate((4,), np.float64)
         assert _attachable(ref.name)
         arena.close()
         assert not _attachable(ref.name)
@@ -162,7 +102,7 @@ class TestArenaBasics:
         # One mapping per block per process: an inline (workers=1) run
         # must not map its arena's blocks a second time.
         with ShmArena() as arena:
-            ref = arena.share(np.arange(12.0)).sub(2, (5,))
+            ref = _stored(arena, np.arange(12.0)).sub(2, (5,))
             attached = attach_array(ref)
             assert np.shares_memory(attached, arena.view(ref))
             np.testing.assert_array_equal(attached, np.arange(2.0, 7.0))
@@ -175,12 +115,51 @@ class TestArenaBasics:
             assert not arena.view(ref).any()
 
 
+class TestHold:
+    def test_hold_reads_columns_in_place(self):
+        matrix = np.random.default_rng(4).standard_normal((4, 30))
+        with ShmArena() as arena:
+            (ref,) = arena.hold([matrix])
+            assert ref == HeldRef(ref.token)
+            columns = ref.columns(5, 12).attach()
+            assert np.shares_memory(columns, matrix)
+            np.testing.assert_array_equal(columns, matrix[:, 5:12])
+            np.testing.assert_array_equal(ref.attach(), matrix)
+            assert not columns.flags.writeable
+            assert arena.block_names == []
+        assert matrix.flags.writeable
+
+    def test_close_drops_held_inputs(self):
+        arena = ShmArena()
+        refs = arena.hold([np.ones((2, 3)), np.zeros((2, 3), dtype=bool)])
+        assert {ref.token for ref in refs} <= set(shm_module._HELD)
+        assert not arena.closed
+        arena.close()
+        assert arena.closed
+        assert not {ref.token for ref in refs} & set(shm_module._HELD)
+        with pytest.raises(KeyError):
+            refs[0].attach()
+
+    def test_forked_child_reads_held_columns(self):
+        matrix = np.arange(24.0).reshape(3, 8)
+        with ShmArena() as arena:
+            (held,) = arena.hold([matrix])
+            out = arena.allocate((3,), np.float64)
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - child exits before reporting
+                attach_array(out)[...] = held.columns(2, 6).attach().sum(axis=1)
+                os._exit(0)
+            _, status = os.waitpid(pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+            np.testing.assert_array_equal(arena.view(out), matrix[:, 2:6].sum(axis=1))
+
+
 class TestForkSafety:
     def test_forked_child_close_does_not_unlink(self):
         # Pool workers inherit the arena object over fork; their exit
         # (normal or not) must never unlink the coordinator's blocks.
         arena = ShmArena()
-        ref = arena.share(np.arange(6.0))
+        ref = arena.allocate((6,), np.float64)
         pid = os.fork()
         if pid == 0:  # pragma: no cover - child exits before reporting
             arena.close()
@@ -233,6 +212,22 @@ class TestRunnerCleanup:
             )
         assert not _leaked(before)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_holder_is_empty_after_a_run(self, workers):
+        truth = np.random.default_rng(0).uniform(1.0, 7.0, size=(3, 40))
+        run_fleet_sharded(truth, SENSOR, 0.5, workers=workers, **_fleet_kwargs())
+        assert not shm_module._HELD
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_holder_is_empty_after_a_raising_shard(self, workers):
+        truth = np.random.default_rng(0).uniform(1.0, 7.0, size=(3, 40))
+        with pytest.raises(ConfigurationError):
+            run_fleet_sharded(
+                truth, SENSOR, 0.5, workers=workers,
+                **_fleet_kwargs(device_budget=1e-9),
+            )
+        assert not shm_module._HELD
+
     def test_killed_worker_leaves_no_blocks(self, monkeypatch):
         # Hard worker death (os._exit skips every handler in the child)
         # surfaces as BrokenProcessPool; the coordinator's finally must
@@ -248,9 +243,10 @@ class TestRunnerCleanup:
 
 
 class TestRunnerPackOverlap:
-    """The truth is packed on a helper thread while the masks are drawn:
-    bad inputs raise before any block exists, and no helper thread is
-    alive after the call or when a pool forks."""
+    """The inputs are held, never copied: bad inputs raise before any
+    block exists, no block is as large as the truth, the pool forks
+    with one live thread, and a platform without ``fork`` runs inline
+    only."""
 
     @pytest.mark.parametrize(
         "truth,dropout",
@@ -279,14 +275,15 @@ class TestRunnerPackOverlap:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_helper_thread_outlives_the_pack(self, monkeypatch, workers):
+        # Python 3.12 warns when it forks with other threads alive.
         from repro.parallel import runner as runner_module
 
         seen = []
 
         class Recording(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                seen.append(threading.active_count())
-                super().__init__(*args, **kwargs)
+            def __init__(self, *args, mp_context=None, **kwargs):
+                seen.append((threading.active_count(), mp_context.get_start_method()))
+                super().__init__(*args, mp_context=mp_context, **kwargs)
 
         monkeypatch.setattr(
             runner_module.concurrent.futures, "ProcessPoolExecutor", Recording
@@ -296,8 +293,34 @@ class TestRunnerPackOverlap:
         run_fleet_sharded(
             truth, SENSOR, 0.5, workers=workers, dropout=0.2, **_fleet_kwargs()
         )
-        assert seen == ([threads] if workers > 1 else [])
+        assert seen == ([(1, "fork")] if workers > 1 else [])
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_block_is_as_large_as_the_truth(self, monkeypatch, workers):
+        created = []
+        create = ShmArena._create
+
+        def recording(arena, nbytes):
+            created.append(nbytes)
+            return create(arena, nbytes)
+
+        monkeypatch.setattr(ShmArena, "_create", recording)
+        truth = np.random.default_rng(0).uniform(1.0, 7.0, size=(4, 4_000))
+        run_fleet_sharded(
+            truth, SENSOR, 0.5, workers=workers, streaming=True, with_devices=False,
+            dropout=0.1, **_fleet_kwargs(),
+        )
+        assert created
+        assert max(created) < truth.nbytes // 2
+
+    def test_a_pool_needs_fork(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        truth = np.random.default_rng(0).uniform(1.0, 7.0, size=(3, 40))
+        with pytest.raises(ConfigurationError, match="fork"):
+            run_fleet_sharded(truth, SENSOR, 0.5, workers=2, **_fleet_kwargs())
+        inline = run_fleet_sharded(truth, SENSOR, 0.5, workers=1, **_fleet_kwargs())
+        assert inline.server.epochs == [0, 1, 2]
 
 
 def _exit_hard(task):  # pragma: no cover - runs (briefly) in the worker
