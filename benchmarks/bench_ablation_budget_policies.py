@@ -10,9 +10,10 @@ outputs cost less and the same budget answers more queries.
 import numpy as np
 
 from repro.analysis import render_table
-from repro.core import BudgetEngine, build_segment_table
+from repro.core import build_segment_table
 from repro.mechanisms import SensorSpec, make_mechanism
 from repro.rng import SplitStreamSource
+from repro.runtime import SlotCharge, budget_columns
 
 from conftest import record_experiment
 
@@ -37,13 +38,12 @@ def bench_ablation_budget_policies(benchmark):
         for rep in range(REPEATS):
             rng = np.random.default_rng(rep)
             xs = rng.uniform(SENSOR.m, SENSOR.M, 4000)
-            engine = BudgetEngine(table, budget=BUDGET)
+            adaptive = SlotCharge(*budget_columns(BUDGET), table)
             count_a = 0
             for x in xs:
                 y = float(mech.privatize(np.asarray([x]))[0])
                 k = int(round(y / mech.delta))
-                decision = engine.submit(k)
-                if decision.from_cache:
+                if adaptive.charge(np.asarray([k])).cache_hits[0]:
                     break
                 count_a += 1
             fresh_adaptive.append(count_a)

@@ -56,7 +56,6 @@ from .mechanisms import (
     make_mechanism,
 )
 from .privacy import (
-    BudgetAccountant,
     LossReport,
     verify_additive_mechanism,
 )
@@ -126,7 +125,6 @@ __all__ = [
     "ThresholdingMechanism",
     "make_mechanism",
     # privacy
-    "BudgetAccountant",
     "LossReport",
     "verify_additive_mechanism",
     # queries

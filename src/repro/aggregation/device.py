@@ -3,8 +3,10 @@
 A :class:`Device` owns a raw sensor stream and a local mechanism; the
 *only* way data leaves it is :meth:`report`, which privatizes through
 the release pipeline.  An optional on-device budget mirrors DP-Box
-semantics via :class:`~repro.runtime.FlatCharge`: after exhaustion the
-device replays its cached report (no new loss) until :meth:`replenish`.
+semantics: each report is charged its flat per-report loss by
+:class:`~repro.runtime.SlotCharge` over the device's one-slot budget
+columns, and after exhaustion the device replays its cached report (no
+new loss) until :meth:`replenish`.
 Every report is one :class:`~repro.runtime.ReleaseEvent` on the
 mechanism's pipeline, with the device id as the event channel.
 """
@@ -17,8 +19,7 @@ import numpy as np
 
 from ..errors import BudgetExhaustedError, ConfigurationError
 from ..mechanisms.base import LocalMechanism
-from ..privacy.accountant import BudgetAccountant
-from ..runtime import FlatCharge, ReplayCache
+from ..runtime import SlotCharge, budget_columns
 from .protocol import Report
 
 __all__ = ["Device"]
@@ -37,8 +38,10 @@ class Device:
             raise ConfigurationError("device_id must be nonempty")
         self.device_id = device_id
         self._mechanism = mechanism
-        self._accountant = BudgetAccountant(budget) if budget is not None else None
-        self._cache = ReplayCache()
+        self._budget = budget
+        self._remaining, self._cached = (
+            budget_columns(budget) if budget is not None else (None, None)
+        )
         self.n_fresh = 0
         self.n_cached = 0
 
@@ -51,19 +54,19 @@ class Device:
     @property
     def remaining_budget(self) -> Optional[float]:
         """On-device budget left (None when budgeting is disabled)."""
-        return self._accountant.remaining if self._accountant else None
+        return float(self._remaining[0]) if self._remaining is not None else None
 
     def replenish(self) -> None:
         """Start a new accounting period."""
-        if self._accountant:
-            self._accountant.reset()
+        if self._remaining is not None:
+            self._remaining[0] = self._budget
 
     # ------------------------------------------------------------------
     def report(self, raw_value: float, epoch: int) -> Report:
         """Privatize one reading and package it for the aggregator."""
         accounting = (
-            FlatCharge(self._accountant, self.per_report_loss, self._cache)
-            if self._accountant is not None
+            SlotCharge(self._remaining, self._cached, self.per_report_loss)
+            if self._remaining is not None
             else None
         )
         try:

@@ -40,7 +40,6 @@ from .datasets import PAPER_DATASETS, load
 from .errors import ReproError
 from .mechanisms import SensorSpec, make_mechanism
 from .privacy import (
-    BudgetAccountant,
     calibrate_threshold_exact,
     paper_resampling_threshold,
     paper_thresholding_threshold,
@@ -414,9 +413,9 @@ def _cmd_noise(args: argparse.Namespace) -> int:
     )
     # Every release is debited against an explicit budget (composition,
     # paper Section II-A): the whole request runs as ONE pipeline release
-    # with a per-value FlatCharge, so a budget too small for the request
-    # is refused mid-charge and nothing unaccounted is printed.
-    from .runtime import FlatCharge
+    # charging every value to one budget slot with no cache, so a budget
+    # too small for the request is refused whole and nothing is printed.
+    from .runtime import SlotCharge, budget_columns
 
     per_value_loss = mech.claimed_loss_bound
     budget = (
@@ -424,16 +423,16 @@ def _cmd_noise(args: argparse.Namespace) -> int:
         if args.budget is not None
         else per_value_loss * len(args.values)
     )
-    accountant = BudgetAccountant(budget)
+    remaining, _ = budget_columns(budget, cache=False)
     outcome = mech.release(
         np.asarray(args.values, dtype=float),
-        accounting=FlatCharge(accountant, per_value_loss),
+        accounting=SlotCharge(remaining, None, per_value_loss),
     )
     noisy = [float(v) for v in outcome.values]
     for raw, out in zip(args.values, noisy):
         print(f"{raw:g} -> {out:g}")
     print(
-        f"budget        : spent {accountant.spent:g} of {accountant.budget:g} "
+        f"budget        : spent {budget - remaining[0]:g} of {budget:g} "
         f"({len(args.values)} release(s) at {per_value_loss:g} each)"
     )
     return 0

@@ -6,7 +6,7 @@ area/power/energy model, and the software reference implementation used
 for the hardware-vs-software comparison.
 """
 
-from .budget import BudgetDecision, BudgetEngine
+from .budget import BudgetEngine
 from .commands import Command
 from .design_space import DesignPoint, design_point, minimum_input_bits
 from .config import DPBoxConfig, GuardMode, validate_epsilon_exponent
@@ -40,7 +40,6 @@ from .selftest import (
 from .sw_reference import MSP430CostTable, SoftwareNoiser, paper_cycle_counts
 
 __all__ = [
-    "BudgetDecision",
     "BudgetEngine",
     "Command",
     "DesignPoint",

@@ -1,42 +1,26 @@
 """DP-Box budget engine (paper Algorithm 1 + caching + replenishment).
 
-Implements the output-adaptive accounting of Section III-C: each noising
-request is charged the loss of the segment its realized output falls in
-(:class:`~repro.core.segments.SegmentTable`), debited from a fixed budget.
-Once the budget cannot cover a request, the engine either replays the
-cached last output (no additional loss — the paper's practical answer to
-budget overruns) or halts.  A cycle-driven replenishment timer restores
-the budget periodically.
+Holds the state behind the output-adaptive accounting of Section III-C:
+the :class:`~repro.core.segments.SegmentTable` that prices each realized
+output, the one-slot budget columns the DP-Box charges through
+:class:`~repro.runtime.SlotCharge` (spend, else replay the cached last
+output at no additional loss, else halt), and the cycle-driven timer
+that restores the budget periodically.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
-import numpy as np
-
-from ..errors import BudgetExhaustedError, ConfigurationError
-from ..privacy.accountant import BudgetAccountant
+from ..errors import ConfigurationError
+from ..runtime import budget_columns
 from .segments import SegmentTable
 
-__all__ = ["BudgetEngine", "BudgetDecision"]
-
-
-@dataclasses.dataclass(frozen=True)
-class BudgetDecision:
-    """Outcome of presenting a realized output to the budget engine."""
-
-    #: Output code to report (the fresh one, or the cached one on overrun).
-    k_out: int
-    #: Loss actually charged (0 when served from cache).
-    charged: float
-    #: True when the reply came from the output cache.
-    from_cache: bool
+__all__ = ["BudgetEngine"]
 
 
 class BudgetEngine:
-    """Segment-table budget accounting with caching and replenishment."""
+    """Segment table, budget columns and replenishment timer."""
 
     def __init__(
         self,
@@ -45,30 +29,23 @@ class BudgetEngine:
         replenish_period_cycles: Optional[int] = None,
         cache_on_exhaustion: bool = True,
     ):
-        if budget <= 0:
-            raise ConfigurationError("budget must be positive")
         if replenish_period_cycles is not None and replenish_period_cycles <= 0:
             raise ConfigurationError("replenishment period must be positive")
         self.table = table
-        self.accountant = BudgetAccountant(budget)
+        self.budget = float(budget)
+        #: ``(remaining, cached)`` one-slot columns; ``cached`` is
+        #: ``None`` when the engine halts instead of replaying.
+        self.slot = budget_columns(budget, cache=cache_on_exhaustion)
         self.replenish_period_cycles = replenish_period_cycles
-        self.cache_on_exhaustion = cache_on_exhaustion
-        self._cached_output: Optional[int] = None
         self._cycles_since_replenish = 0
         self.n_cached_replies = 0
         self.n_fresh_replies = 0
         self.n_replenishments = 0
 
-    # ------------------------------------------------------------------
     @property
     def remaining(self) -> float:
         """Budget still available in the current period."""
-        return self.accountant.remaining
-
-    @property
-    def exhausted_for(self) -> float:
-        """Loss level below which no further query can be afforded."""
-        return self.accountant.remaining
+        return float(self.slot[0][0])
 
     def advance_cycles(self, n: int) -> None:
         """Account elapsed idle cycles; replenish when the period elapses.
@@ -81,63 +58,5 @@ class BudgetEngine:
         self._cycles_since_replenish += n
         while self._cycles_since_replenish >= self.replenish_period_cycles:
             self._cycles_since_replenish -= self.replenish_period_cycles
-            self.accountant.reset()
+            self.slot[0][0] = self.budget
             self.n_replenishments += 1
-
-    # ------------------------------------------------------------------
-    def submit(self, k_out_fresh: int) -> BudgetDecision:
-        """Charge for a freshly computed output, or fall back to cache.
-
-        ``k_out_fresh`` is the output code the noising datapath produced;
-        the engine decides whether the budget can pay for releasing it.
-        """
-        loss = self.table.loss_for_output(k_out_fresh)
-        if self.accountant.can_spend(loss):
-            self.accountant.spend(loss)
-            self._cached_output = k_out_fresh
-            self.n_fresh_replies += 1
-            return BudgetDecision(k_out=k_out_fresh, charged=loss, from_cache=False)
-        if self.cache_on_exhaustion and self._cached_output is not None:
-            self.n_cached_replies += 1
-            return BudgetDecision(
-                k_out=self._cached_output, charged=0.0, from_cache=True
-            )
-        raise BudgetExhaustedError(
-            f"budget cannot cover loss {loss:.4g} "
-            f"(remaining {self.accountant.remaining:.4g}) and no cached output"
-        )
-
-    def submit_many(self, codes) -> list:
-        """Batched :meth:`submit`: one vectorized segment lookup up front.
-
-        Losses for the whole batch come from
-        :meth:`~repro.core.segments.SegmentTable.losses_for_outputs`;
-        the sequential spend/cache decisions (which are inherently
-        order-dependent) then consume the precomputed array.  Returns
-        one :class:`BudgetDecision` per code, in order.
-        """
-        codes = [int(c) for c in np.atleast_1d(codes)]
-        losses = self.table.losses_for_outputs(np.asarray(codes, dtype=np.int64))
-        decisions = []
-        for k_out_fresh, loss in zip(codes, losses):
-            loss = float(loss)
-            if self.accountant.can_spend(loss):
-                self.accountant.spend(loss)
-                self._cached_output = k_out_fresh
-                self.n_fresh_replies += 1
-                decisions.append(
-                    BudgetDecision(k_out=k_out_fresh, charged=loss, from_cache=False)
-                )
-            elif self.cache_on_exhaustion and self._cached_output is not None:
-                self.n_cached_replies += 1
-                decisions.append(
-                    BudgetDecision(
-                        k_out=self._cached_output, charged=0.0, from_cache=True
-                    )
-                )
-            else:
-                raise BudgetExhaustedError(
-                    f"budget cannot cover loss {loss:.4g} "
-                    f"(remaining {self.accountant.remaining:.4g}) and no cached output"
-                )
-        return decisions

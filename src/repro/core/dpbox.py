@@ -40,7 +40,7 @@ from ..privacy.thresholds import calibrate_threshold_exact
 from ..rng.cordic import CordicLn
 from ..rng.laplace_fxp import FxpLaplaceConfig, FxpLaplaceRng
 from ..rng.urng import NumpySource, UniformCodeSource
-from ..runtime import EngineCharge, ReleasePipeline, default_pipeline
+from ..runtime import ReleasePipeline, SlotCharge, default_pipeline
 from ..sim import Clock, Module
 from .budget import BudgetEngine
 from .commands import Command
@@ -328,11 +328,12 @@ class DPBox(Module):
 
     def _finish_noising(self, k_y: int) -> None:
         # Start Noising's charge + event go through the release pipeline
-        # (EngineCharge wraps the embedded budget engine), so hardware
-        # noisings land in the same trace as mechanism-level releases —
-        # with their cycle latency attached.
+        # (the spend-or-replay rule over the engine's budget columns), so
+        # hardware noisings land in the same trace as mechanism-level
+        # releases — with their cycle latency attached.
         rt = self._runtime
-        assert rt is not None and self._engine is not None
+        eng = self._engine
+        assert rt is not None and eng is not None
         charge = self.pipeline.charge_and_emit(
             mechanism="dpbox",
             epsilon=self.epsilon,
@@ -341,11 +342,14 @@ class DPBox(Module):
                 "resample" if rt.mode is GuardMode.RESAMPLE else "threshold"
             ),
             k_fresh=int(k_y),
-            accounting=EngineCharge(self._engine),
+            accounting=SlotCharge(*eng.slot, eng.table),
             draws=self._noising_draws,
             cycles=self._noising_cycles,
             kernel=rt.rng.kernel,
         )
+        from_cache = bool(charge.cache_hits[0])
+        eng.n_cached_replies += from_cache
+        eng.n_fresh_replies += not from_cache
         self.output = rt.origin + int(charge.codes[0]) * rt.delta
         self.ready = True
         self._last_result = NoisingResult(
@@ -353,7 +357,7 @@ class DPBox(Module):
             cycles=self._noising_cycles,
             draws=self._noising_draws,
             charged=float(charge.charged[0]),
-            from_cache=bool(charge.cache_hits[0]),
+            from_cache=from_cache,
         )
         self._phase.set(Phase.WAITING)
 

@@ -27,8 +27,7 @@ from ..errors import ConfigurationError
 from ..mechanisms.base import SensorSpec
 from ..mechanisms.resampling import ResamplingMechanism
 from ..mechanisms.thresholding import ThresholdingMechanism
-from ..privacy.accountant import BudgetAccountant
-from ..runtime import ReleasePipeline, ReplayCache, TableCharge, default_pipeline
+from ..runtime import ReleasePipeline, SlotCharge, budget_columns, default_pipeline
 from .config import GuardMode
 from .segments import SegmentTable, build_segment_table
 
@@ -85,12 +84,8 @@ class _Channel:
         self.table: SegmentTable = build_segment_table(
             family, config.epsilon, config.segment_levels
         )
-        self.cache = ReplayCache()
-
-    @property
-    def cached_code(self) -> Optional[int]:
-        """Last released code (``None`` before the first release)."""
-        return None if self.cache.code is None else int(self.cache.code)
+        #: One-slot cached column: the last released code (NaN before one).
+        self.cached = np.full(1, np.nan)
 
     def value_of(self, code: int) -> float:
         return code * self.mechanism.delta
@@ -117,7 +112,8 @@ class MultiSensorDPBox:
         self._channels = {
             name: _Channel(cfg, pipeline) for name, cfg in channels.items()
         }
-        self.accountant = BudgetAccountant(budget)
+        self.budget = float(budget)
+        self._remaining, _ = budget_columns(budget, cache=False)
         self.cache_on_exhaustion = cache_on_exhaustion
         self.n_fresh = 0
         self.n_cached = 0
@@ -131,7 +127,7 @@ class MultiSensorDPBox:
     @property
     def remaining_budget(self) -> float:
         """Shared budget still available."""
-        return self.accountant.remaining
+        return float(self._remaining[0])
 
     def channel(self, name: str) -> _Channel:
         """Access a channel's internals (mechanism, segment table)."""
@@ -141,7 +137,7 @@ class MultiSensorDPBox:
 
     def replenish(self) -> None:
         """Restore the shared budget (new accounting period)."""
-        self.accountant.reset()
+        self._remaining[0] = self.budget
 
     @property
     def pipeline(self) -> ReleasePipeline:
@@ -153,20 +149,21 @@ class MultiSensorDPBox:
         """Noise a reading on a channel, charging the shared budget.
 
         One pipeline pass: the channel mechanism draws and guards, then
-        :class:`~repro.runtime.TableCharge` charges the realized output's
-        segment loss (Algorithm 1) against the *shared* accountant, or
-        replays the per-channel cache after exhaustion.  The emitted
-        event carries the channel name and the shared budget remaining;
-        on a refused charge with an empty cache, an ``exhausted=True``
-        event precedes the :class:`~repro.errors.BudgetExhaustedError`.
+        :class:`~repro.runtime.SlotCharge` charges the realized output's
+        segment loss (Algorithm 1) against the *shared* budget column,
+        or replays the channel's own cached column after exhaustion.
+        The emitted event carries the channel name and the shared budget
+        remaining; on a refused charge with an empty cache, an
+        ``exhausted=True`` event precedes the
+        :class:`~repro.errors.BudgetExhaustedError`.
         """
         ch = self.channel(channel)
         outcome = ch.mechanism.release(
             np.asarray([x]),
-            accounting=TableCharge(
-                self.accountant,
+            accounting=SlotCharge(
+                self._remaining,
+                ch.cached if self.cache_on_exhaustion else None,
                 ch.table,
-                ch.cache if self.cache_on_exhaustion else None,
             ),
             channel=channel,
         )
@@ -182,4 +179,4 @@ class MultiSensorDPBox:
 
     def total_disclosed_loss(self) -> float:
         """Composition-theorem total loss released so far this period."""
-        return self.accountant.spent
+        return self.budget - float(self._remaining[0])

@@ -15,6 +15,7 @@ same seed always returns the same values.
 from __future__ import annotations
 
 import dataclasses
+import zlib
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -157,8 +158,9 @@ def load(
     n = cfg.entries if entries is None else int(entries)
     if n < 1:
         raise ConfigurationError("entries must be positive")
+    # crc32, not hash(): str hashes are salted per process (PYTHONHASHSEED).
     # dplint: allow[DPL001] -- deterministic dataset materialization only.
-    rng = np.random.default_rng(np.random.SeedSequence([seed, hash(name) & 0x7FFFFFFF]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(name.encode())]))
     values = cfg.generator()(n, cfg.lo, cfg.hi, cfg.mean, cfg.std, rng=rng)
     return SensorDataset(
         name=cfg.name,

@@ -113,7 +113,7 @@ from ..aggregation.server import AggregationServer, batch_moments
 from ..errors import BudgetExhaustedError, ConfigurationError
 from ..mechanisms import SensorSpec, make_mechanism
 from ..rng.urng import SplitStreamSource, audited_generator, shard_seed_sequences
-from ..runtime import ArrayCharge, CounterSink
+from ..runtime import CounterSink, SlotCharge
 from ..runtime.events import ReleaseEvent
 from ..runtime.pipeline import ReleasePipeline, default_pipeline
 from .planner import ExecutionPlan
@@ -481,9 +481,9 @@ class NumericKernel:
         if self.device_budget is None:
             outcome = mechanism.release(rows, channel=channel)
         else:
-            accounting = ArrayCharge(
+            accounting = SlotCharge(
                 out["remaining"], out["cached_codes"], mechanism.claimed_loss_bound,
-                index=idx,
+                slots=idx,
             )
             try:
                 outcome = mechanism.release(rows, accounting=accounting, channel=channel)
@@ -596,11 +596,8 @@ def run_fleet_sharded(
             dev.n_fresh = int(n_fresh[i])
             if device_budget is not None:
                 dev.n_cached = int(state["n_cached"][i])
-                dev._accountant._spent = float(device_budget) - float(
-                    state["remaining"][i]
-                )
-                if not np.isnan(state["cached_codes"][i]):
-                    dev._cache.code = float(state["cached_codes"][i])
+                dev._remaining[0] = state["remaining"][i]
+                dev._cached[0] = state["cached_codes"][i]
             devices.append(dev)
 
     return FleetResult(

@@ -5,7 +5,7 @@ This package draws no randomness.  Every sampler lives with the
 mechanisms and releases through :class:`~repro.runtime.ReleasePipeline`.
 """
 
-from .accountant import BudgetAccountant, compose_losses
+from .accountant import compose_losses
 from .approximate import delta_at_epsilon, epsilon_at_delta, hockey_stick_divergence
 from .definitions import LossReport, pointwise_loss
 from .loss import DiscreteMechanismFamily, input_grid_codes
@@ -19,7 +19,6 @@ from .verify import verify_additive_mechanism, verify_family
 from .windows import FixedWindowAccountant, SlidingWindowAccountant
 
 __all__ = [
-    "BudgetAccountant",
     "compose_losses",
     "delta_at_epsilon",
     "epsilon_at_delta",

@@ -1,20 +1,19 @@
-"""Privacy-budget accounting (sequential composition).
+"""Sequential composition of privacy losses.
 
 The composition theorem (paper Section II-A) says a series of queries
-answered with losses ``ε_1, ..., ε_n`` incurs total loss ``Σ ε_i``.  The
-:class:`BudgetAccountant` tracks that sum against a fixed budget and is
-the software-visible state behind DP-Box's budget register; the hardware
-specifics (segment table, caching, replenishment timer) live in
-:mod:`repro.core.budget`.
+answered with losses ``ε_1, ..., ε_n`` incurs total loss ``Σ ε_i``.
+Budgets are enforced by the one spend-or-replay charge rule,
+:class:`repro.runtime.SlotCharge`; the DP-Box specifics (segment table,
+replenishment timer) live in :mod:`repro.core.budget`.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from ..errors import BudgetExhaustedError, ConfigurationError
+from ..errors import ConfigurationError
 
-__all__ = ["BudgetAccountant", "compose_losses"]
+__all__ = ["compose_losses"]
 
 
 def compose_losses(losses: List[float]) -> float:
@@ -22,55 +21,3 @@ def compose_losses(losses: List[float]) -> float:
     if any(l < 0 for l in losses):
         raise ConfigurationError("losses must be nonnegative")
     return float(sum(losses))
-
-
-class BudgetAccountant:
-    """Tracks cumulative privacy loss against a fixed budget.
-
-    ``spend`` debits a per-query loss; once the remaining budget cannot
-    cover a requested loss, the spend is refused.  ``reset`` restores the
-    full budget (DP-Box's replenishment event).
-    """
-
-    def __init__(self, budget: float):
-        if budget <= 0:
-            raise ConfigurationError("budget must be positive")
-        self.budget = float(budget)
-        self._spent = 0.0
-        self._history: List[float] = []
-
-    @property
-    def spent(self) -> float:
-        """Cumulative loss debited since the last reset."""
-        return self._spent
-
-    @property
-    def remaining(self) -> float:
-        """Budget still available."""
-        return max(self.budget - self._spent, 0.0)
-
-    @property
-    def history(self) -> List[float]:
-        """Per-query losses debited since the last reset."""
-        return list(self._history)
-
-    def can_spend(self, loss: float) -> bool:
-        """Whether a query with this loss can still be answered."""
-        return loss <= self.remaining + 1e-12
-
-    def spend(self, loss: float) -> None:
-        """Debit ``loss``; raises :class:`BudgetExhaustedError` if it
-        cannot be covered."""
-        if loss < 0:
-            raise ConfigurationError("loss must be nonnegative")
-        if not self.can_spend(loss):
-            raise BudgetExhaustedError(
-                f"loss {loss:.4g} exceeds remaining budget {self.remaining:.4g}"
-            )
-        self._spent += loss
-        self._history.append(float(loss))
-
-    def reset(self) -> None:
-        """Replenish the budget (new accounting period)."""
-        self._spent = 0.0
-        self._history.clear()

@@ -8,15 +8,7 @@ sinks.  See ``docs/runtime.md`` for the stage model, the event schema,
 and the ``python -m repro trace`` CLI.
 """
 
-from .accounting import (
-    ArrayCharge,
-    ChargeOutcome,
-    EngineCharge,
-    FlatCharge,
-    NoCharge,
-    ReplayCache,
-    TableCharge,
-)
+from .accounting import ChargeOutcome, NoCharge, SlotCharge, budget_columns
 from .events import (
     EVENT_SCHEMA_VERSION,
     INGEST_SCHEMA_VERSION,
@@ -56,10 +48,7 @@ __all__ = [
     "CounterSink",
     "read_events_jsonl",
     "ChargeOutcome",
-    "ReplayCache",
     "NoCharge",
-    "FlatCharge",
-    "TableCharge",
-    "EngineCharge",
-    "ArrayCharge",
+    "SlotCharge",
+    "budget_columns",
 ]

@@ -1,44 +1,40 @@
-"""Budget-charge policies for the release pipeline.
+"""Budget charging for the release pipeline: one spend-or-replay rule.
 
 The pipeline itself is budget-agnostic: after the guard stage it hands
-the guarded output codes to an *accounting policy*, which decides per
-sample whether the fresh code is affordable (charge and release), must
-be replaced by a cached code (charge nothing), or must be refused
-(:class:`repro.errors.BudgetExhaustedError`).  Policies are duck-typed —
-anything with ``charge(codes) -> ChargeOutcome`` works — so the pipeline
-never imports the budget layers it instruments:
+the guarded output codes to an *accounting policy* — anything with
+``charge(codes) -> ChargeOutcome`` — so it never imports the budget
+layers it instruments.  There are two:
 
 * :class:`NoCharge` — unaccounted release (pure mechanism evaluation).
-* :class:`FlatCharge` — fixed loss per sample against a
-  :class:`~repro.privacy.accountant.BudgetAccountant` (fleet devices).
-* :class:`TableCharge` — output-adaptive segment loss (Algorithm 1)
-  against a shared accountant (multi-sensor DP-Box).
-* :class:`EngineCharge` — delegate to a cycle-level
-  :class:`~repro.core.budget.BudgetEngine` (DP-Box FSM).
-* :class:`ArrayCharge` — vectorized per-device budgets for the batched
-  fleet epoch; NumPy all the way down.
+* :class:`SlotCharge` — the paper's budget control (Section III-C,
+  Algorithm 1) and the only charge rule in the library: charge the
+  released output's loss if the budget covers it, otherwise replay the
+  cached last output at zero charge, otherwise refuse with
+  :class:`repro.errors.BudgetExhaustedError`.
+
+Budget state lives in caller-owned *slot columns*: a float64
+``remaining`` column with one entry per budget, and a float64
+``cached`` column holding each slot's last released code (NaN before
+the first release), or ``None`` in halt mode, which never replays.
+:func:`budget_columns` makes a fresh one-slot pair.  A fleet shard
+passes its per-device columns and one slot index per report; a
+:class:`~repro.aggregation.Device`, the DP-Box engine and the CLI pass
+one-slot columns; the multi-sensor box passes its one shared
+``remaining`` with the requesting channel's own one-slot ``cached``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..errors import BudgetExhaustedError
+from ..errors import BudgetExhaustedError, ConfigurationError
 
-__all__ = [
-    "ChargeOutcome",
-    "ReplayCache",
-    "NoCharge",
-    "FlatCharge",
-    "TableCharge",
-    "EngineCharge",
-    "ArrayCharge",
-]
+__all__ = ["ChargeOutcome", "NoCharge", "SlotCharge", "budget_columns"]
 
-_TOL = 1e-12  # same affordability tolerance as BudgetAccountant.can_spend
+_TOL = 1e-12  # affordability slack: a slot spends while loss <= remaining + _TOL
 
 
 @dataclasses.dataclass
@@ -58,20 +54,6 @@ class ChargeOutcome:
     """Budget left after the charge, or ``None`` when unaccounted."""
 
 
-class ReplayCache:
-    """Single-slot cache of the last released code (per device/channel).
-
-    Replaying a cached, already-paid-for output leaks nothing new, which
-    is how the DP-Box keeps serving after exhaustion (paper Section
-    III-B); ``None`` means nothing has been released yet.
-    """
-
-    __slots__ = ("code",)
-
-    def __init__(self) -> None:
-        self.code: Optional[float] = None
-
-
 class NoCharge:
     """Release without budget accounting (analysis / unaccounted paths)."""
 
@@ -84,141 +66,69 @@ class NoCharge:
         )
 
 
-class FlatCharge:
-    """Charge a fixed per-sample loss against a ``BudgetAccountant``.
+def budget_columns(
+    budget: float, cache: bool = True
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Fresh one-slot ``(remaining, cached)`` columns for ``budget``.
 
-    When the accountant refuses and ``cache`` holds a previous release,
-    the cached code is replayed at zero charge; with an empty cache the
-    refusal propagates as :class:`BudgetExhaustedError`.
+    ``cache=False`` is halt mode: no cached column, so a charge the
+    budget cannot cover is refused instead of replayed.
+    """
+    if budget <= 0:
+        raise ConfigurationError("budget must be positive")
+    return np.full(1, float(budget)), (np.full(1, np.nan) if cache else None)
+
+
+class SlotCharge:
+    """Spend or replay, decided per budget slot (paper Algorithm 1).
+
+    ``loss`` is a flat per-code loss, or a segment table whose
+    ``losses_for_outputs`` gives each released code's output-adaptive
+    loss.  ``slots`` maps each code to its slot (default: every code
+    charges slot 0).  A slot whose summed loss fits its remaining budget
+    is debited and caches its last code; any other slot replays its
+    cached code at zero charge, and an empty cache refuses the whole
+    batch before any column is written.  A slot charged several codes
+    in one batch is therefore all-or-refuse.
     """
 
-    def __init__(self, accountant, loss: float, cache: Optional[ReplayCache] = None):
-        self.accountant = accountant
-        self.loss = float(loss)
-        self.cache = cache
-
-    def charge(self, codes: np.ndarray) -> ChargeOutcome:
-        out = np.array(codes, copy=True)
-        charged = np.zeros(codes.shape[0], dtype=float)
-        hits = np.zeros(codes.shape[0], dtype=bool)
-        for i in range(codes.shape[0]):
-            if self.accountant.can_spend(self.loss):
-                self.accountant.spend(self.loss)
-                charged[i] = self.loss
-                if self.cache is not None:
-                    self.cache.code = out[i]
-            elif self.cache is not None and self.cache.code is not None:
-                out[i] = self.cache.code
-                hits[i] = True
-            else:
-                raise BudgetExhaustedError(
-                    f"budget cannot cover loss {self.loss:.4g} "
-                    f"(remaining {self.accountant.remaining:.4g}) and no cached output"
-                )
-        return ChargeOutcome(out, charged, hits, float(self.accountant.remaining))
-
-
-class TableCharge:
-    """Output-adaptive segment charging (paper Algorithm 1).
-
-    The loss depends on *which* output code was drawn — cheap central
-    segments charge the base loss, tail segments charge more — so the
-    charge can only be computed after the guard stage.  Used by the
-    multi-sensor box: many channels, one shared accountant, one
-    :class:`ReplayCache` per channel.
-    """
-
-    def __init__(self, accountant, table, cache: Optional[ReplayCache] = None):
-        self.accountant = accountant
-        self.table = table
-        self.cache = cache
-
-    def charge(self, codes: np.ndarray) -> ChargeOutcome:
-        out = np.array(codes, copy=True)
-        charged = np.zeros(codes.shape[0], dtype=float)
-        hits = np.zeros(codes.shape[0], dtype=bool)
-        for i in range(codes.shape[0]):
-            loss = self.table.loss_for_output(int(out[i]))
-            if self.accountant.can_spend(loss):
-                self.accountant.spend(loss)
-                charged[i] = loss
-                if self.cache is not None:
-                    self.cache.code = out[i]
-            elif self.cache is not None and self.cache.code is not None:
-                out[i] = self.cache.code
-                hits[i] = True
-            else:
-                raise BudgetExhaustedError(
-                    f"shared budget cannot cover loss {loss:.4g} "
-                    f"(remaining {self.accountant.remaining:.4g}) and no cached output"
-                )
-        return ChargeOutcome(out, charged, hits, float(self.accountant.remaining))
-
-
-class EngineCharge:
-    """Delegate to a cycle-level :class:`~repro.core.budget.BudgetEngine`.
-
-    The engine owns segment lookup, replenishment scheduling, and its
-    own output cache; this adapter just folds its per-code decision into
-    the common :class:`ChargeOutcome` shape so DP-Box noisings appear in
-    the same event stream as mechanism-level releases.
-    """
-
-    def __init__(self, engine):
-        self.engine = engine
-
-    def charge(self, codes: np.ndarray) -> ChargeOutcome:
-        out = np.array(codes, copy=True)
-        charged = np.zeros(codes.shape[0], dtype=float)
-        hits = np.zeros(codes.shape[0], dtype=bool)
-        for i in range(codes.shape[0]):
-            decision = self.engine.submit(int(out[i]))
-            out[i] = decision.k_out
-            charged[i] = decision.charged
-            hits[i] = decision.from_cache
-        return ChargeOutcome(out, charged, hits, float(self.engine.remaining))
-
-
-class ArrayCharge:
-    """Vectorized per-device budgets for the batched fleet epoch.
-
-    ``remaining`` and ``cached`` are fleet-wide arrays (one entry per
-    device; ``cached`` uses NaN for "nothing released yet").  ``index``
-    selects the devices reporting this epoch, in the same order as the
-    codes handed to :meth:`charge`.  Decisions are made with array ops —
-    no per-device Python loop — and match :class:`FlatCharge` exactly,
-    which is what makes the scalar and batched fleet paths bit-identical.
-    """
-
-    def __init__(
-        self,
-        remaining: np.ndarray,
-        cached: np.ndarray,
-        loss: float,
-        index: Optional[np.ndarray] = None,
-    ):
+    def __init__(self, remaining: np.ndarray, cached: Optional[np.ndarray], loss,
+                 slots: Optional[np.ndarray] = None):
         self.remaining = remaining
         self.cached = cached
-        self.loss = float(loss)
-        self.index = (
-            np.arange(remaining.shape[0]) if index is None else np.asarray(index)
-        )
+        self.slots = slots
+        self.table = loss if hasattr(loss, "losses_for_outputs") else None
+        if self.table is None:
+            self.loss = float(loss)
+            if self.loss < 0:
+                raise ConfigurationError("loss must be nonnegative")
 
     def charge(self, codes: np.ndarray) -> ChargeOutcome:
-        idx = self.index
-        affordable = self.remaining[idx] + _TOL >= self.loss
-        has_cache = ~np.isnan(self.cached[idx])
-        refused = ~affordable & ~has_cache
-        if np.any(refused):
-            dev = int(idx[np.flatnonzero(refused)[0]])
-            raise BudgetExhaustedError(
-                f"device {dev}: budget cannot cover loss {self.loss:.4g} "
-                f"(remaining {self.remaining[dev]:.4g}) and no cached output"
-            )
-        out = np.where(affordable, codes, self.cached[idx]).astype(codes.dtype)
-        self.remaining[idx[affordable]] -= self.loss
-        self.cached[idx[affordable]] = codes[affordable]
-        charged = np.where(affordable, self.loss, 0.0)
-        return ChargeOutcome(
-            out, charged, ~affordable, float(self.remaining.sum())
-        )
+        n = codes.shape[0]
+        slots = np.zeros(n, dtype=np.intp) if self.slots is None else self.slots
+        if self.table is None:
+            losses = np.full(n, self.loss)
+        else:
+            losses = self.table.losses_for_outputs(codes)
+        due = np.bincount(slots, weights=losses, minlength=self.remaining.shape[0])
+        # Known leak, kept on purpose: affordability is decided on the
+        # *fresh* output's loss, so with a segment table whether a slot
+        # replays depends on the draw.  The fix decides here instead, at
+        # the table's top loss, which does not depend on the draw.
+        spend = due <= self.remaining + _TOL
+        fresh = spend[slots]
+        if not fresh.all():
+            cached = np.full(n, np.nan) if self.cached is None else self.cached[slots]
+            empty = np.flatnonzero(~fresh & np.isnan(cached))
+            if empty.size:
+                slot = int(slots[empty[0]])
+                raise BudgetExhaustedError(
+                    f"budget slot {slot} cannot cover loss {due[slot]:.4g} "
+                    f"(remaining {self.remaining[slot]:.4g}) and has no cached output"
+                )
+            codes = np.where(fresh, codes, cached).astype(codes.dtype)
+        np.subtract(self.remaining, due, out=self.remaining, where=spend)
+        if self.cached is not None:
+            self.cached[slots[fresh]] = codes[fresh]
+        charged = np.where(fresh, losses, 0.0)
+        return ChargeOutcome(codes, charged, ~fresh, float(self.remaining.sum()))

@@ -1,10 +1,17 @@
 """Property-based tests: budget engine safety invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BudgetEngine, Segment, SegmentTable
+from repro.runtime import SlotCharge
+
+
+def submit(eng, k):
+    """One DP-Box charge of code ``k`` against the engine's columns."""
+    return SlotCharge(*eng.slot, eng.table).charge(np.asarray([k]))
 
 
 @st.composite
@@ -52,11 +59,12 @@ def test_total_charged_never_exceeds_budget(table, budget, data):
     charged = 0.0
     for k in outputs:
         try:
-            charged += eng.submit(k).charged
+            charged += submit(eng, k).charged[0]
         except Exception:
             break
     assert charged <= budget + 1e-9
-    assert charged == eng.accountant.spent
+    # The engine keeps what is left, not what was spent.
+    assert charged == pytest.approx(budget - eng.remaining, abs=1e-9)
 
 
 @settings(max_examples=60)
@@ -70,15 +78,15 @@ def test_cached_replies_are_earlier_fresh_outputs(table, data):
     fresh_seen = []
     for k in outputs:
         try:
-            d = eng.submit(k)
+            d = submit(eng, k)
         except Exception:
             continue
-        if d.from_cache:
-            assert d.k_out in fresh_seen
-            assert d.charged == 0.0
+        if d.cache_hits[0]:
+            assert d.codes[0] == fresh_seen[-1]
+            assert d.charged[0] == 0.0
         else:
-            fresh_seen.append(d.k_out)
-            assert d.k_out == k
+            fresh_seen.append(d.codes[0])
+            assert d.codes[0] == k
 
 
 @settings(max_examples=40)

@@ -7,6 +7,7 @@ HardwareProtocolError (for genuinely illegal sequences).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -100,8 +101,9 @@ def test_budget_conservation_under_fuzz(n_noisings):
     for _ in range(n_noisings):
         total_charged += drv.noise(4.0).charged
     eng = box.budget_engine
-    assert total_charged == eng.accountant.spent
-    assert eng.accountant.spent <= 50.0 + 1e-9
+    # The engine keeps what is left, not what was spent.
+    assert total_charged == pytest.approx(50.0 - eng.remaining, abs=1e-9)
+    assert total_charged <= 50.0 + 1e-9
 
 
 @settings(max_examples=10, deadline=None)

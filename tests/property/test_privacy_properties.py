@@ -6,7 +6,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.privacy import BudgetAccountant, pointwise_loss
+from repro.errors import BudgetExhaustedError
+from repro.privacy import pointwise_loss
+from repro.runtime import SlotCharge, budget_columns
+from repro.runtime.accounting import _TOL
 from repro.privacy.loss import DiscreteMechanismFamily
 from repro.rng import DiscretePMF
 
@@ -82,9 +85,12 @@ def test_wider_threshold_window_never_decreases_loss(noise, span):
     losses=st.lists(st.floats(min_value=0.0, max_value=5.0), max_size=30),
 )
 def test_accountant_never_overspends(budget, losses):
-    acc = BudgetAccountant(budget)
+    remaining, _ = budget_columns(budget, cache=False)
+    spent = 0.0
     for loss in losses:
-        if acc.can_spend(loss):
-            acc.spend(loss)
-    assert acc.spent <= budget + 1e-9
-    assert acc.remaining >= 0.0
+        try:
+            spent += SlotCharge(remaining, None, loss).charge(np.zeros(1)).charged[0]
+        except BudgetExhaustedError:
+            pass
+    assert spent <= budget + 1e-9
+    assert remaining[0] >= -_TOL

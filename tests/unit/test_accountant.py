@@ -1,9 +1,19 @@
-"""Budget accountant and composition."""
+"""Sequential composition, and the budget the spend-or-replay rule keeps."""
 
+import numpy as np
 import pytest
 
+from repro.aggregation import Device
 from repro.errors import BudgetExhaustedError, ConfigurationError
-from repro.privacy import BudgetAccountant, compose_losses
+from repro.mechanisms import SensorSpec, make_mechanism
+from repro.privacy import compose_losses
+from repro.runtime import SlotCharge, budget_columns
+from repro.runtime.accounting import _TOL
+
+
+def spend(remaining, loss, cached=None, code=0.0):
+    """Charge one code to a one-slot budget; returns the outcome."""
+    return SlotCharge(remaining, cached, loss).charge(np.asarray([code]))
 
 
 class TestCompose:
@@ -20,66 +30,70 @@ class TestCompose:
 
 class TestAccountant:
     def test_initial_state(self):
-        acc = BudgetAccountant(2.0)
-        assert acc.spent == 0.0
-        assert acc.remaining == 2.0
+        remaining, cached = budget_columns(2.0)
+        assert remaining.tolist() == [2.0]
+        assert np.isnan(cached).all()
+        assert budget_columns(2.0, cache=False)[1] is None
 
     def test_spend_accumulates(self):
-        acc = BudgetAccountant(2.0)
-        acc.spend(0.5)
-        acc.spend(0.25)
-        assert acc.spent == pytest.approx(0.75)
-        assert acc.remaining == pytest.approx(1.25)
+        remaining, _ = budget_columns(2.0)
+        spend(remaining, 0.5)
+        spend(remaining, 0.25)
+        assert remaining[0] == 1.25
 
     def test_history(self):
-        acc = BudgetAccountant(2.0)
-        acc.spend(0.5)
-        acc.spend(0.3)
-        assert acc.history == [0.5, 0.3]
+        # Each outcome records the loss it charged, in release order.
+        remaining, _ = budget_columns(2.0)
+        charged = [spend(remaining, loss).charged[0] for loss in (0.5, 0.3)]
+        assert charged == [0.5, 0.3]
 
     def test_overspend_raises(self):
-        acc = BudgetAccountant(1.0)
-        acc.spend(0.9)
+        remaining, _ = budget_columns(1.0)
+        spend(remaining, 0.9)
         with pytest.raises(BudgetExhaustedError):
-            acc.spend(0.2)
+            spend(remaining, 0.2)
 
     def test_overspend_leaves_state_untouched(self):
-        acc = BudgetAccountant(1.0)
-        acc.spend(0.9)
-        try:
-            acc.spend(0.2)
-        except BudgetExhaustedError:
-            pass
-        assert acc.spent == pytest.approx(0.9)
+        remaining, cached = budget_columns(1.0)
+        spend(remaining, 0.9)
+        with pytest.raises(BudgetExhaustedError):
+            spend(remaining, 0.2, cached)
+        assert remaining[0] == pytest.approx(0.1)
+        assert np.isnan(cached[0])
 
     def test_can_spend(self):
-        acc = BudgetAccountant(1.0)
-        assert acc.can_spend(1.0)
-        acc.spend(0.6)
-        assert not acc.can_spend(0.5)
-        assert acc.can_spend(0.4)
+        remaining, cached = budget_columns(1.0)
+        assert not spend(remaining, 0.6, cached, code=1.0).cache_hits[0]
+        replay = spend(remaining, 0.5, cached, code=2.0)
+        assert replay.cache_hits[0] and replay.codes[0] == 1.0
+        assert not spend(remaining, 0.4, cached, code=3.0).cache_hits[0]
 
     def test_exact_exhaustion_allowed(self):
-        acc = BudgetAccountant(1.0)
-        acc.spend(1.0)
-        assert acc.remaining == 0.0
+        remaining, _ = budget_columns(1.0)
+        spend(remaining, 1.0)
+        assert remaining[0] == 0.0
 
     def test_reset(self):
-        acc = BudgetAccountant(1.0)
-        acc.spend(0.7)
-        acc.reset()
-        assert acc.remaining == 1.0
-        assert acc.history == []
+        mech = make_mechanism("thresholding", SensorSpec(0.0, 8.0), 0.5, input_bits=10)
+        dev = Device("d", mech, budget=mech.claimed_loss_bound)
+        dev.report(4.0, 0)
+        assert dev.remaining_budget == 0.0
+        dev.replenish()
+        assert dev.remaining_budget == mech.claimed_loss_bound
 
     def test_negative_loss_rejected(self):
         with pytest.raises(ConfigurationError):
-            BudgetAccountant(1.0).spend(-0.1)
+            SlotCharge(np.array([1.0]), None, -0.1)
 
     def test_nonpositive_budget_rejected(self):
         with pytest.raises(ConfigurationError):
-            BudgetAccountant(0.0)
+            budget_columns(0.0)
 
     def test_remaining_never_negative(self):
-        acc = BudgetAccountant(1.0)
-        acc.spend(1.0)
-        assert acc.remaining == 0.0
+        # Spending down to the tolerance never takes a slot below it.
+        remaining, _ = budget_columns(1.0)
+        for _ in range(10):
+            spend(remaining, 0.1)
+        assert remaining[0] >= -_TOL
+        with pytest.raises(BudgetExhaustedError):
+            spend(remaining, 0.1)

@@ -98,6 +98,21 @@ class TestNoise:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_budget_below_the_request_is_refused_whole(self, capsys):
+        # Two values at the arm's claimed loss cost more than --budget 1.5:
+        # the one budget refuses the request and no value is printed.
+        code = main(
+            [
+                "noise", "--range", "0", "8", "--arm", "thresholding",
+                "--input-bits", "12", "--seed", "3", "--budget", "1.5",
+                "4.0", "2.0",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "->" not in captured.out
+        assert "cannot cover" in captured.err
+
     def test_out_of_range_value_errors(self, capsys):
         code = main(
             ["noise", "--range", "0", "8", "--arm", "ideal", "99.0"]

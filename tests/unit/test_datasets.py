@@ -1,7 +1,14 @@
 """Dataset containers, synthetic generators, and the Table-I registry."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.datasets import (
     DATASET_CONFIGS,
@@ -116,6 +123,25 @@ class TestRegistry:
         a = load("statlog-heart", seed=3)
         b = load("statlog-heart", seed=3)
         np.testing.assert_array_equal(a.values, b.values)
+
+    def test_values_do_not_depend_on_the_hash_seed(self):
+        # Python salts str hashes per process; two processes with
+        # different PYTHONHASHSEED must still build identical datasets.
+        script = (
+            "import hashlib; from repro.datasets import PAPER_DATASETS, load; "
+            "print([hashlib.sha256(load(n).values.tobytes()).hexdigest() "
+            "for n in PAPER_DATASETS])"
+        )
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        digests = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert digests[0] == digests[1] != ""
 
     def test_seed_changes_values(self):
         a = load("statlog-heart", seed=3)

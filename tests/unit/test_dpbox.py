@@ -176,6 +176,16 @@ class TestEmbeddedBudget:
         after = drv.noise(4.0)
         assert not after.from_cache
 
+    def test_engine_counts_fresh_and_cached_replies(self):
+        box = fresh_box()
+        drv = DPBoxDriver(box)
+        drv.initialize(budget=3.0)
+        drv.configure(epsilon_exponent=1, range_lower=0.0, range_upper=8.0)
+        hits = [drv.noise(4.0).from_cache for _ in range(20)]
+        eng = box.budget_engine
+        assert eng.n_cached_replies == sum(hits) > 0
+        assert eng.n_fresh_replies == len(hits) - sum(hits) > 0
+
     def test_charged_losses_match_segment_table(self, dpbox_driver):
         eng = dpbox_driver.box.budget_engine
         table = eng.table

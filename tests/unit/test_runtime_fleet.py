@@ -51,9 +51,7 @@ class TestBitIdentity:
         for dev_a, dev_b in zip(a.devices, b.devices):
             assert dev_a.n_fresh == dev_b.n_fresh
             assert dev_a.n_cached == dev_b.n_cached
-            assert dev_a.remaining_budget == pytest.approx(
-                dev_b.remaining_budget, abs=1e-12
-            )
+            assert dev_a.remaining_budget == dev_b.remaining_budget
 
     def test_resampling_runs_on_both_paths(self):
         # Redraw interleaving differs between the paths, so outputs agree

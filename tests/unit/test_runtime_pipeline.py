@@ -9,16 +9,14 @@ from repro.errors import (
     ResampleExhaustedError,
 )
 from repro.mechanisms import SensorSpec, make_mechanism
-from repro.privacy import BudgetAccountant
 from repro.rng import NumpySource
 from repro.runtime import (
     CounterSink,
-    FlatCharge,
     NoCharge,
     ReleasePipeline,
     ReleaseRequest,
-    ReplayCache,
     RingBufferSink,
+    SlotCharge,
     default_pipeline,
     set_default_pipeline,
 )
@@ -116,17 +114,21 @@ class TestChargePolicies:
 
     def test_flat_charge_then_cache_replay(self):
         pipe = ReleasePipeline()
-        acct = BudgetAccountant(2.0)
-        cache = ReplayCache()
+        # One slot per sample: two can pay, two replay their cached code.
+        remaining = np.array([2.0, 1.0, 0.5, 0.5])
+        cached = np.array([np.nan, np.nan, 7.0, 8.0])
         req = make_request(
             [1.0, 2.0, 3.0, 4.0], scripted_draw([0.0, 0.0, 0.0, 0.0])
         )
-        out = pipe.release(req, accounting=FlatCharge(acct, 1.0, cache))
-        # Two affordable, then the cached second release replays.
-        assert np.array_equal(out.values, [1.0, 2.0, 2.0, 2.0])
+        out = pipe.release(
+            req, accounting=SlotCharge(remaining, cached, 1.0, slots=np.arange(4))
+        )
+        assert np.array_equal(out.values, [1.0, 2.0, 7.0, 8.0])
         assert np.array_equal(out.cache_hits, [False, False, True, True])
         assert np.array_equal(out.charged, [1.0, 1.0, 0.0, 0.0])
-        assert out.budget_remaining == 0.0
+        assert np.array_equal(remaining, [1.0, 0.0, 0.5, 0.5])
+        assert np.array_equal(cached, [1.0, 2.0, 7.0, 8.0])
+        assert out.budget_remaining == 2.0
         assert out.event.cache_hits == 2
         assert out.event.charged == 2.0
 
@@ -135,7 +137,7 @@ class TestChargePolicies:
         ring = pipe.add_sink(RingBufferSink())
         req = make_request([1.0], scripted_draw([0.0]))
         with pytest.raises(BudgetExhaustedError):
-            pipe.release(req, accounting=FlatCharge(BudgetAccountant(0.1), 1.0))
+            pipe.release(req, accounting=SlotCharge(np.array([0.1]), None, 1.0))
         assert ring.events[-1].exhausted
 
     def test_decode_applies_after_charge(self):

@@ -5,14 +5,13 @@ import pytest
 
 from repro.cli import main
 from repro.mechanisms import SensorSpec, make_mechanism
-from repro.privacy import BudgetAccountant
 from repro.rng import NumpySource
 from repro.runtime import (
     EVENT_SCHEMA_VERSION,
-    FlatCharge,
     JsonlSink,
     ReleasePipeline,
-    ReplayCache,
+    SlotCharge,
+    budget_columns,
     read_events_jsonl,
 )
 
@@ -20,7 +19,8 @@ from repro.runtime import (
 def device_trace(path, budget=3.0, n_reports=8):
     """Drive a budgeted device-style release loop, tracing to ``path``.
 
-    Returns the accountant so tests can compare against ground truth.
+    Returns the remaining-budget column so tests can compare against
+    ground truth.
     """
     pipe = ReleasePipeline()
     sink = pipe.add_sink(JsonlSink(path))
@@ -32,16 +32,15 @@ def device_trace(path, budget=3.0, n_reports=8):
         source=NumpySource(seed=11),
         pipeline=pipe,
     )
-    acct = BudgetAccountant(budget)
-    cache = ReplayCache()
+    remaining, cached = budget_columns(budget)
     for i in range(n_reports):
         mech.release(
             np.asarray([float(i % 7)]),
-            accounting=FlatCharge(acct, mech.claimed_loss_bound, cache),
+            accounting=SlotCharge(remaining, cached, mech.claimed_loss_bound),
             channel="dev-0",
         )
     sink.close()
-    return acct
+    return remaining
 
 
 class TestJsonlRoundTrip:
@@ -67,14 +66,14 @@ class TestBudgetTrajectoryReplay:
     def test_trace_reconstructs_exact_trajectory(self, tmp_path):
         """remaining[i] == remaining[i-1] - charged[i], exactly."""
         path = tmp_path / "trace.jsonl"
-        acct = device_trace(path, budget=3.0, n_reports=8)
+        live = device_trace(path, budget=3.0, n_reports=8)
         events = read_events_jsonl(path)
         remaining = 3.0
         for event in events:
             remaining -= event.charged
-            assert event.budget_remaining == pytest.approx(remaining, abs=1e-12)
-        # The replayed trajectory ends where the live accountant ended.
-        assert acct.remaining == pytest.approx(remaining, abs=1e-12)
+            assert event.budget_remaining == remaining
+        # The replayed trajectory ends where the live budget column ended.
+        assert live[0] == remaining
 
     def test_cache_replays_charge_nothing(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -249,12 +248,11 @@ class TestCounterSinkMerge:
             source=NumpySource(seed=seed),
             pipeline=pipe,
         )
-        acct = BudgetAccountant(50.0)
-        cache = ReplayCache()
+        remaining, cached = budget_columns(50.0)
         for i in range(n_reports):
             mech.release(
                 np.asarray([float(i % 7)]),
-                accounting=FlatCharge(acct, mech.claimed_loss_bound, cache),
+                accounting=SlotCharge(remaining, cached, mech.claimed_loss_bound),
             )
         return counter
 
