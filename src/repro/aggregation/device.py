@@ -53,8 +53,10 @@ class Device:
 
     @property
     def remaining_budget(self) -> Optional[float]:
-        """On-device budget left (None when budgeting is disabled)."""
-        return float(self._remaining[0]) if self._remaining is not None else None
+        """On-device budget left, never below 0 (None when budgeting is disabled)."""
+        if self._remaining is None:
+            return None
+        return max(float(self._remaining[0]), 0.0)
 
     def replenish(self) -> None:
         """Start a new accounting period."""

@@ -44,8 +44,8 @@ class BudgetEngine:
 
     @property
     def remaining(self) -> float:
-        """Budget still available in the current period."""
-        return float(self.slot[0][0])
+        """Budget still available in the current period, never below 0."""
+        return max(float(self.slot[0][0]), 0.0)
 
     def advance_cycles(self, n: int) -> None:
         """Account elapsed idle cycles; replenish when the period elapses.

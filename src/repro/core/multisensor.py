@@ -126,8 +126,8 @@ class MultiSensorDPBox:
 
     @property
     def remaining_budget(self) -> float:
-        """Shared budget still available."""
-        return float(self._remaining[0])
+        """Shared budget still available, never below 0."""
+        return max(float(self._remaining[0]), 0.0)
 
     def channel(self, name: str) -> _Channel:
         """Access a channel's internals (mechanism, segment table)."""
@@ -179,4 +179,4 @@ class MultiSensorDPBox:
 
     def total_disclosed_loss(self) -> float:
         """Composition-theorem total loss released so far this period."""
-        return self.budget - float(self._remaining[0])
+        return self.budget - self.remaining_budget

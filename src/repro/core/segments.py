@@ -14,6 +14,7 @@ stores in its (hardware) lookup ROM.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -82,16 +83,22 @@ class SegmentTable:
             codes - self.k_M,
             np.where(codes < self.k_m, self.k_m - codes, 0),
         )
-        bounds = np.array([s.max_offset_codes for s in self.segments], dtype=np.int64)
-        losses = np.array([s.loss for s in self.segments], dtype=float)
+        bounds, losses = self._lookup
         idx = np.searchsorted(bounds, offsets, side="left")
-        if np.any(idx >= bounds.shape[0]):
+        try:
+            return losses[idx]
+        except IndexError:
             bad = int(offsets[idx >= bounds.shape[0]].max())
             raise ConfigurationError(
                 f"output offset {bad} beyond the last segment "
                 f"({self.segments[-1].max_offset_codes}); guard window mismatch"
-            )
-        return losses[idx]
+            ) from None
+
+    @functools.cached_property
+    def _lookup(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Segment bounds and losses as arrays, built on first lookup."""
+        bounds = np.array([s.max_offset_codes for s in self.segments], dtype=np.int64)
+        return bounds, np.array([s.loss for s in self.segments], dtype=float)
 
     @property
     def base_loss(self) -> float:

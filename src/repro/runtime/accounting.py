@@ -117,9 +117,11 @@ class SlotCharge:
         # the table's top loss, which does not depend on the draw.
         spend = due <= self.remaining + _TOL
         fresh = spend[slots]
-        if not fresh.all():
+        hits = ~fresh
+        charged = losses
+        if hits.any():
             cached = np.full(n, np.nan) if self.cached is None else self.cached[slots]
-            empty = np.flatnonzero(~fresh & np.isnan(cached))
+            empty = np.flatnonzero(hits & np.isnan(cached))
             if empty.size:
                 slot = int(slots[empty[0]])
                 raise BudgetExhaustedError(
@@ -127,8 +129,8 @@ class SlotCharge:
                     f"(remaining {self.remaining[slot]:.4g}) and has no cached output"
                 )
             codes = np.where(fresh, codes, cached).astype(codes.dtype)
+            charged = np.where(fresh, losses, 0.0)
         np.subtract(self.remaining, due, out=self.remaining, where=spend)
         if self.cached is not None:
             self.cached[slots[fresh]] = codes[fresh]
-        charged = np.where(fresh, losses, 0.0)
-        return ChargeOutcome(codes, charged, ~fresh, float(self.remaining.sum()))
+        return ChargeOutcome(codes, charged, hits, float(self.remaining.sum()))

@@ -1,7 +1,6 @@
 """Property-based tests: budget engine safety invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,14 +56,17 @@ def test_total_charged_never_exceeds_budget(table, budget, data):
         st.lists(st.integers(min_value=min_k, max_value=max_k), max_size=60)
     )
     charged = 0.0
+    left = budget  # replays the engine's debits: one subtraction per charge
     for k in outputs:
         try:
-            charged += submit(eng, k).charged[0]
+            c = submit(eng, k).charged[0]
         except Exception:
             break
+        charged += c
+        left -= c
     assert charged <= budget + 1e-9
-    # The engine keeps what is left, not what was spent.
-    assert charged == pytest.approx(budget - eng.remaining, abs=1e-9)
+    assert left == eng.slot[0][0]
+    assert max(left, 0.0) == eng.remaining
 
 
 @settings(max_examples=60)

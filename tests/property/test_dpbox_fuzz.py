@@ -7,7 +7,6 @@ HardwareProtocolError (for genuinely illegal sequences).
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,11 +97,14 @@ def test_budget_conservation_under_fuzz(n_noisings):
     drv = _fresh_driver()
     box = drv.box
     total_charged = 0.0
+    left = 50.0  # replays the engine's debits: one subtraction per noising
     for _ in range(n_noisings):
-        total_charged += drv.noise(4.0).charged
+        charged = drv.noise(4.0).charged
+        total_charged += charged
+        left -= charged
     eng = box.budget_engine
-    # The engine keeps what is left, not what was spent.
-    assert total_charged == pytest.approx(50.0 - eng.remaining, abs=1e-9)
+    assert left == eng.slot[0][0]
+    assert max(left, 0.0) == eng.remaining
     assert total_charged <= 50.0 + 1e-9
 
 

@@ -6,10 +6,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import BudgetEngine, Segment, SegmentTable
 from repro.errors import BudgetExhaustedError
 from repro.privacy import pointwise_loss
-from repro.runtime import SlotCharge, budget_columns
-from repro.runtime.accounting import _TOL
+from repro.runtime import SlotCharge
 from repro.privacy.loss import DiscreteMechanismFamily
 from repro.rng import DiscretePMF
 
@@ -85,12 +85,14 @@ def test_wider_threshold_window_never_decreases_loss(noise, span):
     losses=st.lists(st.floats(min_value=0.0, max_value=5.0), max_size=30),
 )
 def test_accountant_never_overspends(budget, losses):
-    remaining, _ = budget_columns(budget, cache=False)
+    # The engine's table is unused here: each charge passes its own flat loss.
+    table = SegmentTable(k_m=0, k_M=1, segments=(Segment(0, 1.0),))
+    eng = BudgetEngine(table, budget, cache_on_exhaustion=False)
     spent = 0.0
     for loss in losses:
         try:
-            spent += SlotCharge(remaining, None, loss).charge(np.zeros(1)).charged[0]
+            spent += SlotCharge(*eng.slot, loss).charge(np.zeros(1)).charged[0]
         except BudgetExhaustedError:
             pass
     assert spent <= budget + 1e-9
-    assert remaining[0] >= -_TOL
+    assert eng.remaining >= 0.0
