@@ -17,7 +17,7 @@ from repro.analysis import render_table
 from repro.mechanisms import SensorSpec, make_mechanism
 from repro.rng import (
     FxpGaussianRng,
-    FxpLaplaceConfig,
+    FxpDatapath,
     FxpLaplaceRng,
     FxpStaircaseRng,
     SplitStreamSource,
@@ -29,12 +29,12 @@ from conftest import record_experiment
 
 D, EPS = 8.0, 0.5
 SENSOR = SensorSpec(0.0, D)
-CFG = FxpLaplaceConfig(input_bits=13, output_bits=20, delta=D / 64, lam=D / EPS)
+CFG = FxpDatapath(input_bits=13, output_bits=20, delta=D / 64)
 
 
 def _generators():
     return {
-        "laplace": FxpLaplaceRng(CFG, source=SplitStreamSource(1)),
+        "laplace": FxpLaplaceRng(CFG, D / EPS, source=SplitStreamSource(1)),
         "staircase": FxpStaircaseRng(
             CFG,
             StaircaseParams(sensitivity=D, epsilon=EPS),

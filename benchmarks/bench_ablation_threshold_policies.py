@@ -21,7 +21,7 @@ from repro.privacy import (
     paper_resampling_threshold,
     paper_thresholding_threshold,
 )
-from repro.rng import FxpLaplaceConfig, FxpLaplaceRng
+from repro.rng import FxpDatapath, FxpLaplaceRng
 
 from conftest import record_experiment
 
@@ -30,8 +30,8 @@ DELTA = 10 / 32
 
 
 def bench_ablation_threshold_policies(benchmark):
-    cfg = FxpLaplaceConfig(input_bits=BU, output_bits=14, delta=DELTA, lam=D / EPS)
-    noise = FxpLaplaceRng(cfg).exact_pmf()
+    datapath = FxpDatapath(input_bits=BU, output_bits=14, delta=DELTA)
+    noise = FxpLaplaceRng(datapath, D / EPS).exact_pmf()
     codes = input_grid_codes(0.0, D, DELTA, n_points=5)
 
     def run():

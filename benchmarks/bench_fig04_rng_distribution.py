@@ -10,18 +10,19 @@ two nonidealities behind the privacy failure.
 import numpy as np
 
 from repro.analysis import render_series
-from repro.rng import FxpLaplaceConfig, FxpLaplaceRng
+from repro.rng import FxpDatapath, FxpLaplaceRng
 
 from conftest import record_experiment
 
-CFG = FxpLaplaceConfig(input_bits=17, output_bits=12, delta=10 / 2**5, lam=20.0)
+CFG = FxpDatapath(input_bits=17, output_bits=12, delta=10 / 2**5)
+LAM = 20.0
 
 
 def bench_fig4_exact_pmf(benchmark):
-    rng = FxpLaplaceRng(CFG)
+    rng = FxpLaplaceRng(CFG, LAM)
     # Timed: the full enumeration through the live datapath (a fresh
     # generator each round, so no cached table or PMF is reused).
-    pmf = benchmark(lambda: FxpLaplaceRng(CFG, kernel="live").exact_pmf())
+    pmf = benchmark(lambda: FxpLaplaceRng(CFG, LAM, kernel="live").exact_pmf())
     ideal = rng.ideal_bin_probs()
 
     # (a) central region: FxP matches ideal.
@@ -30,7 +31,7 @@ def bench_fig4_exact_pmf(benchmark):
     ideal_c = [ideal.prob_at(int(k)) for k in center_ks]
 
     # (b) tail zoom: quantized levels and holes.
-    tail_ks = np.arange(CFG.top_code - 30, CFG.top_code + 1)
+    tail_ks = np.arange(rng.top_code - 30, rng.top_code + 1)
     fxp_t = [pmf.prob_at(int(k)) for k in tail_ks]
     ideal_t = [ideal.prob_at(int(k)) for k in tail_ks]
     unit = 2.0 ** -(CFG.input_bits + 1)
@@ -59,8 +60,8 @@ def bench_fig4_exact_pmf(benchmark):
     )
     text.append("")
     text.append(
-        f"support bound L = lam*Bu*ln2 = {CFG.max_magnitude_real:.2f} "
-        f"(code {CFG.top_code}); zero-probability holes in this window: {holes}"
+        f"support bound L = lam*Bu*ln2 = {rng.max_magnitude_real:.2f} "
+        f"(code {rng.top_code}); zero-probability holes in this window: {holes}"
     )
     text.append(
         "paper shape check: center matches ideal; tail shows discrete levels, "

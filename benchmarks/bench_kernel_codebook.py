@@ -4,8 +4,10 @@ Seeds the perf trajectory for the sampling kernel (docs/performance.md):
 times the resampling arm at 1M draws under the hardware (CORDIC) log
 datapath with the codebook kernel against the live per-draw datapath,
 asserts the ≥3× floor on the median speedup, and times raw
-``sample_codes`` for both log back-ends plus the batched-vs-scalar fleet
-epoch (budgeted, 10% dropout), whose median speedup must be ≥5×.  Every
+``sample_codes`` for both Laplace log back-ends and for the staircase,
+Gaussian and geometric generators (each bit-identical across kernels),
+plus the batched-vs-scalar fleet epoch (budgeted, 10% dropout), whose
+median speedup must be ≥5×.  Every
 row is timed by the method in ``_kernel_results.py`` (alternating
 repeats, median and quartiles, host block); the results
 land in ``BENCH_kernels.json`` at the repo root so future PRs can track
@@ -17,7 +19,19 @@ import numpy as np
 
 from repro.aggregation import run_fleet
 from repro.mechanisms import ResamplingMechanism, SensorSpec
-from repro.rng import CordicLn, FxpLaplaceConfig, FxpLaplaceRng, NumpySource
+from repro.rng import (
+    CordicLn,
+    FxpDatapath,
+    FxpGaussianRng,
+    FxpGeometricRng,
+    FxpLaplaceRng,
+    FxpStaircaseRng,
+    IdealTwoSidedGeometric,
+    NumpySource,
+    StaircaseParams,
+    gaussian_sigma,
+    geometric_alpha,
+)
 from repro.rng.codebook import codebook_cache
 from repro.runtime import ReleasePipeline
 
@@ -29,6 +43,9 @@ EPSILON = 0.5
 INPUT_BITS = 14
 N_DRAWS = 1_000_000
 MIN_SPEEDUP = 3.0
+#: Floor on the codebook's median ``sample_codes`` speedup for the
+#: staircase, Gaussian and geometric generators (measured ≈3–7×).
+MIN_GENERATOR_SPEEDUP = 1.5
 
 FLEET_DEVICES = 2_000
 FLEET_EPOCHS = 3
@@ -108,52 +125,76 @@ def bench_kernel_resampling_arm(benchmark):
     assert speedup >= MIN_SPEEDUP, f"codebook kernel only {speedup:.1f}x faster"
 
 
+def _generator(name, kernel):
+    """The generator of one ``sample_codes`` row, seeded identically per kernel."""
+    d = SENSOR.d
+    datapath = FxpDatapath(input_bits=INPUT_BITS, output_bits=20, delta=d / 64.0)
+    kw = dict(source=NumpySource(seed=3), kernel=kernel)
+    if name in ("exact", "cordic"):
+        backend = CordicLn() if name == "cordic" else None
+        return FxpLaplaceRng(datapath, d / EPSILON, log_backend=backend, **kw)
+    if name == "staircase":
+        return FxpStaircaseRng(datapath, StaircaseParams(sensitivity=d, epsilon=EPSILON), **kw)
+    if name == "gaussian":
+        return FxpGaussianRng(datapath, gaussian_sigma(d, EPSILON, 1e-5), **kw)
+    alpha = geometric_alpha(d, EPSILON, datapath.delta)
+    return FxpGeometricRng(datapath, IdealTwoSidedGeometric(alpha), **kw)
+
+
 def bench_kernel_sample_codes(benchmark):
-    """Raw ``sample_codes`` timing, codebook vs live, both log back-ends."""
+    """Raw ``sample_codes`` timing, codebook vs live, for every generator."""
 
     def run():
         rows = {}
-        for name, backend in (("exact", None), ("cordic", CordicLn())):
-            cfg = FxpLaplaceConfig(
-                input_bits=INPUT_BITS,
-                output_bits=20,
-                delta=SENSOR.d / 64.0,
-                lam=SENSOR.d / EPSILON,
+        for name in ("exact", "cordic", "staircase", "gaussian", "geometric"):
+            rngs = {k: _generator(name, k) for k in ("codebook", "live")}
+            outs = {}
+
+            def draw(kernel):
+                def go():
+                    outs[kernel] = rngs[kernel].sample_codes(N_DRAWS)
+                return go
+
+            for rng in rngs.values():
+                rng.sample_codes(1000)  # warm (table build / dispatch)
+            t_cb, t_live = time_pairs(draw("codebook"), draw("live"))
+            rows[name] = dict(
+                speedup_row(t_cb, t_live, "codebook", "live"),
+                bit_identical=bool(np.array_equal(outs["codebook"], outs["live"])),
             )
-            rngs = {}
-            for kernel in ("codebook", "live"):
-                rngs[kernel] = FxpLaplaceRng(
-                    cfg, source=NumpySource(seed=3), log_backend=backend,
-                    kernel=kernel,
-                )
-                rngs[kernel].sample_codes(1000)  # warm (table build / dispatch)
-            t_cb, t_live = time_pairs(
-                lambda: rngs["codebook"].sample_codes(N_DRAWS),
-                lambda: rngs["live"].sample_codes(N_DRAWS),
-            )
-            rows[name] = speedup_row(t_cb, t_live, "codebook", "live")
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    merge_results("sample_codes", dict(rows, samples=N_DRAWS, input_bits=INPUT_BITS))
+    merge_results(
+        "sample_codes",
+        dict(
+            rows,
+            samples=N_DRAWS,
+            input_bits=INPUT_BITS,
+            min_generator_speedup=MIN_GENERATOR_SPEEDUP,
+        ),
+    )
     record_experiment(
         "kernel_codebook_sample_codes",
         "\n".join(
             [f"sample_codes, {N_DRAWS} draws, Bu={INPUT_BITS}, "
              f"median of {rows['cordic']['repeats']}"]
             + [
-                f"{name:6s}: codebook {r['codebook_s']['median'] * 1e3:7.1f} ms, "
+                f"{name:9s}: codebook {r['codebook_s']['median'] * 1e3:7.1f} ms, "
                 f"live {r['live_s']['median'] * 1e3:7.1f} ms "
                 f"({r['speedup']['median']:.1f}x)"
                 for name, r in rows.items()
             ]
         ),
     )
+    assert all(r["bit_identical"] for r in rows.values())
     # The CORDIC datapath is where tables shine; the exact-log path must
     # at minimum not regress.
     assert rows["cordic"]["speedup"]["median"] >= MIN_SPEEDUP
     exact = rows["exact"]
     assert exact["codebook_s"]["median"] <= exact["live_s"]["median"] * 1.25
+    for name in ("staircase", "gaussian", "geometric"):
+        assert rows[name]["speedup"]["median"] >= MIN_GENERATOR_SPEEDUP, name
 
 
 def bench_kernel_fleet_paths(benchmark):

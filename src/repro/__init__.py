@@ -66,7 +66,7 @@ from .queries import (
     VarianceQuery,
     measure_utility,
 )
-from .rng import FxpLaplaceConfig, FxpLaplaceRng, IdealLaplace
+from .rng import FxpDatapath, FxpLaplaceRng, IdealLaplace
 from .runtime import (
     CounterSink,
     JsonlSink,
@@ -134,7 +134,7 @@ __all__ = [
     "VarianceQuery",
     "measure_utility",
     # rng
-    "FxpLaplaceConfig",
+    "FxpDatapath",
     "FxpLaplaceRng",
     "IdealLaplace",
     # runtime

@@ -44,7 +44,7 @@ from .privacy import (
     paper_resampling_threshold,
     paper_thresholding_threshold,
 )
-from .rng import FxpLaplaceConfig, FxpLaplaceRng, audited_generator
+from .rng import FxpDatapath, FxpLaplaceRng, audited_generator
 
 __all__ = ["main", "build_parser"]
 
@@ -369,10 +369,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     m, M = args.range
     d = M - m
     delta = d / (1 << args.delta_bits)
-    cfg = FxpLaplaceConfig(
-        input_bits=args.input_bits, output_bits=20, delta=delta, lam=d / args.epsilon
-    )
-    noise = FxpLaplaceRng(cfg).exact_pmf()
+    datapath = FxpDatapath(input_bits=args.input_bits, output_bits=20, delta=delta)
+    noise = FxpLaplaceRng(datapath, d / args.epsilon).exact_pmf()
     from .privacy import input_grid_codes
 
     codes = input_grid_codes(0.0, d, delta, n_points=5)
@@ -520,12 +518,12 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
 
     m_lo, m_hi = args.range
     sensor_d = m_hi - m_lo
-    cfg = FxpLaplaceConfig(
+    cfg = FxpDatapath(
         input_bits=args.input_bits,
         output_bits=args.output_bits,
         delta=sensor_d / 64.0,
-        lam=sensor_d / args.epsilon,
     )
+    lam = sensor_d / args.epsilon
     backend = {
         "exact": None,
         "cordic": CordicLn(),
@@ -534,13 +532,13 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
     cache = codebook_cache()
     if args.budget_bytes is not None:
         configure_codebooks(table_budget_bytes=args.budget_bytes)
-    planned = cache.planned_bytes(cfg)
+    rng = FxpLaplaceRng(cfg, lam, source=NumpySource(seed=0), log_backend=backend)
+    planned = cache.planned_bytes(rng)
     print(f"config        : Bu={cfg.input_bits} By={cfg.output_bits} "
-          f"Δ={cfg.delta:g} λ={cfg.lam:g} backend={args.backend}")
+          f"Δ={cfg.delta:g} λ={lam:g} backend={args.backend}")
     print(f"alphabet      : 2**{cfg.input_bits} = {1 << cfg.input_bits} codes")
     print(f"table         : {planned} bytes "
           f"(budget {cache.table_budget_bytes} bytes)")
-    rng = FxpLaplaceRng(cfg, source=NumpySource(seed=0), log_backend=backend)
     t0 = time.perf_counter()
     kernel = rng.kernel  # resolves (and possibly builds) the codebook
     build_s = time.perf_counter() - t0
@@ -549,7 +547,7 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
              " (over budget — live datapath)"))
     if args.samples > 0:
         live = FxpLaplaceRng(
-            cfg, source=NumpySource(seed=0), log_backend=backend, kernel="live"
+            cfg, lam, source=NumpySource(seed=0), log_backend=backend, kernel="live"
         )
         t0 = time.perf_counter()
         rng.sample_codes(args.samples)

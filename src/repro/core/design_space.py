@@ -19,7 +19,8 @@ from typing import Optional
 from ..errors import CalibrationError, ConfigurationError
 from ..privacy.loss import input_grid_codes
 from ..privacy.thresholds import calibrate_threshold_exact
-from ..rng.laplace_fxp import FxpLaplaceConfig, FxpLaplaceRng
+from ..rng.inversion import FxpDatapath
+from ..rng.laplace_fxp import FxpLaplaceRng
 
 __all__ = ["DesignPoint", "minimum_input_bits", "design_point"]
 
@@ -50,10 +51,8 @@ def design_point(
     if d <= 0 or epsilon <= 0:
         raise ConfigurationError("d and epsilon must be positive")
     delta = d / (1 << range_frac_bits)
-    cfg = FxpLaplaceConfig(
-        input_bits=input_bits, output_bits=32, delta=delta, lam=d / epsilon
-    )
-    noise = FxpLaplaceRng(cfg).exact_pmf()
+    datapath = FxpDatapath(input_bits=input_bits, output_bits=32, delta=delta)
+    noise = FxpLaplaceRng(datapath, d / epsilon).exact_pmf()
     codes = input_grid_codes(0.0, d, delta, n_points=5)
     threshold = calibrate_threshold_exact(
         noise, codes, loss_multiple * epsilon, mode=mode

@@ -38,7 +38,8 @@ from ..errors import (
 from ..privacy.loss import DiscreteMechanismFamily, input_grid_codes
 from ..privacy.thresholds import calibrate_threshold_exact
 from ..rng.cordic import CordicLn
-from ..rng.laplace_fxp import FxpLaplaceConfig, FxpLaplaceRng
+from ..rng.inversion import FxpDatapath
+from ..rng.laplace_fxp import FxpLaplaceRng
 from ..rng.urng import NumpySource, UniformCodeSource
 from ..runtime import ReleasePipeline, SlotCharge, default_pipeline
 from ..sim import Clock, Module
@@ -398,13 +399,10 @@ class DPBox(Module):
                 # fault and stays recoverable (reconfigure and retry).
                 raise UncalibratableConfigError(str(exc)) from exc
         k_th, table = self._calibration_cache[key]
-        cfg = FxpLaplaceConfig(
-            input_bits=self.config.input_bits,
-            output_bits=self.config.output_bits,
-            delta=delta,
-            lam=d / eps,
+        datapath = FxpDatapath(self.config.input_bits, self.config.output_bits, delta)
+        rng = FxpLaplaceRng(
+            datapath, d / eps, source=self.source, log_backend=self._log_backend
         )
-        rng = FxpLaplaceRng(cfg, source=self.source, log_backend=self._log_backend)
         self._runtime = _RuntimeState(
             delta=delta,
             origin=self._r_l,
@@ -429,15 +427,10 @@ class DPBox(Module):
         return self._runtime
 
     def _calibrate(self, d: float, eps: float, delta: float) -> Tuple[int, SegmentTable]:
-        cfg = FxpLaplaceConfig(
-            input_bits=self.config.input_bits,
-            output_bits=self.config.output_bits,
-            delta=delta,
-            lam=d / eps,
-        )
         # Calibration must analyze the PMF of the *deployed* datapath:
         # the enumerated PMF honours the configured log backend.
-        noise = FxpLaplaceRng(cfg, log_backend=self._log_backend).exact_pmf()
+        datapath = FxpDatapath(self.config.input_bits, self.config.output_bits, delta)
+        noise = FxpLaplaceRng(datapath, d / eps, log_backend=self._log_backend).exact_pmf()
         # The grid is anchored at r_l, so calibration runs on [0, d].
         codes = input_grid_codes(0.0, d, delta, n_points=5)
         mode = "resample" if self._mode is GuardMode.RESAMPLE else "threshold"

@@ -60,22 +60,11 @@ class SegmentTable:
             return self.k_m - k_y
         return 0
 
-    def loss_for_output(self, k_y: int) -> float:
-        """Per-query loss charged for a realized output code."""
-        off = self.offset_of(k_y)
-        for seg in self.segments:
-            if off <= seg.max_offset_codes:
-                return seg.loss
-        raise ConfigurationError(
-            f"output offset {off} beyond the last segment "
-            f"({self.segments[-1].max_offset_codes}); guard window mismatch"
-        )
-
     def losses_for_outputs(self, codes: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`loss_for_output` over an array of codes.
+        """Per-query loss charged for each realized output code.
 
-        Backs the pipeline's batched charging path: one ``searchsorted``
-        over the segment boundaries instead of a Python loop per code.
+        One ``searchsorted`` of the codes' offsets (see :meth:`offset_of`)
+        over the segment boundaries.
         """
         codes = np.asarray(codes, dtype=np.int64)
         offsets = np.where(

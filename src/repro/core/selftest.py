@@ -30,7 +30,8 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..rng.cordic import CordicLn
-from ..rng.laplace_fxp import FxpLaplaceConfig, FxpLaplaceRng
+from ..rng.inversion import FxpDatapath, FxpInversionRng
+from ..rng.laplace_fxp import FxpLaplaceRng
 from ..rng.urng import UniformCodeSource
 
 __all__ = [
@@ -160,7 +161,7 @@ def cordic_check(
 
 
 def noise_shape_check(
-    rng: FxpLaplaceRng,
+    rng: FxpInversionRng,
     n_samples: int = 20000,
     significance_chi2_per_dof: float = 1.6,
 ) -> CheckResult:
@@ -212,7 +213,6 @@ def noise_shape_check(
 # ---------------------------------------------------------------------------
 def run_selftest(
     source: UniformCodeSource,
-    noise_config: Optional[FxpLaplaceConfig] = None,
     log_unit: Optional[CordicLn] = None,
 ) -> SelfTestReport:
     """Power-on self-test: URNG health + log unit + noise shape."""
@@ -222,8 +222,6 @@ def run_selftest(
         bit_bias_scan(source),
         cordic_check(log_unit),
     ]
-    cfg = noise_config or FxpLaplaceConfig(
-        input_bits=12, output_bits=16, delta=1 / 16, lam=2.0
-    )
-    checks.append(noise_shape_check(FxpLaplaceRng(cfg, source=source)))
+    datapath = FxpDatapath(input_bits=12, output_bits=16, delta=1 / 16)
+    checks.append(noise_shape_check(FxpLaplaceRng(datapath, 2.0, source=source)))
     return SelfTestReport(checks=checks)

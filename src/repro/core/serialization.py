@@ -16,7 +16,7 @@ from typing import Any, Dict, Type, TypeVar, Union
 
 from ..errors import ConfigurationError
 from ..mechanisms.base import SensorSpec
-from ..rng.laplace_fxp import FxpLaplaceConfig
+from ..rng.inversion import FxpDatapath
 from .config import DPBoxConfig, GuardMode
 from .multisensor import ChannelConfig
 
@@ -27,7 +27,7 @@ T = TypeVar("T")
 #: Dataclasses this module knows how to round-trip, keyed by type name.
 _REGISTRY: Dict[str, type] = {
     cls.__name__: cls
-    for cls in (DPBoxConfig, FxpLaplaceConfig, ChannelConfig, SensorSpec)
+    for cls in (DPBoxConfig, FxpDatapath, ChannelConfig, SensorSpec)
 }
 
 

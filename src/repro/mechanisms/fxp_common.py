@@ -26,8 +26,8 @@ from ..errors import CalibrationError, ConfigurationError
 from ..privacy.definitions import LossReport
 from ..privacy.loss import DiscreteMechanismFamily, input_grid_codes
 from ..privacy.thresholds import calibrate_threshold_exact
-from ..rng.inversion import FxpInversionRng
-from ..rng.laplace_fxp import FxpLaplaceConfig, FxpLaplaceRng
+from ..rng.inversion import FxpDatapath, FxpInversionRng
+from ..rng.laplace_fxp import FxpLaplaceRng
 from ..rng.pmf import DiscretePMF
 from ..rng.urng import UniformCodeSource
 from ..runtime import ReleasePipeline, ReleaseRequest
@@ -78,14 +78,14 @@ class FxpMechanismBase(LocalMechanism):
                 # enough that quantization is negligible next to the noise,
                 # coarse enough that exact PMFs stay small.
                 delta = sensor.d / 128.0
-            config = FxpLaplaceConfig(
+            datapath = FxpDatapath(
                 input_bits=DEFAULT_INPUT_BITS if input_bits is None else input_bits,
                 output_bits=DEFAULT_OUTPUT_BITS if output_bits is None else output_bits,
                 delta=delta,
-                lam=sensor.d / epsilon,
             )
             noise_rng = FxpLaplaceRng(
-                config, source=source, log_backend=log_backend, kernel=kernel
+                datapath, sensor.d / epsilon, source=source,
+                log_backend=log_backend, kernel=kernel,
             )
         elif not isinstance(noise_rng, FxpInversionRng):
             raise ConfigurationError(

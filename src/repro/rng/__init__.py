@@ -3,8 +3,8 @@
 Everything between raw hardware bits and a Laplace noise sample lives
 here: LFSR and Tausworthe uniform generators, CORDIC and piecewise-
 polynomial logarithm units, the ideal (float) Laplace sampler, the
-fixed-point Laplace RNG of the paper with its exact output PMF, and the
-discrete-PMF algebra used by the privacy analysis.
+fixed-point noise generators of the paper with their exact output PMFs,
+and the discrete-PMF algebra used by the privacy analysis.
 """
 
 from .codebook import (
@@ -16,8 +16,8 @@ from .codebook import (
 from .cordic import CordicLn, cordic_iteration_schedule
 from .gaussian import FxpGaussianRng, gaussian_sigma, probit
 from .geometric import FxpGeometricRng, IdealTwoSidedGeometric, geometric_alpha
-from .inversion import FxpInversionRng
-from .laplace_fxp import FxpLaplaceConfig, FxpLaplaceRng
+from .inversion import FxpDatapath, FxpInversionRng
+from .laplace_fxp import FxpLaplaceRng
 from .laplace_ideal import IdealLaplace
 from .lfsr import FibonacciLFSR, GaloisLFSR, MAXIMAL_TAPS
 from .log_approx import PiecewisePolyLn
@@ -49,11 +49,11 @@ __all__ = [
     "geometric_alpha",
     "gaussian_sigma",
     "probit",
+    "FxpDatapath",
     "FxpInversionRng",
     "FxpStaircaseRng",
     "StaircaseParams",
     "optimal_gamma",
-    "FxpLaplaceConfig",
     "FxpLaplaceRng",
     "IdealLaplace",
     "FibonacciLFSR",

@@ -1,19 +1,21 @@
 """Codebook sampling kernel: precomputed code→noise tables with a cache.
 
-The fixed-point Laplace datapath is a *finite* function of the URNG code:
-there are only ``2**Bu`` possible uniform codes (paper Section III-A2,
-eq. 11), so the whole logarithm datapath — float log, CORDIC iterations,
-or piecewise polynomials — collapses into a table ``m → k`` of magnitude
-codes that can be computed once and gathered forever.  This is exactly
-the hardware LUT option the paper discusses and the table-based RNG
-idiom of the stochastic-computing literature (SNIPPETS.md, UnarySim).
+Every fixed-point noise generator is a *finite* function of the URNG
+code: there are only ``2**Bu`` possible uniform codes (paper Section
+III-A2, eq. 11), so the whole datapath — a float or CORDIC logarithm, a
+staircase rung pick, a probit, a geometric quantile — collapses into a
+table ``m → k`` of magnitude codes that can be computed once and gathered
+forever.  This is exactly the hardware LUT option the paper discusses and
+the table-based RNG idiom of the stochastic-computing literature
+(SNIPPETS.md, UnarySim).
 
 This module owns that table machinery:
 
 * :class:`CodebookEntry` — one precomputed ``m → k`` table for a
-  ``(FxpLaplaceConfig, log backend)`` pair, bit-identical to the live
-  datapath *by construction* (it is built by sweeping every code through
-  the live datapath — the same sweep the exact-PMF enumeration performs).
+  generator :attr:`~repro.rng.inversion.FxpInversionRng.fingerprint`,
+  bit-identical to the live datapath *by construction* (it is built by
+  sweeping every code through the live datapath — the same sweep the
+  exact-PMF enumeration performs).
   The entry also carries the magnitude counts and the exact signed PMF
   derived from the same table, so distribution analysis and sampling
   provably share one source of truth.
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import collections
 import threading
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -79,10 +81,7 @@ def backend_fingerprint(log_backend) -> Tuple:
 class CodebookEntry:
     """One precomputed magnitude-code table plus derived exact artifacts."""
 
-    def __init__(self, key: Tuple, delta: float, input_bits: int, top_code: int,
-                 table: np.ndarray):
-        self.key = key
-        self.delta = delta
+    def __init__(self, input_bits: int, top_code: int, table: np.ndarray):
         self.input_bits = input_bits
         self.top_code = top_code
         #: ``table[m - 1]`` is the magnitude code for URNG code ``m``.
@@ -149,9 +148,10 @@ class CodebookEntry:
 class CodebookCache:
     """Process-wide keyed LRU cache of :class:`CodebookEntry` objects.
 
-    Keys are ``(FxpLaplaceConfig, backend_fingerprint)`` — everything the
-    table contents depend on and nothing they don't (in particular not
-    the uniform source, which only feeds indices into the gather).
+    Keys are generator fingerprints — class, datapath and the
+    distribution's own parameters: everything the table contents depend
+    on and nothing they don't (in particular not the uniform source, which
+    only feeds indices into the gather).
     """
 
     def __init__(
@@ -180,34 +180,29 @@ class CodebookCache:
     def _table_dtype(top_code: int):
         return np.int32 if top_code < (1 << 31) else np.int64
 
-    def planned_bytes(self, config) -> int:
-        """Bytes the table for ``config`` would occupy."""
-        itemsize = np.dtype(self._table_dtype(config.top_code)).itemsize
-        return (1 << config.input_bits) * itemsize
+    def planned_bytes(self, rng) -> int:
+        """Bytes the table for generator ``rng`` would occupy."""
+        itemsize = np.dtype(self._table_dtype(rng.top_code)).itemsize
+        return (1 << rng.config.input_bits) * itemsize
 
-    def fits_budget(self, config) -> bool:
-        """Whether ``config``'s alphabet fits the per-table budget."""
-        return self.planned_bytes(config) <= self.table_budget_bytes
+    def fits_budget(self, rng) -> bool:
+        """Whether ``rng``'s alphabet fits the per-table budget."""
+        return self.planned_bytes(rng) <= self.table_budget_bytes
 
     # ------------------------------------------------------------------
-    def get(
-        self,
-        config,
-        log_backend,
-        build: Callable[[np.ndarray], np.ndarray],
-    ) -> Optional[CodebookEntry]:
-        """Fetch (or build) the codebook for a config/backend pair.
+    def get(self, rng) -> Optional[CodebookEntry]:
+        """Fetch (or build) the codebook for generator ``rng``.
 
-        ``build`` maps the full URNG code vector ``1..2**Bu`` to magnitude
-        codes — i.e. the *live* datapath — and is only invoked on a cache
-        miss.  Returns ``None`` when the table would exceed the budget;
-        the caller must then keep using the live datapath.
+        On a miss the table is built by sweeping the full URNG code vector
+        ``1..2**Bu`` through ``rng``'s *live* datapath.  Returns ``None``
+        when the table would exceed the budget; the caller must then keep
+        using the live datapath.
         """
-        if not self.fits_budget(config):
+        if not self.fits_budget(rng):
             with self._lock:
                 self.budget_fallbacks += 1
             return None
-        key = (config, backend_fingerprint(log_backend))
+        key = rng.fingerprint
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -217,16 +212,12 @@ class CodebookCache:
         # Build outside the lock: enumeration can take milliseconds and
         # must not serialize unrelated lookups.  A racing duplicate build
         # is harmless (identical contents); last writer wins.
-        m = np.arange(1, (1 << config.input_bits) + 1, dtype=np.int64)
-        table = np.asarray(build(m))
-        dtype = self._table_dtype(config.top_code)
-        entry = CodebookEntry(
-            key=key,
-            delta=config.delta,
-            input_bits=config.input_bits,
-            top_code=config.top_code,
-            table=np.ascontiguousarray(table, dtype=dtype),
+        bits, top_code = rng.config.input_bits, rng.top_code
+        m = np.arange(1, (1 << bits) + 1, dtype=np.int64)
+        table = np.ascontiguousarray(
+            rng._codes_from_uniform(m), dtype=self._table_dtype(top_code)
         )
+        entry = CodebookEntry(input_bits=bits, top_code=top_code, table=table)
         with self._lock:
             existing = self._entries.get(key)
             if existing is not None:
@@ -240,9 +231,9 @@ class CodebookCache:
                 self.evictions += 1
         return entry
 
-    def peek(self, config, log_backend) -> Optional[CodebookEntry]:
+    def peek(self, rng) -> Optional[CodebookEntry]:
         """Return the cached entry without building (and without LRU touch)."""
-        return self._entries.get((config, backend_fingerprint(log_backend)))
+        return self._entries.get(rng.fingerprint)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -282,7 +273,7 @@ class CodebookCache:
 
 
 # ---------------------------------------------------------------------
-# The process-wide cache.  Every FxpLaplaceRng resolves its kernel here
+# The process-wide cache.  Every FxpInversionRng resolves its kernel here
 # unless constructed with kernel="live".
 _CACHE = CodebookCache()
 

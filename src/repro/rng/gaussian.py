@@ -16,13 +16,12 @@ input and ``Δ`` output grids, exactly as for Laplace.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .inversion import FxpInversionRng
-from .laplace_fxp import FxpLaplaceConfig
+from .inversion import FxpDatapath, FxpInversionRng
 from .urng import UniformCodeSource
 
 __all__ = ["FxpGaussianRng", "gaussian_sigma", "probit"]
@@ -94,14 +93,18 @@ class FxpGaussianRng(FxpInversionRng):
 
     def __init__(
         self,
-        config: FxpLaplaceConfig,
+        datapath: FxpDatapath,
         sigma: float,
         source: Optional[UniformCodeSource] = None,
+        kernel: str = "auto",
     ):
         if sigma <= 0:
             raise ConfigurationError("sigma must be positive")
-        super().__init__(config, source=source)
+        super().__init__(datapath, source=source, kernel=kernel)
         self.sigma = sigma
+
+    def _parameters(self) -> Tuple:
+        return (self.sigma,)
 
     def magnitude_from_uniform(self, u: np.ndarray) -> np.ndarray:
         # dplint: allow[DPL002] -- float64 probit models the hardware's

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .inversion import FxpInversionRng
-from .laplace_fxp import FxpLaplaceConfig
+from .inversion import FxpDatapath, FxpInversionRng
 from .pmf import DiscretePMF
 from .urng import UniformCodeSource
 
@@ -100,20 +99,24 @@ class IdealTwoSidedGeometric:
 class FxpGeometricRng(FxpInversionRng):
     """``Bu``-bit inverse-CDF realization of the two-sided geometric.
 
-    ``config.delta`` is the grid step; ``config.lam`` is ignored (the
-    decay comes from ``ideal.alpha``).  The finite URNG bounds the
-    support at the deepest rung one code can reach — the exact PMF makes
-    the resulting privacy failure visible to the analyzer.
+    ``datapath.delta`` is the grid step and ``ideal.alpha`` the decay per
+    step.  The finite URNG bounds the support at the deepest rung one code
+    can reach — the exact PMF makes the resulting privacy failure visible
+    to the analyzer.
     """
 
     def __init__(
         self,
-        config: FxpLaplaceConfig,
+        datapath: FxpDatapath,
         ideal: IdealTwoSidedGeometric,
         source: Optional[UniformCodeSource] = None,
+        kernel: str = "auto",
     ):
-        super().__init__(config, source=source)
+        super().__init__(datapath, source=source, kernel=kernel)
         self.ideal = ideal
+
+    def _parameters(self) -> Tuple:
+        return (self.ideal,)
 
     def magnitude_from_uniform(self, u: np.ndarray) -> np.ndarray:
         # dplint: allow[DPL002] -- u is the exactly representable m*2^-Bu

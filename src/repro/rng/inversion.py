@@ -7,13 +7,17 @@ datapath: a ``Bu``-bit uniform code drives a symmetric inverse-half-CDF,
 the magnitude is rounded to the ``Δ`` grid and saturated to ``By`` bits,
 and a random bit supplies the sign.
 
-:class:`FxpInversionRng` owns that datapath once: sampling (plain and
-fused with the input add), the exact output PMF obtained by enumerating
-the full code alphabet through the *actual* datapath with one signed
-fold, and the kernel report.  A concrete distribution supplies only its
-magnitude transform — :meth:`~FxpInversionRng.magnitude_from_uniform`
-on real uniforms, or :meth:`~FxpInversionRng._magnitudes` on the integer
-codes themselves (the Laplace log backends) — so the analyzer in
+:class:`FxpDatapath` holds the bit widths and grid and nothing else;
+every generator is ``Gen(datapath, <own parameters>, source=None,
+kernel="auto")``.  :class:`FxpInversionRng` owns the datapath once:
+sampling (plain and fused with the input add), the exact output PMF
+obtained by enumerating the full code alphabet through the *actual*
+datapath with one signed fold, the :attr:`~FxpInversionRng.fingerprint`
+and the codebook kernel keyed on it.  A concrete distribution supplies
+only its own parameters and its magnitude transform —
+:meth:`~FxpInversionRng.magnitude_from_uniform` on real uniforms, or
+:meth:`~FxpInversionRng._magnitudes` on the integer codes themselves
+(the Laplace log backends) — so the analyzer in
 :mod:`repro.privacy.loss` and the guarded arms in
 :mod:`repro.mechanisms` treat every generator identically.
 """
@@ -21,48 +25,107 @@ codes themselves (the Laplace log backends) — so the analyzer in
 from __future__ import annotations
 
 import abc
+import dataclasses
 import math
-from typing import TYPE_CHECKING, Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
+from .codebook import CodebookEntry, codebook_cache
 from .pmf import DiscretePMF
 from .urng import NumpySource, UniformCodeSource
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .codebook import CodebookEntry
-    from .laplace_fxp import FxpLaplaceConfig
+__all__ = ["FxpDatapath", "FxpInversionRng"]
 
-__all__ = ["FxpInversionRng"]
+
+@dataclasses.dataclass(frozen=True)
+class FxpDatapath:
+    """Bit widths and output grid of a fixed-point noise generator.
+
+    Parameters
+    ----------
+    input_bits:
+        ``Bu`` — width of the uniform code (paper's URNG output bits).
+    output_bits:
+        ``By`` — width of the signed output; magnitudes saturate at
+        ``2**(By-1) - 1`` steps.
+    delta:
+        ``Δ`` — output quantization step, in real units.
+    """
+
+    input_bits: int
+    output_bits: int
+    delta: float
+
+    def __post_init__(self) -> None:
+        if not 2 <= self.input_bits <= 40:
+            raise ConfigurationError("input_bits must be in 2..40")
+        if not 2 <= self.output_bits <= 40:
+            raise ConfigurationError("output_bits must be in 2..40")
+        if self.delta <= 0:
+            raise ConfigurationError("delta must be positive")
+
+    @property
+    def max_code(self) -> int:
+        """Largest magnitude code representable: ``2**(By-1) - 1``."""
+        return (1 << (self.output_bits - 1)) - 1
 
 
 class FxpInversionRng(abc.ABC):
     """Fixed-point sampler: uniform code → magnitude → grid → signed.
 
-    Reuses :class:`~repro.rng.laplace_fxp.FxpLaplaceConfig` for the
-    bit-width/grid bookkeeping (``lam`` is interpreted by each subclass as
-    its primary scale, or ignored).
+    ``config`` is the generator's :class:`FxpDatapath`; the distribution's
+    own parameters live on the subclass.  ``kernel`` selects the sampling
+    implementation:
 
-    The sampling kernel is the live datapath unless a subclass supplies a
-    precomputed ``m → k`` table through :meth:`_resolve_codebook`; both
-    consume the uniform source identically (``n`` codes, then ``n`` sign
-    bits), so the output stream never depends on the kernel.
+    * ``"auto"`` (default) — gather from a precomputed ``m → k`` codebook
+      shared process-wide under :attr:`fingerprint` (see
+      :mod:`repro.rng.codebook`) when the alphabet fits the table budget,
+      else the live datapath;
+    * ``"codebook"`` — require the codebook (raises if over budget);
+    * ``"live"`` — always recompute the datapath per draw (the
+      bit-identity reference).
+
+    Both kernels consume the uniform source identically (``n`` codes, then
+    ``n`` sign bits), and the table is built by sweeping every code through
+    the live datapath, so the output stream never depends on the kernel.
     """
 
     def __init__(
         self,
-        config: "FxpLaplaceConfig",
+        datapath: FxpDatapath,
         source: Optional[UniformCodeSource] = None,
+        kernel: str = "auto",
     ):
-        self.config = config
+        if kernel not in ("auto", "codebook", "live"):
+            raise ConfigurationError(
+                f"kernel must be 'auto', 'codebook' or 'live', got {kernel!r}"
+            )
+        self.config = datapath
         self.source = source if source is not None else NumpySource()
+        self.kernel_mode = kernel
+        self._codebook: Optional[CodebookEntry] = None
+        self._codebook_resolved = False
         #: Instance-local PMF, used whenever no shared table carries it.
         self._pmf_cache: Optional[DiscretePMF] = None
 
     # ------------------------------------------------------------------
     # Distribution hooks
     # ------------------------------------------------------------------
+    @abc.abstractmethod
+    def _parameters(self) -> Tuple:
+        """The distribution's own (hashable) parameters, datapath excluded."""
+
+    @property
+    def fingerprint(self) -> Tuple:
+        """Everything the ``m → k`` map depends on: class, datapath, parameters.
+
+        Two generators with equal fingerprints emit the same code for every
+        URNG code, so the codebook cache keys its tables on it.
+        """
+        return (type(self).__qualname__, self.config, *self._parameters())
+
     def magnitude_from_uniform(self, u: np.ndarray) -> np.ndarray:
         """Inverse half-CDF: uniforms in (0, 1] → nonnegative magnitudes.
 
@@ -90,9 +153,19 @@ class FxpInversionRng(abc.ABC):
             raise ConfigurationError("magnitude transform must be finite and >= 0")
         return magnitude
 
-    def _resolve_codebook(self) -> Optional["CodebookEntry"]:
-        """A precomputed ``m → k`` table, or ``None`` for the live datapath."""
-        return None
+    def _resolve_codebook(self) -> Optional[CodebookEntry]:
+        """The shared codebook entry, or ``None`` for the live datapath."""
+        if not self._codebook_resolved:
+            if self.kernel_mode != "live":
+                self._codebook = codebook_cache().get(self)
+                if self._codebook is None and self.kernel_mode == "codebook":
+                    raise ConfigurationError(
+                        f"codebook kernel requested but the 2**{self.config.input_bits}"
+                        "-entry table exceeds the table budget; raise it via "
+                        "repro.rng.codebook.configure_codebooks or use kernel='auto'"
+                    )
+            self._codebook_resolved = True
+        return self._codebook
 
     def _u_cap(self) -> float:
         """Largest uniform the datapath can distinguish from 1.

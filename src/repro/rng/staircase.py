@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .inversion import FxpInversionRng
-from .laplace_fxp import FxpLaplaceConfig
+from .inversion import FxpDatapath, FxpInversionRng
 from .urng import UniformCodeSource
 
 __all__ = ["StaircaseParams", "FxpStaircaseRng", "optimal_gamma"]
@@ -123,12 +122,16 @@ class FxpStaircaseRng(FxpInversionRng):
 
     def __init__(
         self,
-        config: FxpLaplaceConfig,
+        datapath: FxpDatapath,
         params: StaircaseParams,
         source: Optional[UniformCodeSource] = None,
+        kernel: str = "auto",
     ):
-        super().__init__(config, source=source)
+        super().__init__(datapath, source=source, kernel=kernel)
         self.params = params
+
+    def _parameters(self) -> Tuple:
+        return (self.params,)
 
     def magnitude_from_uniform(self, u: np.ndarray) -> np.ndarray:
         return self.params.inverse_half_cdf(np.minimum(u, self._u_cap()))

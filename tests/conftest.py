@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import DPBox, DPBoxConfig, DPBoxDriver, GuardMode, SensorSpec, make_mechanism
-from repro.rng import FxpLaplaceConfig, FxpLaplaceRng
+from repro.rng import FxpDatapath, FxpLaplaceRng
 
 
 # ---------------------------------------------------------------------------
@@ -19,13 +19,8 @@ from repro.rng import FxpLaplaceConfig, FxpLaplaceRng
 # delta=10/2**5).
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="session")
-def fig4_config() -> FxpLaplaceConfig:
-    return FxpLaplaceConfig(input_bits=17, output_bits=12, delta=10 / 2**5, lam=20.0)
-
-
-@pytest.fixture(scope="session")
-def fig4_rng(fig4_config) -> FxpLaplaceRng:
-    return FxpLaplaceRng(fig4_config)
+def fig4_rng() -> FxpLaplaceRng:
+    return FxpLaplaceRng(FxpDatapath(input_bits=17, output_bits=12, delta=10 / 2**5), 20.0)
 
 
 @pytest.fixture(scope="session")

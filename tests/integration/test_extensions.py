@@ -8,7 +8,7 @@ from repro.core import ChannelConfig, GuardMode, MultiSensorDPBox, minimum_input
 from repro.mechanisms import SensorSpec, make_mechanism
 from repro.queries import MeanQuery, measure_utility
 from repro.rng import (
-    FxpLaplaceConfig,
+    FxpDatapath,
     FxpStaircaseRng,
     StaircaseParams,
 )
@@ -23,10 +23,8 @@ class TestStaircaseThroughTheHarness:
 
     @pytest.fixture(scope="class")
     def staircase_mech(self):
-        cfg = FxpLaplaceConfig(
-            input_bits=12, output_bits=18, delta=D / 64, lam=D / EPS
-        )
-        rng = FxpStaircaseRng(cfg, StaircaseParams(sensitivity=D, epsilon=EPS))
+        datapath = FxpDatapath(input_bits=12, output_bits=18, delta=D / 64)
+        rng = FxpStaircaseRng(datapath, StaircaseParams(sensitivity=D, epsilon=EPS))
         return make_mechanism("thresholding", SENSOR, EPS, noise_rng=rng)
 
     def test_utility_harness_runs(self, staircase_mech):
@@ -42,12 +40,10 @@ class TestStaircaseThroughTheHarness:
         assert not est.suggests_violation
 
     def test_exact_verdict_stable_across_reconstruction(self):
-        cfg = FxpLaplaceConfig(
-            input_bits=12, output_bits=18, delta=D / 64, lam=D / EPS
-        )
+        datapath = FxpDatapath(input_bits=12, output_bits=18, delta=D / 64)
         losses = []
         for _ in range(2):
-            rng = FxpStaircaseRng(cfg, StaircaseParams(sensitivity=D, epsilon=EPS))
+            rng = FxpStaircaseRng(datapath, StaircaseParams(sensitivity=D, epsilon=EPS))
             mech = make_mechanism("thresholding", SENSOR, EPS, noise_rng=rng)
             losses.append(mech.ldp_report().worst_loss)
         assert losses[0] == losses[1]  # calibration is deterministic

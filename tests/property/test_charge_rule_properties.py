@@ -45,7 +45,7 @@ class Reference:
 
 
 def loss_of(table, k):
-    return TABLE.loss_for_output(k) if table else 0.35
+    return float(TABLE.losses_for_outputs(np.array([k]))[0]) if table else 0.35
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,10 +1,10 @@
 """Property tests: codebook kernel is bit-identical to the live datapath.
 
 The codebook table is *defined* as the live `m -> k` map swept over the
-full Bu-bit alphabet, so identity should hold for every config, every
-logarithm back-end, and every uniform-code source — including the
-resample guard's multi-round trajectories, where both kernels must
-consume the source in exactly the same order.
+full Bu-bit alphabet, so identity should hold for every generator, every
+config, every logarithm back-end, and every uniform-code source —
+including the resample guard's multi-round trajectories, where both
+kernels must consume the source in exactly the same order.
 """
 
 import numpy as np
@@ -16,14 +16,21 @@ from repro.mechanisms import ResamplingMechanism, SensorSpec
 from repro.rng import (
     CordicLn,
     ExhaustiveSource,
-    FxpLaplaceConfig,
+    FxpDatapath,
+    FxpGaussianRng,
+    FxpGeometricRng,
     FxpLaplaceRng,
+    FxpStaircaseRng,
+    IdealTwoSidedGeometric,
     LfsrSource,
     NumpySource,
     PiecewisePolyLn,
     SplitStreamSource,
+    StaircaseParams,
     TauswortheSource,
     codebook_cache,
+    gaussian_sigma,
+    geometric_alpha,
 )
 from repro.runtime import ReleasePipeline
 
@@ -41,11 +48,32 @@ SOURCES = {
 }
 
 
+#: Sensitivity of the non-Laplace generators below.
+D = 8.0
+KINDS = ("laplace", "staircase", "gaussian", "geometric")
+
+
+def _generator(kind, datapath, epsilon, kernel="auto", source=None):
+    """One of the four fixed-point generators at sensitivity ``D``."""
+    if kind == "laplace":
+        return FxpLaplaceRng(datapath, D / epsilon, source=source, kernel=kernel)
+    if kind == "staircase":
+        params = StaircaseParams(sensitivity=D, epsilon=epsilon)
+        return FxpStaircaseRng(datapath, params, source=source, kernel=kernel)
+    if kind == "gaussian":
+        sigma = gaussian_sigma(D, epsilon, 1e-5)
+        return FxpGaussianRng(datapath, sigma, source=source, kernel=kernel)
+    ideal = IdealTwoSidedGeometric(geometric_alpha(D, epsilon, datapath.delta))
+    return FxpGeometricRng(datapath, ideal, source=source, kernel=kernel)
+
+
 def _rng_pair(cfg, backend_key, source_factory):
-    """Same config/backend/seed, one per kernel."""
+    """Same datapath/scale/backend/seed, one per kernel."""
+    datapath, lam = cfg
     return tuple(
         FxpLaplaceRng(
-            cfg,
+            datapath,
+            lam,
             source=source_factory(),
             log_backend=BACKENDS[backend_key](),
             kernel=kernel,
@@ -56,12 +84,11 @@ def _rng_pair(cfg, backend_key, source_factory):
 
 @st.composite
 def fxp_configs(draw):
+    """A Laplace ``(datapath, lam)`` pair."""
     input_bits = draw(st.integers(min_value=6, max_value=13))
     lam = draw(st.floats(min_value=0.5, max_value=50))
     delta = draw(st.floats(min_value=0.05, max_value=2.0))
-    return FxpLaplaceConfig(
-        input_bits=input_bits, output_bits=20, delta=delta, lam=lam
-    )
+    return FxpDatapath(input_bits=input_bits, output_bits=20, delta=delta), lam
 
 
 @pytest.mark.parametrize("backend_key", sorted(BACKENDS))
@@ -79,11 +106,14 @@ def test_codebook_bit_identical_to_live(backend_key, source_key, cfg, n):
 @given(cfg=fxp_configs())
 def test_codebook_covers_full_alphabet(backend_key, cfg):
     """table[m-1] == live datapath for EVERY code m, not just sampled ones."""
-    rng = FxpLaplaceRng(cfg, log_backend=BACKENDS[backend_key](), kernel="codebook")
+    datapath, lam = cfg
+    rng = FxpLaplaceRng(
+        datapath, lam, log_backend=BACKENDS[backend_key](), kernel="codebook"
+    )
     entry = rng._resolve_codebook()
-    m = np.arange(1, 2**cfg.input_bits + 1, dtype=np.int64)
+    m = np.arange(1, 2**datapath.input_bits + 1, dtype=np.int64)
     np.testing.assert_array_equal(entry.gather(m), rng._codes_from_uniform(m))
-    assert entry.table.shape == (2**cfg.input_bits,)
+    assert entry.table.shape == (2**datapath.input_bits,)
 
 
 @settings(max_examples=10, deadline=None)
@@ -130,25 +160,52 @@ def test_resample_guard_trajectories_identical(backend_key):
     assert outs["live"].event.kernel == "live"
 
 
-@settings(max_examples=10, deadline=None)
-@given(cfg=fxp_configs())
-def test_codebook_pmf_matches_live_enumeration(cfg):
-    """Shared-cache PMF == per-instance enumeration == analytic form."""
-    cb = FxpLaplaceRng(cfg, kernel="codebook")
-    live = FxpLaplaceRng(cfg, kernel="live")
-    assert cb.exact_pmf("enumerate").total_variation(
-        live.exact_pmf("enumerate")
-    ) < 1e-15
-    assert cb.exact_pmf("enumerate").total_variation(cb.exact_pmf("analytic")) < 1e-12
+@st.composite
+def generator_cases(draw):
+    """``(kind, datapath, epsilon)`` for any of the four generators."""
+    kind = draw(st.sampled_from(KINDS))
+    input_bits = draw(st.integers(min_value=6, max_value=13))
+    frac_bits = draw(st.integers(min_value=3, max_value=7))
+    epsilon = draw(st.floats(min_value=0.25, max_value=2.0))
+    datapath = FxpDatapath(input_bits=input_bits, output_bits=20, delta=D / 2**frac_bits)
+    return kind, datapath, epsilon
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=generator_cases())
+def test_codebook_pmf_matches_live_enumeration(case):
+    """Shared-cache PMF == per-instance enumeration (== eq. 11 for Laplace)."""
+    cb = _generator(*case, kernel="codebook")
+    live = _generator(*case, kernel="live")
+    cb_pmf, live_pmf = cb.exact_pmf(), live.exact_pmf()
+    assert cb_pmf.min_k == live_pmf.min_k
+    np.testing.assert_array_equal(cb_pmf.probs, live_pmf.probs)
+    if case[0] == "laplace":
+        assert cb_pmf.total_variation(cb.exact_pmf("analytic")) < 1e-12
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("input_bits", [12, 13])
+def test_auto_kernel_tables_every_generator(kind, input_bits):
+    """Under `auto` every generator samples from a table sized by its own
+    top code, and the stream equals the live datapath's."""
+    datapath = FxpDatapath(input_bits=input_bits, output_bits=20, delta=D / 64)
+    auto = _generator(kind, datapath, 0.5, source=SplitStreamSource(3))
+    live = _generator(kind, datapath, 0.5, kernel="live", source=SplitStreamSource(3))
+    assert auto.kernel == "codebook" and live.kernel == "live"
+    assert auto._resolve_codebook().top_code == auto.top_code
+    codes = np.arange(-50, 50, dtype=np.int64)
+    np.testing.assert_array_equal(auto.sample_codes(5000), live.sample_codes(5000))
+    np.testing.assert_array_equal(auto.sample_codes_add(codes), live.sample_codes_add(codes))
 
 
 def test_auto_kernel_budget_fallback_still_bit_identical():
     """`auto` over budget degrades to live — outputs unchanged either way."""
     cache = codebook_cache()
-    cfg = FxpLaplaceConfig(input_bits=10, output_bits=20, delta=0.125, lam=8.0)
-    auto = FxpLaplaceRng(cfg, source=NumpySource(seed=5), kernel="auto")
-    live = FxpLaplaceRng(cfg, source=NumpySource(seed=5), kernel="live")
-    planned = cache.planned_bytes(cfg)
+    datapath = FxpDatapath(input_bits=10, output_bits=20, delta=0.125)
+    auto = FxpLaplaceRng(datapath, 8.0, source=NumpySource(seed=5), kernel="auto")
+    live = FxpLaplaceRng(datapath, 8.0, source=NumpySource(seed=5), kernel="live")
+    planned = cache.planned_bytes(auto)
     try:
         from repro.rng import configure_codebooks
 

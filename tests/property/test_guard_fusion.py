@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ResampleExhaustedError
-from repro.rng.laplace_fxp import FxpLaplaceConfig, FxpLaplaceRng
+from repro.rng import FxpDatapath, FxpLaplaceRng
 from repro.rng.staircase import FxpStaircaseRng, StaircaseParams
 from repro.rng.urng import NumpySource
 from repro.runtime import ReleasePipeline, ReleaseRequest
@@ -170,19 +170,17 @@ def test_resample_exhaustion_still_raises():
 # ---------------------------------------------------------------------
 # sample_codes_add: fused draw+add == codes + sample_codes(n), same stream
 # ---------------------------------------------------------------------
-_FUSION_CONFIG = FxpLaplaceConfig(
-    input_bits=10, output_bits=12, delta=10.0 / 128.0, lam=10.0
-)
+_FUSION_CONFIG = FxpDatapath(input_bits=10, output_bits=12, delta=10.0 / 128.0)
 
 
 def _fusion_rng(kind, seed):
-    """A seeded generator: Laplace on either kernel, or staircase (an
-    inversion generator inheriting the live fused add)."""
+    """A seeded generator: Laplace on either kernel, or staircase (another
+    inversion generator on the same base datapath and codebook)."""
     source = NumpySource(seed)
     if kind == "staircase":
         params = StaircaseParams(sensitivity=10.0, epsilon=1.0)
         return FxpStaircaseRng(_FUSION_CONFIG, params, source=source)
-    return FxpLaplaceRng(_FUSION_CONFIG, source=source, kernel=kind)
+    return FxpLaplaceRng(_FUSION_CONFIG, 10.0, source=source, kernel=kind)
 
 
 @settings(max_examples=60, deadline=None)
@@ -215,7 +213,7 @@ def test_sample_codes_add_source_consumption_matches():
 
 
 def test_sample_codes_add_does_not_mutate_input():
-    rng = FxpLaplaceRng(_FUSION_CONFIG, source=NumpySource(3))
+    rng = FxpLaplaceRng(_FUSION_CONFIG, 10.0, source=NumpySource(3))
     codes = np.arange(16, dtype=np.int64)
     keep = codes.copy()
     rng.sample_codes_add(codes)
@@ -233,8 +231,8 @@ def test_pipeline_draw_add_matches_draw_only(codes, seed, guard):
     # the request carries the fused draw_add or only the plain draw.
     codes = np.asarray(codes, dtype=np.int64)
     window = (-1500, 1500) if guard != "none" else None
-    fused_rng = FxpLaplaceRng(_FUSION_CONFIG, source=NumpySource(seed))
-    plain_rng = FxpLaplaceRng(_FUSION_CONFIG, source=NumpySource(seed))
+    fused_rng = FxpLaplaceRng(_FUSION_CONFIG, 10.0, source=NumpySource(seed))
+    plain_rng = FxpLaplaceRng(_FUSION_CONFIG, 10.0, source=NumpySource(seed))
     pipe = ReleasePipeline(sinks=[])
     fused_out = pipe.release(
         _request(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.rng import (
     CordicLn,
-    FxpLaplaceConfig,
+    FxpDatapath,
     FxpLaplaceRng,
     Taus88,
     VectorTaus88,
@@ -41,52 +41,48 @@ def test_cordic_ln_accuracy_scales_with_frac_bits(m, frac_bits):
 
 
 @st.composite
-def fxp_configs(draw):
+def laplace_rngs(draw):
     input_bits = draw(st.integers(min_value=6, max_value=14))
     lam = draw(st.floats(min_value=0.5, max_value=50))
     delta = draw(st.floats(min_value=0.05, max_value=2.0))
-    return FxpLaplaceConfig(
-        input_bits=input_bits, output_bits=20, delta=delta, lam=lam
-    )
+    datapath = FxpDatapath(input_bits=input_bits, output_bits=20, delta=delta)
+    return FxpLaplaceRng(datapath, lam)
 
 
 @settings(max_examples=30, deadline=None)
-@given(cfg=fxp_configs())
-def test_exact_pmf_is_valid_distribution(cfg):
-    pmf = FxpLaplaceRng(cfg).exact_pmf()
+@given(rng=laplace_rngs())
+def test_exact_pmf_is_valid_distribution(rng):
+    pmf = rng.exact_pmf()
     assert abs(pmf.total - 1.0) < 1e-12
     assert np.all(pmf.probs >= 0)
 
 
 @settings(max_examples=30, deadline=None)
-@given(cfg=fxp_configs())
-def test_exact_pmf_symmetric(cfg):
-    pmf = FxpLaplaceRng(cfg).exact_pmf()
+@given(rng=laplace_rngs())
+def test_exact_pmf_symmetric(rng):
+    pmf = rng.exact_pmf()
     np.testing.assert_allclose(pmf.probs, pmf.probs[::-1], atol=1e-15)
 
 
 @settings(max_examples=30, deadline=None)
-@given(cfg=fxp_configs())
-def test_analytic_counts_match_enumeration(cfg):
-    rng = FxpLaplaceRng(cfg)
+@given(rng=laplace_rngs())
+def test_analytic_counts_match_enumeration(rng):
     assert rng.exact_pmf("enumerate").total_variation(rng.exact_pmf("analytic")) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)
-@given(cfg=fxp_configs())
-def test_support_bounded_by_theory(cfg):
-    pmf = FxpLaplaceRng(cfg).exact_pmf()
-    lo, hi = pmf.nonzero_bounds()
-    assert hi <= cfg.top_code
-    assert lo >= -cfg.top_code
+@given(rng=laplace_rngs())
+def test_support_bounded_by_theory(rng):
+    lo, hi = rng.exact_pmf().nonzero_bounds()
+    assert hi <= rng.top_code
+    assert lo >= -rng.top_code
 
 
 @settings(max_examples=15, deadline=None)
-@given(cfg=fxp_configs(), n=st.integers(min_value=1, max_value=500))
-def test_samples_always_within_support(cfg, n):
-    rng = FxpLaplaceRng(cfg)
+@given(rng=laplace_rngs(), n=st.integers(min_value=1, max_value=500))
+def test_samples_always_within_support(rng, n):
     codes = rng.sample_codes(n)
-    assert np.abs(codes).max() <= cfg.top_code
+    assert np.abs(codes).max() <= rng.top_code
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +97,8 @@ def staircase_rngs(draw):
     d = draw(st.floats(min_value=1.0, max_value=20.0))
     eps = draw(st.floats(min_value=0.25, max_value=2.0))
     input_bits = draw(st.integers(min_value=8, max_value=12))
-    cfg = FxpLaplaceConfig(
-        input_bits=input_bits, output_bits=20, delta=d / 32, lam=d / eps
-    )
-    return FxpStaircaseRng(cfg, StaircaseParams(sensitivity=d, epsilon=eps))
+    datapath = FxpDatapath(input_bits=input_bits, output_bits=20, delta=d / 32)
+    return FxpStaircaseRng(datapath, StaircaseParams(sensitivity=d, epsilon=eps))
 
 
 @settings(max_examples=20, deadline=None)
@@ -127,10 +121,8 @@ def test_staircase_samples_within_support(rng, n):
 def gaussian_rngs(draw):
     sigma = draw(st.floats(min_value=0.5, max_value=30.0))
     input_bits = draw(st.integers(min_value=8, max_value=12))
-    cfg = FxpLaplaceConfig(
-        input_bits=input_bits, output_bits=20, delta=sigma / 8, lam=1.0
-    )
-    return FxpGaussianRng(cfg, sigma=sigma)
+    datapath = FxpDatapath(input_bits=input_bits, output_bits=20, delta=sigma / 8)
+    return FxpGaussianRng(datapath, sigma=sigma)
 
 
 @settings(max_examples=20, deadline=None)

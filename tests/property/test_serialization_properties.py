@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core import DPBoxConfig, GuardMode
 from repro.core.serialization import config_from_dict, config_to_dict
 from repro.mechanisms import SensorSpec
-from repro.rng import FxpLaplaceConfig
+from repro.rng import FxpDatapath
 
 
 @st.composite
@@ -67,10 +67,7 @@ def test_sensor_spec_round_trip(m, d):
     input_bits=st.integers(min_value=2, max_value=40),
     output_bits=st.integers(min_value=2, max_value=40),
     delta=st.floats(min_value=1e-6, max_value=1e3),
-    lam=st.floats(min_value=1e-6, max_value=1e6),
 )
-def test_fxp_config_round_trip(input_bits, output_bits, delta, lam):
-    cfg = FxpLaplaceConfig(
-        input_bits=input_bits, output_bits=output_bits, delta=delta, lam=lam
-    )
+def test_fxp_config_round_trip(input_bits, output_bits, delta):
+    cfg = FxpDatapath(input_bits=input_bits, output_bits=output_bits, delta=delta)
     assert config_from_dict(config_to_dict(cfg)) == cfg

@@ -32,7 +32,7 @@ from repro.privacy.thresholds import (
     paper_thresholding_threshold,
 )
 from repro.privacy.verify import verify_additive_mechanism
-from repro.rng.laplace_fxp import FxpLaplaceConfig, FxpLaplaceRng
+from repro.rng import FxpDatapath, FxpLaplaceRng
 
 D = 8.0
 DELTA = D / 32.0  # paper-style Δ = d/2**5 grid
@@ -42,10 +42,8 @@ GRID = list(itertools.product((8, 10, 12), (0.25, 0.5, 1.0), (2.0, 3.0)))
 
 
 def _noise(input_bits, epsilon):
-    cfg = FxpLaplaceConfig(
-        input_bits=input_bits, output_bits=16, delta=DELTA, lam=D / epsilon
-    )
-    return FxpLaplaceRng(cfg).exact_pmf()
+    datapath = FxpDatapath(input_bits=input_bits, output_bits=16, delta=DELTA)
+    return FxpLaplaceRng(datapath, D / epsilon).exact_pmf()
 
 
 def _grid_id(case):

@@ -217,10 +217,10 @@ class TestFleet:
         # pickled copies would give every shard the same noise stream.
         from repro.parallel import run_fleet_sharded
         from repro.rng import FxpStaircaseRng, StaircaseParams
-        from repro.rng.laplace_fxp import FxpLaplaceConfig
+        from repro.rng import FxpDatapath
 
         gen = FxpStaircaseRng(
-            FxpLaplaceConfig(input_bits=12, output_bits=16, delta=8 / 64, lam=16.0),
+            FxpDatapath(input_bits=12, output_bits=16, delta=8 / 64),
             StaircaseParams(sensitivity=8.0, epsilon=0.5),
         )
         values = np.full((2, 3), 4.0)

@@ -8,20 +8,20 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.privacy import delta_at_epsilon, epsilon_at_delta, hockey_stick_divergence
 from repro.privacy.loss import DiscreteMechanismFamily
-from repro.rng import DiscretePMF, FxpLaplaceConfig, FxpLaplaceRng
+from repro.rng import DiscretePMF, FxpDatapath, FxpLaplaceRng
 
 
 @pytest.fixture(scope="module")
 def naive_family():
-    cfg = FxpLaplaceConfig(input_bits=12, output_bits=16, delta=8 / 64, lam=16.0)
-    noise = FxpLaplaceRng(cfg).exact_pmf()
+    datapath = FxpDatapath(input_bits=12, output_bits=16, delta=8 / 64)
+    noise = FxpLaplaceRng(datapath, 16.0).exact_pmf()
     return DiscreteMechanismFamily.additive(noise, [0, 64])
 
 
 @pytest.fixture(scope="module")
 def guarded_family():
-    cfg = FxpLaplaceConfig(input_bits=12, output_bits=16, delta=8 / 64, lam=16.0)
-    noise = FxpLaplaceRng(cfg).exact_pmf()
+    datapath = FxpDatapath(input_bits=12, output_bits=16, delta=8 / 64)
+    noise = FxpLaplaceRng(datapath, 16.0).exact_pmf()
     from repro.privacy import calibrate_threshold_exact
 
     t = calibrate_threshold_exact(noise, [0, 64], 1.0, mode="threshold")

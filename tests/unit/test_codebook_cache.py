@@ -8,9 +8,13 @@ from repro.errors import ConfigurationError
 from repro.mechanisms import SensorSpec, make_mechanism
 from repro.rng import (
     CordicLn,
-    FxpLaplaceConfig,
+    FxpDatapath,
+    FxpGaussianRng,
+    FxpGeometricRng,
     FxpLaplaceRng,
-    NumpySource,
+    FxpStaircaseRng,
+    IdealTwoSidedGeometric,
+    StaircaseParams,
     codebook_cache,
     configure_codebooks,
 )
@@ -23,59 +27,60 @@ from repro.rng.codebook import (
 from repro.runtime import CounterSink, ReleasePipeline
 
 
-def cfg(bits=8, lam=8.0):
-    return FxpLaplaceConfig(input_bits=bits, output_bits=20, delta=0.25, lam=lam)
+DATAPATH = FxpDatapath(input_bits=8, output_bits=20, delta=0.25)
 
 
-def build_for(config):
-    """The live datapath stand-in used for direct CodebookCache tests."""
-    return FxpLaplaceRng(config, kernel="live")._codes_from_uniform
+def lap(bits=8, lam=8.0, **kwargs):
+    """A Laplace generator; the cache tables its live datapath."""
+    datapath = FxpDatapath(input_bits=bits, output_bits=20, delta=0.25)
+    return FxpLaplaceRng(datapath, lam, **kwargs)
+
+
+def staircase(gamma=None):
+    return FxpStaircaseRng(DATAPATH, StaircaseParams(sensitivity=2.0, epsilon=0.5, gamma=gamma))
 
 
 class TestCacheLRU:
     def test_hit_returns_same_entry(self):
         cache = CodebookCache()
-        c = cfg()
-        e1 = cache.get(c, None, build_for(c))
-        e2 = cache.get(c, None, build_for(c))
+        e1 = cache.get(lap())
+        e2 = cache.get(lap())
         assert e1 is e2
         assert cache.stats()["hits"] == 1
         assert cache.stats()["builds"] == 1
 
     def test_distinct_backends_distinct_entries(self):
         cache = CodebookCache()
-        c = cfg()
-        exact = cache.get(c, None, build_for(c))
-        rng = FxpLaplaceRng(c, log_backend=CordicLn(), kernel="live")
-        cordic = cache.get(c, CordicLn(), rng._codes_from_uniform)
+        exact = cache.get(lap())
+        cordic = cache.get(lap(log_backend=CordicLn()))
         assert exact is not cordic
         assert len(cache) == 2
 
     def test_lru_evicts_oldest(self):
         cache = CodebookCache(max_entries=2)
-        configs = [cfg(lam=l) for l in (4.0, 8.0, 16.0)]
-        for c in configs:
-            cache.get(c, None, build_for(c))
+        rngs = [lap(lam=l) for l in (4.0, 8.0, 16.0)]
+        for rng in rngs:
+            cache.get(rng)
         assert len(cache) == 2
         assert cache.evictions == 1
-        assert cache.peek(configs[0], None) is None  # the oldest went
-        assert cache.peek(configs[2], None) is not None
+        assert cache.peek(rngs[0]) is None  # the oldest went
+        assert cache.peek(rngs[2]) is not None
 
     def test_get_refreshes_recency(self):
         cache = CodebookCache(max_entries=2)
-        a, b, c = (cfg(lam=l) for l in (4.0, 8.0, 16.0))
-        cache.get(a, None, build_for(a))
-        cache.get(b, None, build_for(b))
-        cache.get(a, None, build_for(a))  # touch a — b becomes LRU
-        cache.get(c, None, build_for(c))
-        assert cache.peek(a, None) is not None
-        assert cache.peek(b, None) is None
+        a, b, c = (lap(lam=l) for l in (4.0, 8.0, 16.0))
+        cache.get(a)
+        cache.get(b)
+        cache.get(a)  # touch a — b becomes LRU
+        cache.get(c)
+        assert cache.peek(a) is not None
+        assert cache.peek(b) is None
 
     def test_stats_reconcile_with_get_calls(self):
         cache = CodebookCache(max_entries=2, table_budget_bytes=1024)
         calls = 0
-        for c in [cfg(bits=6), cfg(bits=6), cfg(bits=7), cfg(bits=12)]:
-            cache.get(c, None, build_for(c))  # bits=12 > 1 KiB budget
+        for rng in [lap(bits=6), lap(bits=6), lap(bits=7), lap(bits=12)]:
+            cache.get(rng)  # bits=12 > 1 KiB budget
             calls += 1
         s = cache.stats()
         assert s["hits"] + s["builds"] + s["budget_fallbacks"] == calls
@@ -84,8 +89,7 @@ class TestCacheLRU:
 
     def test_clear_resets_everything(self):
         cache = CodebookCache()
-        c = cfg()
-        cache.get(c, None, build_for(c))
+        cache.get(lap())
         cache.clear()
         assert len(cache) == 0
         assert cache.stats()["builds"] == 0
@@ -94,17 +98,16 @@ class TestCacheLRU:
 class TestBudget:
     def test_over_budget_returns_none(self):
         cache = CodebookCache(table_budget_bytes=64)
-        c = cfg(bits=8)  # 256 * 4 bytes > 64
-        assert cache.get(c, None, build_for(c)) is None
+        assert cache.get(lap(bits=8)) is None  # 256 * 4 bytes > 64
         assert cache.budget_fallbacks == 1
 
     def test_planned_bytes_int32(self):
         cache = CodebookCache()
-        c = cfg(bits=10)
-        assert cache.planned_bytes(c) == (1 << 10) * 4
-        entry = cache.get(c, None, build_for(c))
+        rng = lap(bits=10)
+        assert cache.planned_bytes(rng) == (1 << 10) * 4
+        entry = cache.get(rng)
         assert entry.table.dtype == np.int32
-        assert entry.nbytes == cache.planned_bytes(c)
+        assert entry.nbytes == cache.planned_bytes(rng)
 
     def test_table_dtype_widens_past_int32(self):
         assert CodebookCache._table_dtype((1 << 31) - 1) is np.int32
@@ -123,8 +126,7 @@ class TestConfigureProcessCache:
         try:
             cache.clear()
             for l in (4.0, 8.0, 16.0):
-                c = cfg(lam=l)
-                cache.get(c, None, build_for(c))
+                cache.get(lap(lam=l))
             configure_codebooks(max_entries=1)
             assert len(cache) == 1
             assert cache.evictions == 2
@@ -140,10 +142,9 @@ class TestConfigureProcessCache:
         try:
             cache.clear()
             configure_codebooks(table_budget_bytes=64)
-            rng = FxpLaplaceRng(cfg(bits=8), kernel="auto")
-            assert rng.kernel == "live"
+            assert lap(bits=8, kernel="auto").kernel == "live"
             with pytest.raises(ConfigurationError):
-                FxpLaplaceRng(cfg(bits=8), kernel="codebook").kernel
+                lap(bits=8, kernel="codebook").kernel
         finally:
             configure_codebooks(
                 max_entries=DEFAULT_MAX_ENTRIES,
@@ -171,18 +172,51 @@ class TestBackendFingerprint:
         assert backend_fingerprint(w) == backend_fingerprint(w)
 
 
+class TestGeneratorFingerprint:
+    """One cache entry per distinct m → k map, whatever the distribution."""
+
+    def test_same_datapath_different_generator_or_parameters(self):
+        cache = CodebookCache()
+        rngs = [
+            lap(),
+            lap(lam=4.0),
+            staircase(),
+            staircase(gamma=0.3),
+            FxpGaussianRng(DATAPATH, sigma=3.0),
+            FxpGaussianRng(DATAPATH, sigma=4.0),
+            FxpGeometricRng(DATAPATH, IdealTwoSidedGeometric(0.9)),
+        ]
+        entries = [cache.get(rng) for rng in rngs]
+        assert len({id(e) for e in entries}) == len(rngs) == len(cache)
+        assert len({rng.fingerprint for rng in rngs}) == len(rngs)
+        # Equal parameters share, whichever instance asks.
+        assert cache.get(staircase(gamma=0.3)) is entries[3]
+        assert cache.get(FxpGaussianRng(DATAPATH, sigma=3.0)) is entries[4]
+
+    def test_fingerprint_is_class_datapath_and_parameters(self):
+        rng = lap(log_backend=CordicLn(frac_bits=20, n_iterations=16))
+        assert rng.fingerprint == (
+            "FxpLaplaceRng", rng.config, 8.0, ("cordic", 20, 16)
+        )
+        assert staircase().fingerprint == ("FxpStaircaseRng", DATAPATH, staircase().params)
+
+    def test_kernel_validated_by_every_generator(self):
+        with pytest.raises(ConfigurationError):
+            FxpGaussianRng(DATAPATH, sigma=3.0, kernel="fast")
+        with pytest.raises(ConfigurationError):
+            lap(kernel="fast")
+
+
 class TestSharedPmf:
     def test_enumerated_pmf_shared_across_instances(self):
         """_pmf_cache routes through the process cache: one PMF object."""
-        c = cfg(bits=9)
-        a = FxpLaplaceRng(c, kernel="codebook")
-        b = FxpLaplaceRng(c, kernel="codebook")
+        a = lap(bits=9, kernel="codebook")
+        b = lap(bits=9, kernel="codebook")
         assert a.exact_pmf("enumerate") is b.exact_pmf("enumerate")
 
     def test_live_kernel_keeps_private_pmf(self):
-        c = cfg(bits=9)
-        a = FxpLaplaceRng(c, kernel="live")
-        b = FxpLaplaceRng(c, kernel="live")
+        a = lap(bits=9, kernel="live")
+        b = lap(bits=9, kernel="live")
         pa, pb = a.exact_pmf("enumerate"), b.exact_pmf("enumerate")
         assert pa is not pb
         assert pa.total_variation(pb) == 0.0

@@ -194,7 +194,7 @@ class TestEmbeddedBudget:
             if not r.from_cache:
                 rt = dpbox_driver.box._ensure_runtime()
                 k_out = round(r.value / rt.delta)
-                assert r.charged == table.loss_for_output(int(k_out))
+                assert r.charged == table.losses_for_outputs(np.array([k_out]))[0]
 
 
 class TestReconfiguration:

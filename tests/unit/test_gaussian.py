@@ -7,11 +7,11 @@ import pytest
 from scipy.stats import norm
 
 from repro.errors import ConfigurationError
-from repro.rng import FxpGaussianRng, FxpLaplaceConfig, gaussian_sigma, probit
+from repro.rng import FxpDatapath, FxpGaussianRng, gaussian_sigma, probit
 
 D, EPS, DELTA_DP = 8.0, 0.5, 1e-5
 SIGMA = gaussian_sigma(D, EPS, DELTA_DP)
-CFG = FxpLaplaceConfig(input_bits=12, output_bits=20, delta=D / 16, lam=1.0)
+CFG = FxpDatapath(input_bits=12, output_bits=20, delta=D / 16)
 
 
 class TestSigmaCalibration:

@@ -17,7 +17,7 @@ from repro.errors import ConfigurationError
 from repro.mechanisms import SensorSpec, make_mechanism
 from repro.rng import (
     FxpGaussianRng,
-    FxpLaplaceConfig,
+    FxpDatapath,
     FxpStaircaseRng,
     NumpySource,
     StaircaseParams,
@@ -27,9 +27,9 @@ from repro.rng.geometric import FxpGeometricRng, IdealTwoSidedGeometric, geometr
 
 D, EPS = 8.0, 0.5
 SENSOR = SensorSpec(0.0, D)
-CFG = FxpLaplaceConfig(input_bits=12, output_bits=18, delta=D / 64, lam=D / EPS)
-CFG13 = FxpLaplaceConfig(input_bits=13, output_bits=20, delta=D / 64, lam=D / EPS)
-CFG_GEOM = FxpLaplaceConfig(input_bits=12, output_bits=20, delta=D / 64, lam=1.0)
+CFG = FxpDatapath(input_bits=12, output_bits=18, delta=D / 64)
+CFG13 = FxpDatapath(input_bits=13, output_bits=20, delta=D / 64)
+CFG_GEOM = FxpDatapath(input_bits=12, output_bits=20, delta=D / 64)
 
 #: Guard mode → evaluation arm.
 ARM = {"baseline": "baseline", "resample": "resampling", "threshold": "thresholding"}
@@ -97,7 +97,7 @@ class TestNoiseRngOption:
         mech = _guarded("threshold", staircase_rng)
         assert mech.rng is staircase_rng
         assert mech.delta == CFG.delta
-        assert mech.rng.kernel == "live"
+        assert mech.rng.kernel == "codebook"
 
     @pytest.mark.parametrize(
         "clash",

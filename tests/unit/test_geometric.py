@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.mechanisms import SensorSpec, make_mechanism
-from repro.rng import FxpLaplaceConfig
+from repro.rng import FxpDatapath
 from repro.rng.geometric import (
     FxpGeometricRng,
     IdealTwoSidedGeometric,
@@ -18,7 +18,7 @@ from repro.rng.geometric import (
 D, EPS = 8.0, 0.5
 DELTA = D / 64
 ALPHA = geometric_alpha(D, EPS, DELTA)
-CFG = FxpLaplaceConfig(input_bits=12, output_bits=20, delta=DELTA, lam=1.0)
+CFG = FxpDatapath(input_bits=12, output_bits=20, delta=DELTA)
 
 
 @pytest.fixture(scope="module")
@@ -93,9 +93,7 @@ class TestFxpRealization:
     def test_more_bits_tighter_match(self, ideal):
         tvs = []
         for bu in (10, 14):
-            cfg = FxpLaplaceConfig(
-                input_bits=bu, output_bits=20, delta=DELTA, lam=1.0
-            )
+            cfg = FxpDatapath(input_bits=bu, output_bits=20, delta=DELTA)
             r = FxpGeometricRng(cfg, ideal)
             tvs.append(r.exact_pmf().total_variation(r.ideal_pmf_window()))
         assert tvs[1] < tvs[0]

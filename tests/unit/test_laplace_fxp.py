@@ -9,41 +9,40 @@ from repro.errors import ConfigurationError
 from repro.rng import (
     CordicLn,
     ExhaustiveSource,
-    FxpLaplaceConfig,
+    FxpDatapath,
     FxpLaplaceRng,
     NumpySource,
 )
 
 
+def unsaturated_top(rng):
+    """The rounded code of ``L = λ·Bu·ln2`` before saturation."""
+    return math.floor(rng.max_magnitude_real / rng.config.delta + 0.5)
+
+
 class TestConfig:
-    def test_max_magnitude_formula(self, fig4_config):
+    def test_max_magnitude_formula(self, fig4_rng):
         # L = λ·Bu·ln2 (Section III-A2)
-        assert fig4_config.max_magnitude_real == pytest.approx(20 * 17 * math.log(2))
+        assert fig4_rng.max_magnitude_real == pytest.approx(20 * 17 * math.log(2))
 
-    def test_top_code(self, fig4_config):
-        expected = math.floor(fig4_config.max_magnitude_real / fig4_config.delta + 0.5)
-        assert fig4_config.top_code == expected
+    def test_top_code(self, fig4_rng):
+        assert fig4_rng.top_code == unsaturated_top(fig4_rng)
 
-    def test_no_saturation_for_fig4(self, fig4_config):
-        assert not fig4_config.saturates
+    def test_no_saturation_for_fig4(self, fig4_rng):
+        assert unsaturated_top(fig4_rng) <= fig4_rng.config.max_code
 
     def test_saturation_detected(self):
-        cfg = FxpLaplaceConfig(input_bits=17, output_bits=6, delta=10 / 32, lam=20.0)
-        assert cfg.saturates
-        assert cfg.top_code == cfg.max_code
-
-    def test_for_mechanism_defaults(self):
-        cfg = FxpLaplaceConfig.for_mechanism(sensor_range=10.0, epsilon=0.5)
-        assert cfg.lam == 20.0
-        assert cfg.delta == pytest.approx(10 / 32)
+        rng = FxpLaplaceRng(FxpDatapath(input_bits=17, output_bits=6, delta=10 / 32), 20.0)
+        assert unsaturated_top(rng) > rng.config.max_code
+        assert rng.top_code == rng.config.max_code
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            FxpLaplaceConfig(input_bits=1, output_bits=12, delta=1.0, lam=1.0)
+            FxpDatapath(input_bits=1, output_bits=12, delta=1.0)
         with pytest.raises(ConfigurationError):
-            FxpLaplaceConfig(input_bits=12, output_bits=12, delta=-1.0, lam=1.0)
+            FxpDatapath(input_bits=12, output_bits=12, delta=-1.0)
         with pytest.raises(ConfigurationError):
-            FxpLaplaceConfig.for_mechanism(sensor_range=0.0, epsilon=0.5)
+            FxpLaplaceRng(FxpDatapath(input_bits=12, output_bits=12, delta=1.0), 0.0)
 
 
 class TestExactPmf:
@@ -55,8 +54,8 @@ class TestExactPmf:
 
     def test_bounded_support(self, fig4_rng, fig4_pmf):
         lo, hi = fig4_pmf.nonzero_bounds()
-        assert hi == fig4_rng.config.top_code
-        assert lo == -fig4_rng.config.top_code
+        assert hi == fig4_rng.top_code
+        assert lo == -fig4_rng.top_code
 
     def test_tail_holes_exist(self, fig4_pmf):
         # Section III-A3: some bins inside the support window have zero
@@ -79,11 +78,11 @@ class TestExactPmf:
         np.testing.assert_allclose(ratios, np.round(ratios), atol=1e-9)
 
     def test_matches_exhaustive_sampling_exactly(self):
-        cfg = FxpLaplaceConfig(input_bits=10, output_bits=12, delta=0.25, lam=2.0)
-        rng = FxpLaplaceRng(cfg, source=ExhaustiveSource(bit_block=1 << 10))
+        datapath = FxpDatapath(input_bits=10, output_bits=12, delta=0.25)
+        rng = FxpLaplaceRng(datapath, 2.0, source=ExhaustiveSource(bit_block=1 << 10))
         # A double sweep covers every (code, sign) pair exactly once.
         codes = rng.sample_codes(2 * (1 << 10))
-        counts = np.bincount(codes + cfg.top_code, minlength=2 * cfg.top_code + 1)
+        counts = np.bincount(codes + rng.top_code, minlength=2 * rng.top_code + 1)
         pmf = rng.exact_pmf()
         np.testing.assert_allclose(counts / counts.sum(), pmf.probs, atol=1e-12)
 
@@ -93,19 +92,18 @@ class TestExactPmf:
         )
 
     def test_saturating_config_accumulates_at_top(self):
-        cfg = FxpLaplaceConfig(input_bits=12, output_bits=6, delta=0.25, lam=2.0)
-        pmf = FxpLaplaceRng(cfg).exact_pmf()
+        datapath = FxpDatapath(input_bits=12, output_bits=6, delta=0.25)
+        pmf = FxpLaplaceRng(datapath, 2.0).exact_pmf()
         assert pmf.total == pytest.approx(1.0)
-        assert pmf.max_k == cfg.max_code
+        assert pmf.max_k == datapath.max_code
 
     def test_analytic_handles_saturation(self):
-        cfg = FxpLaplaceConfig(input_bits=12, output_bits=6, delta=0.25, lam=2.0)
-        rng = FxpLaplaceRng(cfg)
+        rng = FxpLaplaceRng(FxpDatapath(input_bits=12, output_bits=6, delta=0.25), 2.0)
         assert rng.exact_pmf("enumerate").total_variation(rng.exact_pmf("analytic")) < 1e-12
 
     def test_analytic_rejected_for_hw_log(self):
-        cfg = FxpLaplaceConfig(input_bits=10, output_bits=12, delta=0.25, lam=2.0)
-        rng = FxpLaplaceRng(cfg, log_backend=CordicLn(frac_bits=20, n_iterations=16))
+        datapath = FxpDatapath(input_bits=10, output_bits=12, delta=0.25)
+        rng = FxpLaplaceRng(datapath, 2.0, log_backend=CordicLn(frac_bits=20, n_iterations=16))
         with pytest.raises(ConfigurationError):
             rng.exact_pmf("analytic")
 
@@ -116,26 +114,26 @@ class TestExactPmf:
 
 class TestSampling:
     def test_sample_matches_pmf_statistically(self, fig4_rng, fig4_pmf):
-        s = FxpLaplaceRng(fig4_rng.config, source=NumpySource(seed=0)).sample(100000)
+        s = FxpLaplaceRng(fig4_rng.config, 20.0, source=NumpySource(seed=0)).sample(100000)
         assert s.std() == pytest.approx(math.sqrt(fig4_pmf.variance()), rel=0.02)
         assert abs(s.mean()) < 0.5
 
     def test_samples_on_grid(self, fig4_rng):
-        s = FxpLaplaceRng(fig4_rng.config, source=NumpySource(seed=1)).sample(1000)
+        s = FxpLaplaceRng(fig4_rng.config, 20.0, source=NumpySource(seed=1)).sample(1000)
         k = s / fig4_rng.config.delta
         np.testing.assert_allclose(k, np.round(k), atol=1e-9)
 
     def test_samples_within_support(self, fig4_rng):
-        s = FxpLaplaceRng(fig4_rng.config, source=NumpySource(seed=2)).sample_codes(50000)
-        assert np.abs(s).max() <= fig4_rng.config.top_code
+        s = FxpLaplaceRng(fig4_rng.config, 20.0, source=NumpySource(seed=2)).sample_codes(50000)
+        assert np.abs(s).max() <= fig4_rng.top_code
 
 
 class TestCordicBackend:
     def test_cordic_pmf_close_to_exact_log_pmf(self):
-        cfg = FxpLaplaceConfig(input_bits=12, output_bits=12, delta=0.25, lam=2.0)
-        exact = FxpLaplaceRng(cfg).exact_pmf()
+        datapath = FxpDatapath(input_bits=12, output_bits=12, delta=0.25)
+        exact = FxpLaplaceRng(datapath, 2.0).exact_pmf()
         cordic = FxpLaplaceRng(
-            cfg, log_backend=CordicLn(frac_bits=24, n_iterations=24)
+            datapath, 2.0, log_backend=CordicLn(frac_bits=24, n_iterations=24)
         ).exact_pmf()
         # A high-precision CORDIC log moves only edge codes between bins.
         assert exact.total_variation(cordic) < 5e-3

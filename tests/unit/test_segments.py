@@ -6,13 +6,13 @@ import pytest
 from repro.core import Segment, SegmentTable, build_segment_table
 from repro.errors import ConfigurationError
 from repro.privacy.loss import DiscreteMechanismFamily
-from repro.rng import DiscretePMF, FxpLaplaceConfig, FxpLaplaceRng
+from repro.rng import DiscretePMF, FxpDatapath, FxpLaplaceRng
 
 
 @pytest.fixture(scope="module")
 def guarded_family():
-    cfg = FxpLaplaceConfig(input_bits=12, output_bits=16, delta=8 / 64, lam=16.0)
-    noise = FxpLaplaceRng(cfg).exact_pmf()
+    datapath = FxpDatapath(input_bits=12, output_bits=16, delta=8 / 64)
+    noise = FxpLaplaceRng(datapath, 16.0).exact_pmf()
     # Range [0, 8] in codes 0..64, a generous guarded window.
     from repro.privacy import calibrate_threshold_exact
 
@@ -33,14 +33,13 @@ class TestSegmentTable:
 
     def test_loss_lookup(self):
         table = SegmentTable(k_m=0, k_M=10, segments=(Segment(0, 0.5), Segment(5, 1.0)))
-        assert table.loss_for_output(10) == 0.5
-        assert table.loss_for_output(14) == 1.0
-        assert table.loss_for_output(-5) == 1.0
+        losses = table.losses_for_outputs(np.array([10, 14, -5]))
+        assert losses.tolist() == [0.5, 1.0, 1.0]
 
     def test_loss_beyond_table_raises(self):
         table = SegmentTable(k_m=0, k_M=10, segments=(Segment(0, 0.5),))
         with pytest.raises(ConfigurationError):
-            table.loss_for_output(11)
+            table.losses_for_outputs(np.array([5, 11]))
 
     def test_base_loss(self):
         table = SegmentTable(k_m=0, k_M=10, segments=(Segment(0, 0.4), Segment(3, 0.9)))
@@ -77,10 +76,9 @@ class TestBuildSegmentTable:
         # Every output's profile loss is <= its segment's charged loss.
         table = build_segment_table(guarded_family, 0.5, levels=[1.0, 1.5, 2.0])
         profile = guarded_family.loss_profile()
-        for j, k in enumerate(guarded_family.output_codes):
-            if np.isnan(profile[j]):
-                continue
-            assert profile[j] <= table.loss_for_output(int(k)) + 1e-9
+        charged = table.losses_for_outputs(guarded_family.output_codes)
+        reached = ~np.isnan(profile)
+        assert np.all(profile[reached] <= charged[reached] + 1e-9)
 
     def test_base_segment_is_in_range_loss(self, guarded_family):
         table = build_segment_table(guarded_family, 0.5, levels=[1.0, 2.0])

@@ -14,7 +14,7 @@ from repro.core.selftest import (
 from repro.errors import ConfigurationError
 from repro.rng import (
     CordicLn,
-    FxpLaplaceConfig,
+    FxpDatapath,
     FxpLaplaceRng,
     NumpySource,
     TauswortheSource,
@@ -74,8 +74,8 @@ class TestHealthyComponentsPass:
         assert cordic_check(CordicLn(frac_bits=24, n_iterations=24)).passed
 
     def test_noise_shape_passes(self):
-        cfg = FxpLaplaceConfig(input_bits=12, output_bits=16, delta=1 / 16, lam=2.0)
-        rng = FxpLaplaceRng(cfg, source=NumpySource(seed=5))
+        datapath = FxpDatapath(input_bits=12, output_bits=16, delta=1 / 16)
+        rng = FxpLaplaceRng(datapath, 2.0, source=NumpySource(seed=5))
         assert noise_shape_check(rng).passed
 
     def test_full_selftest_passes(self):
@@ -109,14 +109,13 @@ class TestFaultsDetected:
     def test_wrong_noise_scale_detected(self):
         # The datapath samples at twice the configured scale: URNG healthy,
         # transform corrupted — only the shape check can catch it.
-        cfg_good = FxpLaplaceConfig(input_bits=12, output_bits=16, delta=1 / 16, lam=2.0)
-        cfg_bad = FxpLaplaceConfig(input_bits=12, output_bits=16, delta=1 / 16, lam=4.0)
+        datapath = FxpDatapath(input_bits=12, output_bits=16, delta=1 / 16)
 
         class WrongScaleRng(FxpLaplaceRng):
             def exact_pmf(self, method="enumerate"):
-                return FxpLaplaceRng(cfg_good).exact_pmf(method)
+                return FxpLaplaceRng(datapath, 2.0).exact_pmf(method)
 
-        rng = WrongScaleRng(cfg_bad, source=NumpySource(seed=2))
+        rng = WrongScaleRng(datapath, 4.0, source=NumpySource(seed=2))
         assert not noise_shape_check(rng).passed
 
 
@@ -128,9 +127,9 @@ class TestValidation:
             runs_check(NumpySource(seed=0), n_bits=100)
 
     def test_minimum_samples(self):
-        cfg = FxpLaplaceConfig(input_bits=10, output_bits=14, delta=1 / 8, lam=2.0)
+        datapath = FxpDatapath(input_bits=10, output_bits=14, delta=1 / 8)
         with pytest.raises(ConfigurationError):
-            noise_shape_check(FxpLaplaceRng(cfg), n_samples=100)
+            noise_shape_check(FxpLaplaceRng(datapath, 2.0), n_samples=100)
 
     def test_check_result_describe(self):
         res = monobit_check(NumpySource(seed=3))

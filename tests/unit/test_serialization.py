@@ -11,7 +11,7 @@ from repro.core.serialization import (
 )
 from repro.errors import ConfigurationError
 from repro.mechanisms import SensorSpec
-from repro.rng import FxpLaplaceConfig
+from repro.rng import FxpDatapath
 
 
 class TestRoundTrips:
@@ -24,8 +24,8 @@ class TestRoundTrips:
         )
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
-    def test_fxp_laplace_config(self):
-        cfg = FxpLaplaceConfig(input_bits=12, output_bits=16, delta=0.25, lam=4.0)
+    def test_fxp_datapath(self):
+        cfg = FxpDatapath(input_bits=12, output_bits=16, delta=0.25)
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
     def test_sensor_spec(self):

@@ -7,14 +7,14 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.rng import (
-    FxpLaplaceConfig,
+    FxpDatapath,
     FxpStaircaseRng,
     StaircaseParams,
     optimal_gamma,
 )
 
 D, EPS = 8.0, 0.5
-CFG = FxpLaplaceConfig(input_bits=12, output_bits=18, delta=D / 64, lam=D / EPS)
+CFG = FxpDatapath(input_bits=12, output_bits=18, delta=D / 64)
 
 
 @pytest.fixture(scope="module")

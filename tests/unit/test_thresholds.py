@@ -12,7 +12,7 @@ from repro.privacy import (
     paper_resampling_threshold,
     paper_thresholding_threshold,
 )
-from repro.rng import FxpLaplaceConfig, FxpLaplaceRng
+from repro.rng import FxpDatapath, FxpLaplaceRng
 
 D, EPS, BU = 10.0, 0.5, 17
 DELTA = 10 / 32
@@ -20,8 +20,8 @@ DELTA = 10 / 32
 
 @pytest.fixture(scope="module")
 def noise():
-    cfg = FxpLaplaceConfig(input_bits=BU, output_bits=14, delta=DELTA, lam=D / EPS)
-    return FxpLaplaceRng(cfg).exact_pmf()
+    datapath = FxpDatapath(input_bits=BU, output_bits=14, delta=DELTA)
+    return FxpLaplaceRng(datapath, D / EPS).exact_pmf()
 
 
 @pytest.fixture(scope="module")
